@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including an
+unreadable or unwritable path), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -181,16 +181,15 @@ def main(argv=None):
 
     try:
         code = _dispatch(args)
-    except (ParseError, EvalError, ValueError) as exc:
+        if cache_path:
+            cache_mod.save_cache(cache_path)
+    except (ParseError, EvalError, ValueError, OSError) as exc:
         print("univchar: error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     except InvariantViolation as exc:
         print("univchar: internal invariant violated: %s" % exc,
               file=sys.stderr)
         return INTERNAL_ERROR
-
-    if cache_path:
-        cache_mod.save_cache(cache_path)
     return code
 
 

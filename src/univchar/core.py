@@ -10,7 +10,6 @@ there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
-import itertools
 
 # ---------------------------------------------------------------------------
 # basis kinds
@@ -59,14 +58,6 @@ def as_partition(seq):
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     return parts
-
-
-def is_partition(seq):
-    try:
-        as_partition(seq)
-        return True
-    except ValueError:
-        return False
 
 
 def conjugate(lam):
@@ -330,13 +321,9 @@ class LaurentPoly:
                 total += coeff * (v ** e)
         return total
 
-    def min_exp(self):
-        return min(self.c) if self.c else None
-
-    def max_exp(self):
-        return max(self.c) if self.c else None
-
-    def __str__(self):
+    def format(self, times="*", power="t^%d"):
+        """Highest power first; times follows a coefficient other than 1,
+        power renders t^e for e other than 0 and 1."""
         if not self.c:
             return "0"
         bits = []
@@ -345,13 +332,15 @@ class LaurentPoly:
             if e == 0:
                 term = str(abs(v))
             else:
-                mag = "" if abs(v) == 1 else "%d*" % abs(v)
-                term = mag + ("t" if e == 1 else "t^%d" % e)
+                mag = "" if abs(v) == 1 else "%d%s" % (abs(v), times)
+                term = mag + ("t" if e == 1 else power % e)
             if not bits:
                 bits.append(("-" if v < 0 else "") + term)
             else:
                 bits.append((" - " if v < 0 else " + ") + term)
         return "".join(bits)
+
+    __str__ = format
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self
@@ -391,18 +380,6 @@ def is_dominant_seq(rects):
     return all(a >= b for a, b in zip(widths, widths[1:]))
 
 
-def all_rectangles_seq(rects):
-    return all(is_rectangle(r) for r in rects)
-
-
 def dominant_rearrangement(rects):
     """Sort rectangles into a dominant sequence (widths weakly decreasing)."""
     return tuple(sorted(rects, key=lambda r: (-(r[0] if r else 0), -len(r))))
-
-
-def partition_to_json(lam):
-    return list(lam)
-
-
-def partition_from_json(obj):
-    return as_partition(obj)

@@ -75,7 +75,7 @@ class KTable:
                  r"$\lambda$ & $K^{\mathrm{%s}}_{\lambda;R}(t)$ \\\hline"
                  % self.kind]
         for lam in self.support():
-            poly = _latex_poly(self.rows[lam])
+            poly = self.rows[lam].format("", "t^{%d}")
             lines.append(r"$%s$ & $%s$ \\" % (_latex_partition(lam), poly))
         lines.append(r"\end{tabular}")
         return "\n".join(lines) + "\n"
@@ -90,24 +90,6 @@ class KTable:
 
 def _latex_partition(lam):
     return "(" + ",".join(str(p) for p in lam) + ")"
-
-
-def _latex_poly(poly):
-    if not poly.c:
-        return "0"
-    bits = []
-    for e in sorted(poly.c, reverse=True):
-        v = poly.c[e]
-        if e == 0:
-            term = str(abs(v))
-        else:
-            mag = "" if abs(v) == 1 else "%d" % abs(v)
-            term = mag + ("t" if e == 1 else "t^{%d}" % e)
-        if not bits:
-            bits.append(("-" if v < 0 else "") + term)
-        else:
-            bits.append((" - " if v < 0 else " + ") + term)
-    return "".join(bits)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,28 @@
 the t-deformed row and parabolic operators, and the deformed products they
 generate together with their coefficient polynomials.
 
-Single-row operators expand the defining generating functions into finite
-sums of (multiply by one-row) o (skew by one-row/one-column) steps.  Parabolic
-operators compose single rows and correct with the pairwise index shifts that
-come from commuting deformed rows past each other; the correction bookkeeping
-runs as a small dynamic program over pending index shifts.  A brute-force
-multivariate extraction oracle is provided for cross-checking.
+Every row operator, plain or deformed and of any kind, is one kernel in two
+stages.  The skew stage applies the factors of a generating series to the
+operand: each factor skews by the one-column or one-row function of every
+degree a, weighs the result by (-1)^a or t^(a*texp) and moves a net index
+shift j up or down by a.  Operands that reach the same shift are summed
+before the next factor skews them, so the stage is a map j -> operand that
+does not depend on the row index r.  The Pieri stage then sums the signed
+products multiply_h(stage[j], r - s + j) over the shifts s of the kind.
+
+The factor table is keyed by two facts.  The Schur kind is one-sided; the
+three diamond kinds are mirrored, adding the factors of the inverse series
+with downward shifts.  The deformed kernels carry the t-weighted one-row
+factors, and the undeformed (Bernstein) kernels are the same ones without
+them.  The box and horizontal-domino rows are the vertical-domino row at r
+less the same row at r - 1 and r - 2.
+
+Parabolic operators compose single rows and correct with the pairwise index
+shifts that come from commuting deformed rows past each other; the correction
+bookkeeping runs as a small dynamic program over pending index shifts, which
+builds each operand's skew stage once and runs the Pieri stage once per index
+drop.  A brute-force multivariate extraction oracle is provided for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -25,62 +41,81 @@ class InvariantViolation(Exception):
 
 
 # ---------------------------------------------------------------------------
-# undeformed row operators
+# the row kernel
+
+# (mirrored, deformed) -> skew factors in the order they apply.  A factor
+# (column, step) skews by the one-column function of degree a with weight
+# (-1)^a when column is true, else by the one-row function with weight
+# t^(a*texp); either way it adds step * a to the net shift.
+_ROW_FACTORS = {
+    (False, False): ((True, 1),),
+    (False, True): ((True, 1), (False, 1)),
+    (True, False): ((True, 1), (True, -1)),
+    (True, True): ((True, 1), (False, 1), (True, -1), (False, -1)),
+}
+
+# kind -> Pieri shifts s; the rows at s > 0 are subtracted
+_PIERI_SHIFTS = {"none": (0,), "vdom": (0,), "box": (0, 1), "hdom": (0, 2)}
+
+
+def _row_stage(p, kind, texp):
+    """Map net shift j -> skewed operand; texp None is the undeformed kernel.
+
+    Skews run over every degree up to the operand's: a sum of Schur terms
+    can vanish under one skew and not under a higher one (s[2] - s[1,1]
+    under the one-column skews of degree 1 and 2).
+    """
+    stage = {0: p}
+    for column, step in _ROW_FACTORS[(kind != "none", texp is not None)]:
+        nxt = {}
+        for j, f in stage.items():
+            for a in range(f.degree() + 1):
+                if column:
+                    g = skew_e(f, a)
+                    g = -g if a % 2 else g
+                else:
+                    g = skew_h(f, a)
+                    if a:
+                        g = g.scaled(LaurentPoly.t(a * texp))
+                if g.is_zero():
+                    continue
+                k = j + step * a
+                cur = nxt.get(k)
+                nxt[k] = g if cur is None else cur + g
+        stage = nxt
+    return stage
+
+
+def _pieri_stage(stage, kind, r):
+    """The row at index r from a skew stage: signed sum of multiply_h."""
+    out = SymFunc()
+    for s in _PIERI_SHIFTS[kind]:
+        for j, f in stage.items():
+            g = multiply_h(f, r - s + j)
+            out = out - g if s else out + g
+    return out
+
+
+def _row(r, p, kind, texp):
+    return _pieri_stage(_row_stage(p, kind, texp), kind, r)
+
+
+# ---------------------------------------------------------------------------
+# row operators
 
 def bernstein_row(r, p):
     """Add an indexed row in the Schur basis: sum of signed Pieri moves."""
-    out = SymFunc()
-    i = 0
-    while True:
-        f = skew_e(p, i)
-        if f.is_zero():
-            break
-        if r + i >= 0:
-            out = out + multiply_h(f, r + i).scaled((-1) ** i)
-        i += 1
-    return out
+    return _row(r, p, "none", None)
 
 
 def bernstein_create(nu):
     """Compose row operators along an integer vector, applied to 1."""
-    f = SymFunc.one()
-    for r in reversed(tuple(nu)):
-        f = bernstein_row(r, f)
-        if not f:
-            break
-    return f
+    return bernstein_diamond_create("none", nu)
 
 
 def bernstein_diamond_row(kind, r, p):
     """Row creation operator for the basis of a kind, in the Schur basis."""
-    kind = canonical_kind(kind)
-    if kind == "none":
-        return bernstein_row(r, p)
-    if kind == "box":
-        return _bernstein_vdom_row(r, p) - _bernstein_vdom_row(r - 1, p)
-    if kind == "hdom":
-        return _bernstein_vdom_row(r, p) - _bernstein_vdom_row(r - 2, p)
-    return _bernstein_vdom_row(r, p)
-
-
-def _bernstein_vdom_row(r, p):
-    out = SymFunc()
-    j = 0
-    while True:
-        fj = skew_e(p, j)
-        if fj.is_zero():
-            break
-        i = 0
-        while True:
-            fij = skew_e(fj, i)
-            if fij.is_zero():
-                break
-            m = r + i - j
-            if m >= 0:
-                out = out + multiply_h(fij, m).scaled((-1) ** (i + j))
-            i += 1
-        j += 1
-    return out
+    return _row(r, p, canonical_kind(kind), None)
 
 
 def bernstein_diamond_create(kind, nu):
@@ -91,6 +126,16 @@ def bernstein_diamond_create(kind, nu):
         if not f:
             break
     return f
+
+
+def tilde_b_row(r, p, texp=1):
+    """Deformed row operator for the Schur basis; texp=2 substitutes t^2."""
+    return _row(r, p, "none", texp)
+
+
+def tilde_b_diamond_row(kind, r, p, texp=1):
+    """Deformed row operator for the basis of a kind."""
+    return _row(r, p, canonical_kind(kind), texp)
 
 
 # ---------------------------------------------------------------------------
@@ -239,78 +284,6 @@ def _halve_exact(f):
 
 
 # ---------------------------------------------------------------------------
-# t-deformed single rows
-
-def tilde_b_row(r, p, texp=1):
-    """Deformed row operator for the Schur basis; texp=2 substitutes t^2."""
-    out = SymFunc()
-    b = 0
-    while True:
-        fb = skew_e(p, b)
-        if fb.is_zero():
-            break
-        a = 0
-        while True:
-            fab = skew_h(fb, a)
-            if fab.is_zero():
-                break
-            m = r + a + b
-            if m >= 0:
-                w = LaurentPoly.t(a * texp, (-1) ** b)
-                out = out + multiply_h(fab, m).scaled(w)
-            a += 1
-        b += 1
-    return out
-
-
-def tilde_b_diamond_row(kind, r, p, texp=1):
-    """Deformed row operator for the basis of a kind."""
-    kind = canonical_kind(kind)
-    if kind == "none":
-        return tilde_b_row(r, p, texp)
-    if kind == "box":
-        return _tilde_vdom_row(r, p, texp) - _tilde_vdom_row(r - 1, p, texp)
-    if kind == "hdom":
-        return _tilde_vdom_row(r, p, texp) - _tilde_vdom_row(r - 2, p, texp)
-    return _tilde_vdom_row(r, p, texp)
-
-
-def _tilde_vdom_row(r, p, texp):
-    if p.is_zero() or r < -p.degree():
-        return SymFunc()
-    out = SymFunc()
-    d = 0
-    while True:
-        fd = skew_e(p, d)
-        if fd.is_zero():
-            break
-        c = 0
-        while True:
-            fcd = skew_h(fd, c)
-            if fcd.is_zero():
-                break
-            b = 0
-            while True:
-                fbcd = skew_e(fcd, b)
-                if fbcd.is_zero():
-                    break
-                a = 0
-                while True:
-                    fabcd = skew_h(fbcd, a)
-                    if fabcd.is_zero():
-                        break
-                    m = r - a - b + c + d
-                    if m >= 0:
-                        w = LaurentPoly.t((a + c) * texp, (-1) ** (b + d))
-                        out = out + multiply_h(fabcd, m).scaled(w)
-                    a += 1
-                b += 1
-            c += 1
-        d += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
 # parabolic operators
 
 _LEVEL_CACHE = {}   # (p, texp, diamond?) -> dict ds -> ((drop, poly), ...)
@@ -364,15 +337,9 @@ def _parabolic_apply(nu, p, texp, kind):
     if n == 0:
         return p
     kind = canonical_kind(kind)
-    diamond = kind != "none"
-
-    def row(r, f):
-        if diamond:
-            return tilde_b_diamond_row(kind, r, f, texp)
-        return tilde_b_row(r, f, texp)
-
     if n == 1:
-        return row(nu[0], p)
+        return _row(nu[0], p, kind, texp)
+    diamond = kind != "none"
     states = {(0,) * n: p}
     for pos in range(n - 1, -1, -1):
         grouped = _level_weights(pos, texp, diamond)
@@ -380,15 +347,15 @@ def _parabolic_apply(nu, p, texp, kind):
         for pending, f in states.items():
             if f.is_zero():
                 continue
+            stage = _row_stage(f, kind, texp)
             base = nu[pos] + pending[pos]
-            rowcache = {}
+            rows = {}
             for ds, drops in grouped.items():
                 acc = None
                 for drop, w in drops:
-                    g = rowcache.get(drop)
+                    g = rows.get(drop)
                     if g is None:
-                        g = row(base - drop, f)
-                        rowcache[drop] = g
+                        g = rows[drop] = _pieri_stage(stage, kind, base - drop)
                     if g.is_zero():
                         continue
                     piece = g.scaled(w)

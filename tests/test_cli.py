@@ -126,11 +126,18 @@ def test_cli_kpoly_dpoly(capsys):
     assert capsys.readouterr().out.strip() == "t^5 - t^4 + t^3"
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(tmp_path, capsys):
     assert main(["eval", "s[2,3]"]) == 2
     capsys.readouterr()
     assert main(["kpoly", "--lambda", "[1"]) == 2
     capsys.readouterr()
+    # an output directory below a regular file is an OS error, not a crash
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["table", "-R", "[[1]]", "--kinds", "vdom",
+                 "--out", str(blocker / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("univchar: error: ") and err.count("\n") == 1
 
 
 def test_cli_internal_error(monkeypatch, capsys):

@@ -28,9 +28,10 @@ def test_conjugate_examples():
 
 def test_conjugate_involution_random():
     rng = random.Random(1)
+    by_size = [list(partitions_of(n)) for n in range(31)]
     for _ in range(1000):
         n = rng.randrange(0, 31)
-        lam = rng.choice(list(partitions_of(n)))
+        lam = rng.choice(by_size[n])
         assert conjugate(conjugate(lam)) == lam
 
 

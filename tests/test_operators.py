@@ -104,6 +104,12 @@ def test_tilde_rows():
     # reduction at the undeformed point
     got = tilde_b_row(2, s(2, 1))
     assert SymFunc(got.eval_t(0)) == bernstein_row(2, s(2, 1))
+    for lam in partitions_upto(3):
+        for r in range(-4, 5):
+            for texp in (1, 2):
+                got = tilde_b_row(r, SymFunc.schur(lam), texp)
+                assert SymFunc(got.eval_t(0)) == \
+                    bernstein_row(r, SymFunc.schur(lam)), (lam, r, texp)
 
 
 def test_tilde_diamond_rows():
@@ -115,6 +121,15 @@ def test_tilde_diamond_rows():
     assert got == want
     got0 = SymFunc(tilde_b_diamond_row("box", 2, s(2)).eval_t(0))
     assert got0 == bernstein_diamond_row("box", 2, s(2))
+    # r < -deg(p) included: every term of those rows vanishes
+    for kind in ("box", "vdom", "hdom"):
+        for lam in partitions_upto(3):
+            p = SymFunc.schur(lam)
+            for r in range(-4, 5):
+                for texp in (1, 2):
+                    got0 = tilde_b_diamond_row(kind, r, p, texp).eval_t(0)
+                    assert SymFunc(got0) == \
+                        bernstein_diamond_row(kind, r, p), (kind, lam, r)
 
 
 def test_parabolic_basics():
@@ -132,10 +147,12 @@ def test_parabolic_basics():
 def test_parabolic_vs_oracle():
     rng = random.Random(9)
     operands = [SymFunc.schur(l) for l in partitions_upto(3)]
+    # s[2] - s[1,1] vanishes under the first column skew but not the second
+    cancelling = s(2) - s(1, 1)
     for texp in (1, 2):
         for n in (1, 2):
             for nu in itertools.product(range(-2, 5), repeat=n):
-                for p in operands:
+                for p in operands + [cancelling]:
                     assert tilde_b_parabolic(nu, p, texp) == \
                         direct_extraction_oracle(nu, p, "none", texp)
         for _ in range(25):
@@ -147,11 +164,13 @@ def test_parabolic_vs_oracle():
 
 def test_diamond_parabolic_vs_oracle():
     small = [one, s(1), s(2), s(1, 1)]
+    cancelling = s(2) - s(1, 1)
     for kind in ("box", "vdom", "hdom"):
-        for nu in itertools.product(range(-1, 4), repeat=2):
-            for p in small:
-                assert tilde_b_diamond_parabolic(kind, nu, p) == \
-                    direct_extraction_oracle(nu, p, kind), (kind, nu)
+        for n in (1, 2):
+            for nu in itertools.product(range(-1, 4), repeat=n):
+                for p in small + [cancelling]:
+                    assert tilde_b_diamond_parabolic(kind, nu, p) == \
+                        direct_extraction_oracle(nu, p, kind), (kind, nu)
     rng = random.Random(10)
     for kind in ("box", "vdom", "hdom"):
         for _ in range(4):
