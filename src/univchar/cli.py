@@ -94,7 +94,6 @@ def build_parser():
     p.add_argument("-R", dest="rects", type=_parse_sequence, required=True)
     p.add_argument("--kinds", default="all",
                    help="comma list of kinds, or 'all'")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--latex", action="store_true")
 
@@ -107,38 +106,25 @@ def build_parser():
     return top
 
 
-def _table_job(args):
-    kind, rects, latex = args
+def cmd_table(rects, kinds, out_dir, latex, as_json):
     from .kpoly import ktable_via_recurrence
-    table = ktable_via_recurrence(kind, rects)
-    return (kind, table.to_json(), table.to_latex() if latex else None,
-            [(list(l), str(p)) for l, p in table.positivity_report()])
-
-
-def cmd_table(rects, kinds, jobs, out_dir, latex, as_json):
     os.makedirs(out_dir, exist_ok=True)
-    work = [(k, rects, latex) for k in kinds]
-    if jobs > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            produced = list(ex.map(_table_job, work))
-    else:
-        produced = [_table_job(w) for w in work]
     written = []
-    for kind, obj, tex, warnings in produced:
+    for kind in kinds:
+        table = ktable_via_recurrence(kind, rects)
         path = os.path.join(out_dir, "ktable_%s.json" % kind)
         with open(path, "w") as fh:
-            json.dump(obj, fh, indent=1, sort_keys=True)
+            json.dump(table.to_json(), fh, indent=1, sort_keys=True)
             fh.write("\n")
         written.append(path)
-        if tex is not None:
+        if latex:
             tex_path = os.path.join(out_dir, "ktable_%s.tex" % kind)
             with open(tex_path, "w") as fh:
-                fh.write(tex)
+                fh.write(table.to_latex())
             written.append(tex_path)
-        for lam, poly in warnings:
+        for lam, poly in table.positivity_report():
             print("univchar: note: negative data at %s (%s) in kind %s"
-                  % (lam, poly, kind), file=sys.stderr)
+                  % (list(lam), poly, kind), file=sys.stderr)
     if as_json:
         print(json.dumps({"written": written}, sort_keys=True))
     else:
@@ -222,8 +208,7 @@ def _dispatch(args):
     if args.command == "table":
         kinds = (list(KINDS) if args.kinds == "all"
                  else [canonical_kind(k) for k in args.kinds.split(",")])
-        return cmd_table(args.rects, kinds, args.jobs, args.out,
-                         args.latex, args.json)
+        return cmd_table(args.rects, kinds, args.out, args.latex, args.json)
     if args.command == "verify":
         return cmd_verify(args.suite, args.max_degree, args.json)
     raise ValueError("unknown command %r" % args.command)

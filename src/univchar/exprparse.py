@@ -38,6 +38,11 @@ class EvalError(ValueError):
     pass
 
 
+# largest exponent of a power whose base is not the monomial t; repeated
+# multiplication of a non-monomial grows without bound in the exponent
+MAX_POWER = 256
+
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 
 _PUNCT = set("[](),=+-*^.")
@@ -391,6 +396,9 @@ def eval_ast(node):
             return LaurentPoly.t(node[3])
         if node[3] < 0:
             raise EvalError("negative power of a non-monomial")
+        if node[3] > MAX_POWER:
+            raise EvalError("power %d of a non-monomial exceeds %d"
+                            % (node[3], MAX_POWER))
         out = LaurentPoly.const(1)
         for _ in range(node[3]):
             out = out * base

@@ -95,31 +95,18 @@ def _latex_partition(lam):
 # ---------------------------------------------------------------------------
 # conjugated row operators
 
-def h_row(kind, nu, p, conj_degree=None):
+def h_row(kind, nu, p):
     """One deformed row of a kind: conjugate the squared-deformation parabolic
-    by the difference of plain and t-scaled generating series.
-
-    conj_degree bounds the series terms used; any value at least
-    deg(p) + |nu| is exact because higher series terms annihilate.
-    """
+    by the difference of plain and t-scaled generating series."""
     kind = canonical_kind(kind)
     nu = tuple(int(x) for x in nu)
     if kind == "none":
         return tilde_b_parabolic(nu, p, 2)
-    if p.is_zero():
-        return p
-    gain = sum(x for x in nu if x > 0)
-    need = p.degree() + gain
-    if conj_degree is None:
-        conj_degree = need + 2
-    elif conj_degree < need:
-        raise ValueError("conj_degree %d below exactness bound %d"
-                         % (conj_degree, need))
-    f = skew_by_series(p, kind, "+", 1, cutoff=conj_degree)
-    f = skew_by_series(f, kind, "-", "t", cutoff=conj_degree)
+    f = skew_by_series(p, kind, "+", 1)
+    f = skew_by_series(f, kind, "-", "t")
     f = tilde_b_parabolic(nu, f, 2)
-    f = skew_by_series(f, kind, "+", "t", cutoff=conj_degree)
-    f = skew_by_series(f, kind, "-", 1, cutoff=conj_degree)
+    f = skew_by_series(f, kind, "+", "t")
+    f = skew_by_series(f, kind, "-", 1)
     return f
 
 

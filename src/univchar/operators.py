@@ -530,10 +530,6 @@ def _perm_sign(w):
 _BB_CACHE = {}   # (kind, texp, factors-suffix) -> SymFunc
 
 
-def clear_bb_cache():
-    _BB_CACHE.clear()
-
-
 def bb_r(factors, texp=1):
     """Deformed product over a sequence of index vectors, Schur basis."""
     return _bb("none", tuple(tuple(f) for f in factors), texp)

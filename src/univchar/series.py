@@ -8,6 +8,11 @@ Frobenius or self-conjugate shapes.  The series only ever act through the
 skewing operator, so they are generated on demand per degree and memoized.
 The signed shapes and signs are validated against brute-force polynomial
 expansion in the verification suite.
+
+The positive box series is the vdom seed plus one cell (Macdonald, I.5
+Ex. 5): S_box = S_vdom * sum_k h_k, t-scaled termwise, so skewing by it is the
+vdom skew followed by one one-row Pieri sweep.  The sparse signed series are
+cheaper summed directly than factored, so only this one is factored.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from .core import (LaurentPoly, canonical_kind, conjugate, diagonal_size,
                    from_frobenius, kind_partitions_of, partition_key)
 from .schur import Expansion, SymFunc, _skew_spectrum, _prod_spectrum, \
-    _accumulate, multiply
+    _accumulate, multiply, skew_h
 
 _SERIES_CACHE = {}   # (kind, sign) -> list per degree of [(partition, +-1)]
 
@@ -91,20 +96,14 @@ def series_terms(kind, sign, scale, degree):
     return out
 
 
-def skew_by_series(p, kind, sign, scale=1, cutoff=None):
-    """Apply the adjoint of multiplication by a generating series to p.
-
-    Only series terms of size <= deg(p) act; cutoff may lower that bound.
-    """
+def skew_by_series(p, kind, sign, scale=1):
+    """Apply the adjoint of multiplication by a generating series to p."""
     kind = canonical_kind(kind)
-    d = p.degree()
-    if d < 0:
-        return SymFunc()
-    if cutoff is not None:
-        d = min(d, cutoff)
+    if kind == "box" and sign == "+":
+        return _one_row_sweep(skew_by_series(p, "vdom", "+", scale), scale)
     out = SymFunc()
     acc = out.terms
-    for mu, poly in series_terms(kind, sign, scale, d):
+    for mu, poly in series_terms(kind, sign, scale, p.degree()):
         if not mu:
             for lam, c in p.terms.items():
                 _accumulate(acc, lam, c)
@@ -119,6 +118,16 @@ def skew_by_series(p, kind, sign, scale=1, cutoff=None):
             cp = c * poly
             for nu, k in spec:
                 _accumulate(acc, nu, cp * k)
+    return out
+
+
+def _one_row_sweep(p, scale):
+    """Skew p by sum_k h_k, with h_k weighted by t**k when scale is 't'."""
+    out = SymFunc()
+    acc = out.terms
+    for k in range(p.degree() + 1):
+        for lam, c in skew_h(p, k).terms.items():
+            _accumulate(acc, lam, c.shift(k) if scale == "t" else c)
     return out
 
 

@@ -9,8 +9,9 @@ import univchar.cache as cache_mod
 import univchar.schur as schur
 from univchar.cli import main
 from univchar.core import LaurentPoly
-from univchar.exprparse import (EvalError, ParseError, ast_equal, eval_expr,
-                                format_value, parse, print_ast)
+from univchar.exprparse import (MAX_POWER, EvalError, ParseError, ast_equal,
+                                eval_expr, format_value, parse, print_ast)
+from univchar.kpoly import hh_r
 
 
 def test_parse_examples():
@@ -140,6 +141,18 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert err.startswith("univchar: error: ") and err.count("\n") == 1
 
 
+def test_cli_power_cap(capsys):
+    # one past the cap fails as a usage error; the loop never starts
+    assert main(["eval", "(1+t)^%d" % (MAX_POWER + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("univchar: error: ") and err.count("\n") == 1
+    assert main(["eval", "(1+t)^%d" % MAX_POWER]) == 0
+    assert capsys.readouterr().out.startswith("t^%d + " % MAX_POWER)
+    # a power of t stays one monomial at any exponent
+    assert main(["eval", "t^100000"]) == 0
+    assert capsys.readouterr().out.strip() == "t^100000"
+
+
 def test_cli_internal_error(monkeypatch, capsys):
     from univchar.operators import InvariantViolation
 
@@ -168,22 +181,22 @@ def test_cli_verify_pass(capsys):
 def test_table_command(tmp_path, capsys):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    assert main(["table", "-R", "[[2,2],[1]]", "--kinds", "all",
-                 "--jobs", "1", "--out", str(out1), "--latex"]) == 0
-    capsys.readouterr()
-    assert main(["table", "-R", "[[2,2],[1]]", "--kinds", "all",
-                 "--jobs", "4", "--out", str(out2), "--latex"]) == 0
-    capsys.readouterr()
+    for out in (out1, out2):
+        assert main(["table", "-R", "[[2,2],[1]]", "--kinds", "all",
+                     "--out", str(out), "--latex"]) == 0
+        capsys.readouterr()
     for kind in ("none", "box", "vdom", "hdom"):
-        a = (out1 / ("ktable_%s.json" % kind)).read_bytes()
-        b = (out2 / ("ktable_%s.json" % kind)).read_bytes()
-        assert a == b
-        ta = (out1 / ("ktable_%s.tex" % kind)).read_bytes()
-        tb = (out2 / ("ktable_%s.tex" % kind)).read_bytes()
-        assert ta == tb
+        for ext in ("json", "tex"):
+            name = "ktable_%s.%s" % (kind, ext)
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     data = json.loads((out1 / "ktable_vdom.json").read_text())
     assert data["kind"] == "vdom"
     assert {"lambda": [1], "poly": {"4": "1", "6": "1"}} in data["K"]
+    # the box table against the independent row-operator route
+    data = json.loads((out1 / "ktable_box.json").read_text())
+    rows = {tuple(rec["lambda"]): LaurentPoly.from_json(rec["poly"])
+            for rec in data["K"]}
+    assert rows == hh_r("box", ((2, 2), (1,))).rows
 
 
 def test_table_empty_sequence(tmp_path, capsys):

@@ -31,15 +31,6 @@ def test_h_row_single_rows():
     assert dict(got.func.terms) == {(2,): one, (): t(2)}
 
 
-def test_h_row_truncation_bound():
-    p = s(2, 1)
-    exact = h_row("vdom", (2,), p)
-    assert h_row("vdom", (2,), p, conj_degree=5) == exact
-    assert h_row("vdom", (2,), p, conj_degree=9) == exact
-    with pytest.raises(ValueError):
-        h_row("vdom", (2,), p, conj_degree=3)
-
-
 def test_h_row_expansion_route():
     for kind in ("box", "vdom", "hdom"):
         for nu in ((2,), (1, 1), (2, 1)):

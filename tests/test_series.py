@@ -8,6 +8,7 @@ from univchar.series import (change_basis, diamond_product, diamond_unit,
                              dual_basis_truncated, from_diamond,
                              newell_littlewood, omega_diamond, series_terms,
                              skew_by_series, to_diamond)
+from univchar.verify import skew_by_series_mismatches
 from univchar import oracles
 
 
@@ -169,3 +170,8 @@ def test_skew_by_series_linearity():
     want = (from_diamond(Expansion("vdom", s(3, 1))).scaled(LaurentPoly.t(1))
             + from_diamond(Expansion("vdom", s(2))))
     assert got == want
+
+
+def test_skew_by_series_vs_series_terms():
+    # every kind, sign and scale, box "+" included, against the direct sum
+    assert skew_by_series_mismatches(5) == []
