@@ -15,7 +15,6 @@ from .core import as_partition, canonical_kind, KINDS
 from .exprparse import (EvalError, ParseError, eval_expr, format_value,
                         value_to_json)
 from .operators import InvariantViolation
-from . import cache as cache_mod
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
@@ -38,6 +37,14 @@ def _parse_sequence(text):
         raise argparse.ArgumentTypeError("bad sequence %r: %s" % (text, exc))
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r"
+                                         % text)
+    return value
+
+
 def _parse_kind(text):
     try:
         return canonical_kind(text)
@@ -49,9 +56,6 @@ def _global_flags(parser, suppress):
     # subcommands re-accept the global flags; suppressed defaults keep a
     # pre-subcommand occurrence from being clobbered by the subparser
     extra = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--cache",
-                        help="path of the product-coefficient cache "
-                             "(or set UNIVCHAR_CACHE)", **extra)
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output", **extra)
 
@@ -102,7 +106,7 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    choices=["lr", "bases", "operators", "determinants",
                             "kpoly", "duality", "kernels", "all"])
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_non_negative_int, default=None)
     return top
 
 
@@ -161,14 +165,8 @@ def main(argv=None):
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
 
-    cache_path = cache_mod.default_cache_path(args.cache)
-    if cache_path:
-        cache_mod.load_cache(cache_path)
-
     try:
         code = _dispatch(args)
-        if cache_path:
-            cache_mod.save_cache(cache_path)
     except (ParseError, EvalError, ValueError, OSError) as exc:
         print("univchar: error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

@@ -38,9 +38,20 @@ class EvalError(ValueError):
     pass
 
 
-# largest exponent of a power whose base is not the monomial t; repeated
-# multiplication of a non-monomial grows without bound in the exponent
+# largest exponent of a power whose base is not the monomial t, and largest
+# degree span (highest minus lowest exponent of t) of such a power's result;
+# repeated multiplication of a non-monomial grows without bound in both
 MAX_POWER = 256
+
+# largest coefficient bit length a power may produce, bounded before any
+# multiplication; below the 4300-digit limit on int -> str, so that every
+# accepted result prints
+MAX_POWER_BITS = 14000
+
+# deepest nesting of parentheses, operands, call arguments and negations;
+# each level costs a few frames of the recursive-descent parser and of the
+# evaluator, and Python stops recursion at 1000 frames by default
+MAX_NESTING = 100
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
@@ -82,6 +93,7 @@ class Parser:
         self.src = src
         self.toks = tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -97,6 +109,12 @@ class Parser:
             raise ParseError("expected %r, found %r" % (tag, t[1]), t[2])
         return t
 
+    def nest(self, delta):
+        self.depth += delta
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested deeper than %d"
+                             % MAX_NESTING, self.peek()[2])
+
     def parse(self):
         node = self.expr()
         t = self.peek()
@@ -105,11 +123,13 @@ class Parser:
         return node
 
     def expr(self):
+        self.nest(1)
         node = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.next()
             rhs = self.term()
             node = (("add" if op[0] == "+" else "sub"), op[2], node, rhs)
+        self.nest(-1)
         return node
 
     def term(self):
@@ -123,7 +143,10 @@ class Parser:
     def factor(self):
         if self.peek()[0] == "-":
             t = self.next()
-            return ("neg", t[2], self.factor())
+            self.nest(1)
+            node = ("neg", t[2], self.factor())
+            self.nest(-1)
+            return node
         node = self.atom()
         if self.peek()[0] == "^":
             self.next()
@@ -382,29 +405,47 @@ def eval_ast(node):
         return Expansion("none", SymFunc.schur(lam))
     if tag == "schur":
         return Expansion(node[2], SymFunc.schur(node[3]))
-    if tag == "add":
-        return _add(eval_ast(node[2]), eval_ast(node[3]), 1)
-    if tag == "sub":
-        return _add(eval_ast(node[2]), eval_ast(node[3]), -1)
+    if tag in _BINARY:
+        # a chain a + b - c * d ... parses into a left-deep tree as deep as
+        # the chain is long: walk its left spine in a loop, not by recursion
+        spine = []
+        while node[0] in _BINARY:
+            spine.append(node)
+            node = node[2]
+        value = eval_ast(node)
+        for op in reversed(spine):
+            value = _BINARY[op[0]](value, eval_ast(op[3]))
+        return value
     if tag == "neg":
         return _scale(eval_ast(node[2]), LaurentPoly.const(-1))
     if tag == "pow":
         base = eval_ast(node[2])
         if not isinstance(base, LaurentPoly):
             raise EvalError("only scalar powers are supported")
+        n = node[3]
         if base == LaurentPoly.t(1):
-            return LaurentPoly.t(node[3])
-        if node[3] < 0:
+            return LaurentPoly.t(n)
+        if n < 0:
             raise EvalError("negative power of a non-monomial")
-        if node[3] > MAX_POWER:
+        if n > MAX_POWER:
             raise EvalError("power %d of a non-monomial exceeds %d"
-                            % (node[3], MAX_POWER))
+                            % (n, MAX_POWER))
+        exps = list(base.c)
+        span = n * (max(exps) - min(exps)) if exps else 0
+        if span > MAX_POWER:
+            raise EvalError("power %d spans %d degrees of t, more than %d"
+                            % (n, span, MAX_POWER))
+        # (number of terms * largest |coefficient|)^n bounds every
+        # coefficient of the result
+        bits = n * (max((abs(v) for v in base.c.values()), default=0)
+                    .bit_length() + len(exps).bit_length())
+        if bits > MAX_POWER_BITS:
+            raise EvalError("power %d may reach %d-bit coefficients, more "
+                            "than %d" % (n, bits, MAX_POWER_BITS))
         out = LaurentPoly.const(1)
-        for _ in range(node[3]):
+        for _ in range(n):
             out = out * base
         return out
-    if tag == "mul":
-        return _mul(eval_ast(node[2]), eval_ast(node[3]))
     if tag == "op":
         return _eval_op(node)
     if tag == "call":
@@ -449,6 +490,13 @@ def _mul(a, b):
         raise EvalError("basis mismatch: %s vs %s (use expand)"
                         % (a.kind, b.kind))
     return diamond_product(a, b)
+
+
+_BINARY = {
+    "add": lambda a, b: _add(a, b, 1),
+    "sub": lambda a, b: _add(a, b, -1),
+    "mul": _mul,
+}
 
 
 def _want_vectors(shape, span):

@@ -33,15 +33,6 @@ def clear_caches():
         d.clear()
 
 
-def prod_cache_items():
-    """Snapshot of the product cache, for persistence."""
-    return [(mu, nu, dict(spec)) for (mu, nu), spec in _PROD_CACHE.items()]
-
-
-def prod_cache_insert(mu, nu, spec):
-    _PROD_CACHE[(mu, nu)] = dict(spec)
-
-
 # ---------------------------------------------------------------------------
 # strip enumeration (Pieri moves)
 

@@ -3,7 +3,9 @@ from the command line and reused by the test suite.
 
 Each suite returns a list of (name, passed, detail) triples.  Checks compare
 the production algorithms against the independent oracles; exact equality is
-required everywhere.
+required everywhere.  The acceptance tests (tests/test_acceptance.py) run no
+sweeps of their own: each criterion asserts that its checks here are present
+and pass, at the bounds set here.
 """
 
 from __future__ import annotations
@@ -80,6 +82,16 @@ def partition_sequences(total_max, max_height=None):
 
 def dominant_rect_sequences(total_max):
     return [r for r in rect_sequences(total_max) if r and is_dominant_seq(r)]
+
+
+def specialization_sequences(max_degree):
+    """The t=0 / t=1 specialization sweep: every nonempty partition sequence
+    with |R| <= b and every rectangle sequence with |R| = b + 1, where
+    b = min(7, max_degree); 1335 sequences at b = 7."""
+    bound = min(7, max_degree)
+    return ([s for s in partition_sequences(bound) if s]
+            + [s for s in rect_sequences(bound + 1)
+               if seq_weight(s) == bound + 1])
 
 
 def skew_by_series_mismatches(max_degree):
@@ -245,9 +257,9 @@ def suite_bases(max_degree=8):
                 (2, 1, 1): 1, (2,): -1, (1, 1): -1, (1,): 1}
     for kind, gold in (("hdom", gold_hd), ("vdom", gold_vd),
                        ("box", gold_box)):
-        f = diamond_unit((4, 3, 3), kind)
-        got = {lam: c.c.get(0, 0) for lam, c in f.terms.items()}
-        _check(results, "bases.golden_433_%s" % kind, got == gold)
+        want = SymFunc({lam: LaurentPoly.const(c) for lam, c in gold.items()})
+        _check(results, "bases.golden_433_%s" % kind,
+               diamond_unit((4, 3, 3), kind) == want)
 
     # inverse property on single terms
     bad = 0
@@ -290,7 +302,9 @@ def suite_bases(max_degree=8):
                         for lam in partitions_of(c):
                             triples += 1
                             d0 = newell_littlewood(lam, mu, nu)
-                            if d0 != newell_littlewood(mu, lam, nu):
+                            if d0 < 0:
+                                bad += 1
+                            elif d0 != newell_littlewood(mu, lam, nu):
                                 bad += 1
                             elif d0 != newell_littlewood(nu, mu, lam):
                                 bad += 1
@@ -472,10 +486,8 @@ def suite_operators(max_degree=8):
     _check(results, "operators.diamond_parabolic_oracle(%d cases)" % total,
            bad == 0, "%d bad" % bad)
 
-    # deformed products: specializations at 0 and 1
-    seqs = partition_sequences(min(6, max_degree))
-    seqs += [r for r in rect_sequences(min(8, max_degree))
-             if r not in set(seqs)]
+    # deformed products: specializations at 0 and 1, the empty product too
+    seqs = [()] + specialization_sequences(max_degree)
     bad0 = bad1 = 0
     for rects in seqs:
         flat = tuple(x for r in rects for x in r)
@@ -518,6 +530,16 @@ def suite_operators(max_degree=8):
         if got != SymFunc.schur(lam):
             bad += 1
     _check(results, "operators.single_factor_rigid", bad == 0, "%d bad" % bad)
+
+    # the eight-term deformed product over ((3),(2,2),(1))
+    t = LaurentPoly.t
+    want = {
+        (3, 2, 2, 1): LaurentPoly.const(1),
+        (3, 3, 2): t(1), (4, 2, 1, 1): t(1), (4, 2, 2): t(2) + t(1),
+        (4, 3, 1): t(2), (5, 2, 1): t(3) + t(2), (5, 3): t(3), (6, 2): t(4),
+    }
+    _check(results, "operators.example_3_22_1",
+           dict(bb_r(((3,), (2, 2), (1,))).terms) == want)
     return results
 
 
@@ -528,12 +550,7 @@ def suite_operators_diamond(max_degree=7):
     rectangle sequences one size above it.
     """
     results = []
-    bound = min(7, max_degree)
-    chosen = [s for s in partition_sequences(bound) if s]
-    if max_degree >= 7:
-        seen = set(chosen)
-        chosen += [s for s in rect_sequences(8)
-                   if s and seq_weight(s) == 8 and s not in seen]
+    chosen = specialization_sequences(max_degree)
 
     bad_const = bad_spec0 = bad_spec1 = 0
     neg_rows = []
@@ -687,9 +704,7 @@ def suite_kpoly(max_degree=7):
     _check(results, "kpoly.single_rectangle_3x3", bad == 0, "%d bad" % bad)
 
     # specializations at 0 and 1 for tables over partition sequences
-    seqs2 = [s for s in partition_sequences(min(6, max_degree)) if s]
-    seqs2 += [s for s in rect_sequences(min(8, max_degree + 1))
-              if s and s not in set(seqs2)]
+    seqs2 = specialization_sequences(max_degree)
     bad0 = bad1 = badsupp = 0
     for rects in seqs2:
         flat = tuple(x for r in rects for x in r)
@@ -753,18 +768,26 @@ def suite_kpoly(max_degree=7):
     _check(results, "kpoly.singlerow_equivalence(<=%d)" % min(6, max_degree),
            bad == 0, "%d bad" % bad)
 
-    # the connection between the two deformed families
+    # the connection between the two deformed families, with the displayed
+    # decompositions of the (2,2) factor
+    displayed = {
+        "vdom": {(2, 2): "1", (1, 1): "t^2", (0, 0): "t^4"},
+        "hdom": {(2, 2): "1", (2, 0): "t^2", (0, 0): "t^4"},
+        "box": {(2, 2): "1", (2, 1): "t", (1, 1): "t^2", (2, 0): "t^2",
+                (1, 0): "t^3", (0, 0): "t^4", (2, -1): "t^3",
+                (1, -1): "t^4", (0, -1): "t^5"},
+    }
     ok = True
     details = []
-    for kind in DIAMOND_KINDS:
+    for kind, want in displayed.items():
         match, rep, _ = hb_connection(kind, R)
-        ok = ok and match
         factor1 = dict()
         for r, terms in rep["factor_terms"]:
             if r == [2, 2]:
                 factor1 = terms
-        details.append((kind, factor1.get((2, 2)), factor1.get((1, 1)),
-                        factor1.get((2, 0))))
+        got = {gamma: factor1.get(gamma) for gamma in want}
+        ok = ok and match and got == want
+        details.append((kind, match, got))
     _check(results, "kpoly.hb_connection_example", ok, repr(details))
 
     bad = 0

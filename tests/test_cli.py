@@ -5,12 +5,11 @@ import sys
 
 import pytest
 
-import univchar.cache as cache_mod
-import univchar.schur as schur
 from univchar.cli import main
 from univchar.core import LaurentPoly
-from univchar.exprparse import (MAX_POWER, EvalError, ParseError, ast_equal,
-                                eval_expr, format_value, parse, print_ast)
+from univchar.exprparse import (MAX_NESTING, MAX_POWER, EvalError, ParseError,
+                                ast_equal, eval_expr, format_value, parse,
+                                print_ast)
 from univchar.kpoly import hh_r
 
 
@@ -132,6 +131,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["kpoly", "--lambda", "[1"]) == 2
     capsys.readouterr()
+    assert main(["verify", "--suite", "lr", "--max-degree", "-5"]) == 2
+    capsys.readouterr()
     # an output directory below a regular file is an OS error, not a crash
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -151,6 +152,28 @@ def test_cli_power_cap(capsys):
     # a power of t stays one monomial at any exponent
     assert main(["eval", "t^100000"]) == 0
     assert capsys.readouterr().out.strip() == "t^100000"
+    # the result is bounded, not only the exponent: degree span, then
+    # coefficient size
+    for expr in ("((1+t)^256)^256", "(%d+t)^256" % 10 ** 60):
+        assert main(["eval", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("univchar: error: ") and err.count("\n") == 1
+
+
+def test_cli_nesting_cap(capsys):
+    # nesting past the cap is a usage error, not a RecursionError
+    for expr in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1",
+                 "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1)):
+        assert main(["eval", "--", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("univchar: error: ") and err.count("\n") == 1
+    # at the cap, through the deepest-recursing construct, a call argument
+    expr = "omega(" * (MAX_NESTING - 1) + "s[2,1]" + ")" * (MAX_NESTING - 1)
+    assert main(["eval", expr]) == 0
+    assert capsys.readouterr().out.strip() == "s[2,1]"
+    # a long chain is not nesting: it evaluates without deep recursion
+    assert main(["eval", "+".join(["t"] * 3000)]) == 0
+    assert capsys.readouterr().out.strip() == "3000*t"
 
 
 def test_cli_internal_error(monkeypatch, capsys):
@@ -205,101 +228,6 @@ def test_table_empty_sequence(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads((tmp_path / "ktable_vdom.json").read_text())
     assert data["K"] == [{"lambda": [], "poly": {"0": "1"}}]
-
-
-def test_cache_roundtrip(tmp_path):
-    schur.clear_caches()
-    from univchar.schur import _prod_spectrum
-    _prod_spectrum((2, 1), (1,))
-    _prod_spectrum((3,), (2,))
-    path = str(tmp_path / "cache.txt")
-    n = cache_mod.save_cache(path)
-    assert n > 0
-    before = schur.prod_cache_items()
-    schur.clear_caches()
-    loaded = cache_mod.load_cache(path)
-    assert loaded == n
-    after = schur.prod_cache_items()
-    assert sorted((m, u, tuple(sorted(s.items()))) for m, u, s in before) == \
-        sorted((m, u, tuple(sorted(s.items()))) for m, u, s in after)
-
-
-def test_cache_rejects_corruption(tmp_path):
-    schur.clear_caches()
-    from univchar.schur import _prod_spectrum
-    _prod_spectrum((1,), (1,))
-    path = str(tmp_path / "cache.txt")
-    cache_mod.save_cache(path)
-
-    warnings = []
-    # truncated file: cold cache
-    text = open(path).read()
-    open(path, "w").write(text.rsplit("#end", 1)[0])
-    schur.clear_caches()
-    assert cache_mod.load_cache(path, warn=warnings.append) == 0
-    assert warnings
-
-    # version mismatch: ignored
-    cache_mod.save_cache(path)
-    lines = open(path).read().splitlines()
-    header = json.loads(lines[0])
-    header["format"] = 999
-    lines[0] = json.dumps(header)
-    open(path, "w").write("\n".join(lines) + "\n")
-    schur.clear_caches()
-    warnings.clear()
-    assert cache_mod.load_cache(path, warn=warnings.append) == 0
-    assert any("version" in w for w in warnings)
-
-    # a record violating the size law is rejected with its group
-    schur.clear_caches()
-    _prod_spectrum((1,), (1,))
-    cache_mod.save_cache(path)
-    lines = open(path).read().splitlines()
-    assert lines[1].startswith("1;1;")
-    lines[1] = "1;1;3;1"
-    open(path, "w").write("\n".join(lines) + "\n")
-    schur.clear_caches()
-    warnings.clear()
-    accepted = cache_mod.load_cache(path, warn=warnings.append)
-    assert any("corrupt record" in w for w in warnings)
-    items = {(m, u) for m, u, _ in schur.prod_cache_items()}
-    assert ((1,), (1,)) not in items
-    schur.clear_caches()
-
-
-def test_cache_env_and_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("UNIVCHAR_CACHE", str(tmp_path / "env.txt"))
-    assert cache_mod.default_cache_path(None) == str(tmp_path / "env.txt")
-    assert cache_mod.default_cache_path("x.txt") == "x.txt"
-    monkeypatch.delenv("UNIVCHAR_CACHE")
-    assert cache_mod.default_cache_path(None) is None
-
-
-def test_cold_and_warm_runs_match(tmp_path, capsys):
-    path = str(tmp_path / "c.txt")
-    schur.clear_caches()
-    assert main(["--cache", path, "eval", "s[2,1]*s[2,1]"]) == 0
-    warm1 = capsys.readouterr().out
-    schur.clear_caches()
-    assert main(["--cache", path, "eval", "s[2,1]*s[2,1]"]) == 0
-    warm2 = capsys.readouterr().out
-    assert warm1 == warm2
-    schur.clear_caches()
-
-
-def test_cold_and_warm_verify_outputs_match(tmp_path, capsys):
-    path = str(tmp_path / "cache.txt")
-    schur.clear_caches()
-    assert main(["--cache", path, "--json", "verify",
-                 "--suite", "kernels"]) == 0
-    cold = capsys.readouterr().out
-    schur.clear_caches()
-    assert main(["--cache", path, "--json", "verify",
-                 "--suite", "kernels"]) == 0
-    warm = capsys.readouterr().out
-    assert cold == warm
-    schur.clear_caches()
 
 
 def test_console_entrypoint():
