@@ -85,7 +85,19 @@ def tokenize(src):
 # AST nodes: tuples (tag, span, *payload)
 
 OP_FAMILIES = ("B", "Bd", "Bt", "Btd", "H")
-CALL_NAMES = ("expand", "skew", "omega", "dual", "kpoly", "dpoly", "nl")
+
+# call -> the keywords it reads; any other keyword is an error, so that a
+# misspelled one cannot fall back to a default
+CALL_KEYWORDS = {
+    "expand": ("kind", "basis"),
+    "skew": (),
+    "omega": (),
+    "dual": ("lambda", "kind", "degree"),
+    "kpoly": ("lambda", "R", "kind"),
+    "dpoly": ("lambda", "R", "kind"),
+    "nl": (),
+}
+CALL_NAMES = tuple(CALL_KEYWORDS)
 
 
 class Parser:
@@ -572,6 +584,10 @@ def _kw_listlist(kwargs, key):
 
 def _eval_call(node):
     _, span, name, args, kwargs = node
+    unknown = sorted(k for k in kwargs if k not in CALL_KEYWORDS[name])
+    if unknown:
+        raise EvalError("%s takes no keyword %s"
+                        % (name, ", ".join(map(repr, unknown))))
     if name == "expand":
         if len(args) != 1:
             raise EvalError("expand takes one expression")
@@ -616,7 +632,6 @@ def _eval_call(node):
                 raise EvalError("nl arguments are partitions")
             shapes.append(as_partition(a[1]))
         return LaurentPoly.const(newell_littlewood(*shapes))
-    raise EvalError("unknown function %r" % name)
 
 
 def _kw_basis(kwargs):

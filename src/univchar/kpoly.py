@@ -7,6 +7,10 @@ A KTable stores, for one kind and one sequence of partitions, the coefficient
 polynomials of the deformed product in the basis of that kind, together with
 the algorithm that produced it.  All algorithms must agree exactly; the
 verification suite cross-checks them.
+
+k_via_schur_recurrence (and operators.d_polynomial) read one coefficient
+without building the table: series.series_coeff sums the Littlewood-Richardson
+spectra of lam against the type-A product instead of skewing all of it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
                    kind_partitions_of, partition_key, seq_overlap, seq_weight,
                    KIND_TRANSPOSE)
 from .schur import SymFunc, lr_coefficient, ssyt_contents
-from .series import skew_by_series, to_diamond
+from .series import series_coeff, skew_by_series, to_diamond
 from .operators import (bb_r, tilde_b_parabolic, tilde_b_diamond_parabolic)
 
 
@@ -160,24 +164,14 @@ def ktable_via_recurrence(kind, rects):
 
 
 def k_via_schur_recurrence(kind, lam, rects):
-    """One coefficient by the degree-shifted sum over the type-A table."""
-    kind = canonical_kind(kind)
-    lam = as_partition(lam)
+    """One coefficient of the recurrence table, without building the table.
+
+    bb_r is homogeneous of degree |R|, so t -> t^2 is applied once, to the
+    coefficient, and the skew's t-scale is the shift by |R| - |lam|.
+    """
     rects = tuple(as_partition(r) for r in rects)
-    w = seq_weight(rects)
-    drop = w - sum(lam)
-    if drop < 0:
-        return LaurentPoly.zero()
-    if kind == "none" and drop != 0:
-        return LaurentPoly.zero()
-    base = bb_r(rects).subs_power(2)
-    total = LaurentPoly.zero()
-    for mu in kind_partitions_of(drop, kind):
-        for tau, c in base.terms.items():
-            k = lr_coefficient(tau, lam, mu)
-            if k:
-                total = total + c * k
-    return total.shift(drop)
+    drop = seq_weight(rects) - sum(lam)
+    return series_coeff(bb_r(rects), kind, lam).subs_power(2).shift(drop)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import itertools
 from .core import LaurentPoly, P_ONE, as_partition, canonical_kind
 from .schur import (SymFunc, multiply, multiply_h, skew_e, skew_h,
                     straighten)
-from .series import diamond_unit, to_diamond
+from .series import diamond_unit, series_coeff, to_diamond
 
 
 class InvariantViolation(Exception):
@@ -570,7 +570,6 @@ def c_polynomial(lam, factors):
 
 
 def d_polynomial(kind, lam, factors):
-    """Basis coefficient of the deformed product for a kind."""
-    kind = canonical_kind(kind)
-    f = bb_diamond_r(kind, factors)
-    return to_diamond(f, kind).coeff(lam)
+    """Basis coefficient of the deformed product for a kind, read without
+    expanding the whole product in that basis."""
+    return series_coeff(bb_diamond_r(kind, factors), kind, lam)

@@ -349,19 +349,11 @@ class SymFunc:
         r.terms = {lam: c * poly for lam, c in self.terms.items()}
         return r
 
-    def map_coeffs(self, fn):
-        out = {}
-        for lam, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[lam] = v
-        r = SymFunc.__new__(SymFunc)
-        r.terms = out
-        return r
-
     def subs_power(self, k):
         """Apply t -> t**k to every coefficient."""
-        return self.map_coeffs(lambda c: c.subs_power(k))
+        r = SymFunc.__new__(SymFunc)
+        r.terms = {lam: c.subs_power(k) for lam, c in self.terms.items()}
+        return r
 
     def eval_t(self, v):
         """Evaluate t at an integer; returns dict partition -> int."""

@@ -17,8 +17,9 @@ cheaper summed directly than factored, so only this one is factored.
 
 from __future__ import annotations
 
-from .core import (LaurentPoly, canonical_kind, conjugate, diagonal_size,
-                   from_frobenius, kind_partitions_of, partition_key)
+from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
+                   diagonal_size, from_frobenius, kind_partitions_of,
+                   partition_key)
 from .schur import Expansion, SymFunc, _skew_spectrum, _prod_spectrum, \
     _accumulate, multiply, skew_h
 
@@ -119,6 +120,33 @@ def skew_by_series(p, kind, sign, scale=1):
             for nu, k in spec:
                 _accumulate(acc, nu, cp * k)
     return out
+
+
+def series_coeff(p, kind, lam):
+    """The coefficient at lam of skew_by_series(p, kind, '+'), alone.
+
+    The skew by the positive series is sum_mu s_mu^perp over the kind
+    partitions mu, each with coefficient one.  Its coefficient at lam is
+    <sum_mu s_mu^perp p, s_lam> = sum_mu <p, s_lam s_mu>
+                                = sum_mu sum_tau p[tau] c^tau_{lam,mu},
+    so only the mu with |mu| = |tau| - |lam| for a term tau of p contribute,
+    and each reads the Littlewood-Richardson product spectrum of lam and mu
+    against the terms of p.  p need not be homogeneous.
+    """
+    kind = canonical_kind(kind)
+    lam = as_partition(lam)
+    size = sum(lam)
+    terms = p.terms
+    weights = {}
+    for d in {sum(tau) for tau in terms}:
+        for mu in kind_partitions_of(d - size, kind):
+            for tau, k in _prod_spectrum(lam, mu).items():
+                if tau in terms:
+                    weights[tau] = weights.get(tau, 0) + k
+    total = LaurentPoly.zero()
+    for tau, k in weights.items():
+        total = total + terms[tau] * k
+    return total
 
 
 def _one_row_sweep(p, scale):

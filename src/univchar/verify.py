@@ -21,16 +21,17 @@ from .schur import (Expansion, SymFunc, _prod_spectrum, _skew_spectrum,
                     skew_by, straighten, schur_of_vector)
 from .series import (change_basis, diamond_product, diamond_unit,
                      dual_basis_truncated, from_diamond, newell_littlewood,
-                     omega_diamond, series_terms, skew_by_series,
-                     to_diamond)
+                     omega_diamond, series_coeff, series_terms,
+                     skew_by_series, to_diamond)
 from .operators import (bb_diamond_r, bb_r, bernstein_create,
                         bernstein_diamond_create, d_polynomial, det_diamond,
                         det_diamond_schur, direct_extraction_oracle,
                         jacobi_trudi, tilde_b_diamond_parabolic,
                         tilde_b_parabolic, tilde_b_row)
 from .kpoly import (duality_check, h_row, h_row_via_expansion,
-                    hb_connection, hh_r, ktable_via_recurrence,
-                    single_rectangle_table, singlerow_equivalence)
+                    hb_connection, hh_r, k_via_schur_recurrence,
+                    ktable_via_recurrence, single_rectangle_table,
+                    singlerow_equivalence)
 from . import oracles
 
 DIAMOND_KINDS = ("box", "vdom", "hdom")
@@ -108,6 +109,24 @@ def skew_by_series_mismatches(max_degree):
             want = skew_by(p, SymFunc(terms))
             if skew_by_series(p, kind, sign, scale) != want:
                 bad.append((kind, sign, scale, p))
+    return bad
+
+
+def series_coeff_mismatches(max_degree):
+    """(kind, lambda, operand) where series_coeff differs from the coefficient
+    of the whole skew_by_series, for every lambda and every s_mu with
+    |lambda|, |mu| <= max_degree, s[2] - s[1,1] and t*s[3,1] + s[2]."""
+    s = SymFunc.schur
+    shapes = partitions_upto(max_degree)
+    operands = [s(mu) for mu in shapes] + [
+        s((2,)) - s((1, 1)), s((3, 1), LaurentPoly.t(1)) + s((2,))]
+    bad = []
+    for kind in KINDS:
+        for p in operands:
+            whole = skew_by_series(p, kind, "+")
+            for lam in shapes:
+                if series_coeff(p, kind, lam) != whole.coeff(lam):
+                    bad.append((kind, lam, p))
     return bad
 
 
@@ -243,6 +262,11 @@ def suite_bases(max_degree=8):
     # skew_by_series (box "+" factored through vdom) against the direct sum
     bad = skew_by_series_mismatches(6)
     _check(results, "bases.skew_by_series_vs_series_terms(deg<=6)", not bad,
+           "%d bad" % len(bad))
+
+    # one coefficient of the positive-series skew against the whole skew
+    bad = series_coeff_mismatches(6)
+    _check(results, "bases.series_coeff_vs_skew(deg<=6)", not bad,
            "%d bad" % len(bad))
 
     # golden expansions of the three bases at (4,3,3)
@@ -621,6 +645,19 @@ def suite_operators_diamond(max_degree=7):
             ok = False
     _check(results, "operators.example_321", ok)
 
+    # one coefficient of a kind product against its whole expansion
+    bad = checked = 0
+    for rects in partition_sequences(min(5, max_degree)):
+        w = seq_weight(rects)
+        for kind in DIAMOND_KINDS:
+            table = to_diamond(bb_diamond_r(kind, rects), kind)
+            for lam in partitions_upto(w):
+                checked += 1
+                if d_polynomial(kind, lam, rects) != table.coeff(lam):
+                    bad += 1
+    _check(results, "operators.d_polynomial_vs_expansion(%d checks)"
+           % checked, bad == 0, "%d bad" % bad)
+
     # the negative-coefficient witness
     witness = d_polynomial("hdom", (1, 1), ((3,), (2, 2), (1,)))
     want_w = LaurentPoly({5: 1, 3: 1, 4: -1})
@@ -732,6 +769,20 @@ def suite_kpoly(max_degree=7):
            "%d bad" % bad0)
     _check(results, "kpoly.at1", bad1 == 0, "%d bad" % bad1)
     _check(results, "kpoly.schur_kind_degree_support", badsupp == 0)
+
+    # one coefficient of the recurrence against the whole table
+    bad = checked = 0
+    for rects in dominant_rect_sequences(min(6, max_degree)):
+        w = seq_weight(rects)
+        for kind in KINDS:
+            table = ktable_via_recurrence(kind, rects)
+            for lam in partitions_upto(w):
+                checked += 1
+                if k_via_schur_recurrence(kind, lam, rects) != \
+                        table.coeff(lam):
+                    bad += 1
+    _check(results, "kpoly.coefficient_vs_table(%d checks)" % checked,
+           bad == 0, "%d bad" % bad)
 
     # the worked two-factor example block
     t = LaurentPoly.t

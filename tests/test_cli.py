@@ -176,6 +176,20 @@ def test_cli_nesting_cap(capsys):
     assert capsys.readouterr().out.strip() == "3000*t"
 
 
+def test_cli_unknown_keyword(capsys):
+    # a misspelled keyword is a usage error, not a silent default
+    assert main(["eval", "kpoly(lambda=[1], R=[[2,2],[1]], kind=vd)"]) == 0
+    assert capsys.readouterr().out.strip() == "t^6 + t^4"
+    for expr in ("kpoly(lambda=[1], R=[[2,2],[1]], knid=vd)",
+                 "dpoly(lambda=[1], R=[[2],[1]], kidn=hd)",
+                 "dual(lambda=[1], kind=vd, degree=3, deg=2)",
+                 "expand(s[2], basis=vd, kind=hd, bsis=box)",
+                 "skew(s[2], s[1], kind=vd)"):
+        assert main(["eval", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("univchar: error: ") and err.count("\n") == 1
+
+
 def test_cli_internal_error(monkeypatch, capsys):
     from univchar.operators import InvariantViolation
 

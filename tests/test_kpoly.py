@@ -1,6 +1,6 @@
 import pytest
 
-from univchar.core import LaurentPoly, partitions_of, partitions_upto
+from univchar.core import LaurentPoly, partitions_upto
 from univchar.schur import SymFunc, multiply, schur_of_vector
 from univchar.series import Expansion, from_diamond, to_diamond
 from univchar.operators import tilde_b_parabolic
@@ -8,7 +8,7 @@ from univchar.kpoly import (KTable, duality_check, h_row, h_row_via_expansion,
                             hb_connection, hh_r, k_via_schur_recurrence,
                             ktable_via_recurrence, single_rectangle_table,
                             singlerow_equivalence)
-from univchar.verify import dominant_rect_sequences, rect_sequences
+from univchar.verify import rect_sequences
 
 t = LaurentPoly.t
 one = LaurentPoly.const(1)
@@ -120,13 +120,6 @@ def test_duality():
         duality_check("vdom", (1,), ((1,), (2, 2)))
     with pytest.raises(ValueError):
         duality_check("vdom", (1,), ((2, 1),))
-    for rects in dominant_rect_sequences(5):
-        w = sum(sum(r) for r in rects)
-        for kind in ("none", "box", "vdom", "hdom"):
-            for n in range(w + 1):
-                for lam in partitions_of(n):
-                    ok, rep = duality_check(kind, lam, rects)
-                    assert ok, rep
 
 
 def test_hb_connection_displayed():

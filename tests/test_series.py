@@ -8,7 +8,7 @@ from univchar.series import (change_basis, diamond_product, diamond_unit,
                              dual_basis_truncated, from_diamond,
                              newell_littlewood, omega_diamond, series_terms,
                              skew_by_series, to_diamond)
-from univchar.verify import skew_by_series_mismatches
+from univchar.verify import series_coeff_mismatches, skew_by_series_mismatches
 from univchar import oracles
 
 
@@ -175,3 +175,8 @@ def test_skew_by_series_linearity():
 def test_skew_by_series_vs_series_terms():
     # every kind, sign and scale, box "+" included, against the direct sum
     assert skew_by_series_mismatches(5) == []
+
+
+def test_series_coeff_vs_skew():
+    # one coefficient, every kind and lambda, against the whole skew
+    assert series_coeff_mismatches(5) == []
