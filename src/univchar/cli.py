@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
-unreadable or unwritable path), 3 internal invariant violation.
+unreadable or unwritable path), 3 internal error (an invariant violation or
+any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ def cmd_verify(suite, max_degree, as_json):
     if as_json:
         print(json.dumps({
             "suite": suite,
-            "checks": [{"name": n, "pass": ok, "detail": d}
-                       for n, ok, d in checks],
+            "checks": [{"name": c[0], "pass": c[1], "detail": c[2],
+                        "seconds": round(c.seconds, 6)} for c in checks],
             "failed": len(failed),
         }, sort_keys=True))
     else:
@@ -172,6 +173,10 @@ def main(argv=None):
         return USAGE_ERROR
     except InvariantViolation as exc:
         print("univchar: internal invariant violated: %s" % exc,
+              file=sys.stderr)
+        return INTERNAL_ERROR
+    except Exception as exc:
+        print("univchar: internal error: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return INTERNAL_ERROR
     return code

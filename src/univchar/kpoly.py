@@ -11,6 +11,12 @@ verification suite cross-checks them.
 k_via_schur_recurrence (and operators.d_polynomial) read one coefficient
 without building the table: series.series_coeff sums the Littlewood-Richardson
 spectra of lam against the type-A product instead of skewing all of it.
+
+hh_r telescopes the row operators.  Each row conjugates a squared-deformation
+parabolic by the plain and t-scaled series of the kind; the positive and the
+signed series are mutually inverse and skews commute, so the series between
+neighbouring rows cancel and the chain is the t-scaled positive-series skew
+of bb_r(R, 2).  hh_r_via_rows applies the rows one by one, as the oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
                    kind_partitions_of, partition_key, seq_overlap, seq_weight,
                    KIND_TRANSPOSE)
 from .schur import SymFunc, lr_coefficient, ssyt_contents
-from .series import series_coeff, skew_by_series, to_diamond
+from .series import _series_coeff, skew_by_series, to_diamond
 from .operators import (bb_r, tilde_b_parabolic, tilde_b_diamond_parabolic)
 
 
@@ -137,7 +143,30 @@ def h_row_via_expansion(kind, nu, p, size_bound=None):
 
 
 def hh_r(kind, rects):
-    """Table of a kind over a sequence of partitions, via row operators."""
+    """Table of a kind over a sequence of partitions, via row operators.
+
+    Write S+_s and S-_s for the positive and signed series of the kind at
+    scale s (1 or t), and X^perp for the adjoint of multiplication by X.
+    Each row is h_row = S-_1^perp S+_t^perp B_nu S-_t^perp S+_1^perp, with
+    B_nu the squared-deformation parabolic.  S+_s S-_s = 1 and skews
+    commute, so between two neighbouring rows S+_1^perp S-_1^perp and
+    S-_t^perp S+_t^perp cancel.  On the vacuum S-_t^perp S+_1^perp 1 = 1,
+    and to_diamond applies S+_1^perp, which cancels the leading S-_1^perp.
+    What is left is S+_t^perp B_{R_1} ... B_{R_k} 1 = S+_t^perp bb_r(R, 2):
+    one series pass over the shared type-A product.  hh_r_via_rows keeps
+    the row-by-row chain as the oracle.
+    """
+    kind = canonical_kind(kind)
+    rects = tuple(as_partition(r) for r in rects)
+    base = bb_r(rects, 2)
+    if kind != "none":
+        base = skew_by_series(base, kind, "+", "t")
+    return KTable(kind, rects, dict(base.terms), "operator")
+
+
+def hh_r_via_rows(kind, rects):
+    """Table of a kind over a sequence of partitions, row operator by row
+    operator: the verification route for hh_r."""
     kind = canonical_kind(kind)
     rects = tuple(as_partition(r) for r in rects)
     f = SymFunc.one()
@@ -163,15 +192,20 @@ def ktable_via_recurrence(kind, rects):
     return KTable(kind, rects, rows, "recurrence")
 
 
-def k_via_schur_recurrence(kind, lam, rects):
+def k_via_schur_recurrence(kind, lam, rects, canonical=False):
     """One coefficient of the recurrence table, without building the table.
 
     bb_r is homogeneous of degree |R|, so t -> t^2 is applied once, to the
     coefficient, and the skew's t-scale is the shift by |R| - |lam|.
+    kind, lam and rects are validated unless canonical is set, by a caller
+    that already holds a canonical kind and canonical tuples.
     """
-    rects = tuple(as_partition(r) for r in rects)
+    if not canonical:
+        kind = canonical_kind(kind)
+        lam = as_partition(lam)
+        rects = tuple(as_partition(r) for r in rects)
     drop = seq_weight(rects) - sum(lam)
-    return series_coeff(bb_r(rects), kind, lam).subs_power(2).shift(drop)
+    return _series_coeff(bb_r(rects), kind, lam).subs_power(2).shift(drop)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +248,8 @@ def duality_check(kind, lam, rects):
         raise ValueError("duality requires a dominant sequence")
     tkind = KIND_TRANSPOSE[kind]
     trects = dominant_rearrangement(tuple(conjugate(r) for r in rects))
-    lhs = k_via_schur_recurrence(tkind, conjugate(lam), trects)
-    base = k_via_schur_recurrence(kind, lam, rects)
+    lhs = k_via_schur_recurrence(tkind, conjugate(lam), trects, True)
+    base = k_via_schur_recurrence(kind, lam, rects, True)
     shift = 2 * (seq_overlap(rects) + seq_weight(rects) - sum(lam))
     rhs = base.subs_power(-1).shift(shift)
     report = {

@@ -133,8 +133,11 @@ def series_coeff(p, kind, lam):
     and each reads the Littlewood-Richardson product spectrum of lam and mu
     against the terms of p.  p need not be homogeneous.
     """
-    kind = canonical_kind(kind)
-    lam = as_partition(lam)
+    return _series_coeff(p, canonical_kind(kind), as_partition(lam))
+
+
+def _series_coeff(p, kind, lam):
+    """series_coeff for a canonical kind and a canonical partition lam."""
     size = sum(lam)
     terms = p.terms
     weights = {}

@@ -1,17 +1,19 @@
 """Verification suites: every module invariant and acceptance check, runnable
 from the command line and reused by the test suite.
 
-Each suite returns a list of (name, passed, detail) triples.  Checks compare
-the production algorithms against the independent oracles; exact equality is
-required everywhere.  The acceptance tests (tests/test_acceptance.py) run no
-sweeps of their own: each criterion asserts that its checks here are present
-and pass, at the bounds set here.
+Each suite returns a list of (name, passed, detail) triples; each carries
+its duration as Check.seconds.  Checks compare the production algorithms
+against the independent oracles; exact equality is required everywhere.
+The acceptance tests (tests/test_acceptance.py) run no sweeps of their own:
+each criterion asserts that its checks here are present and pass, at the
+bounds set here.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
 
 from .core import (LaurentPoly, KINDS, KIND_TRANSPOSE, as_partition,
                    conjugate, is_dominant_seq, member_p_kind, partitions_of,
@@ -29,16 +31,36 @@ from .operators import (bb_diamond_r, bb_r, bernstein_create,
                         jacobi_trudi, tilde_b_diamond_parabolic,
                         tilde_b_parabolic, tilde_b_row)
 from .kpoly import (duality_check, h_row, h_row_via_expansion,
-                    hb_connection, hh_r, k_via_schur_recurrence,
-                    ktable_via_recurrence, single_rectangle_table,
-                    singlerow_equivalence)
+                    hb_connection, hh_r, hh_r_via_rows,
+                    k_via_schur_recurrence, ktable_via_recurrence,
+                    single_rectangle_table, singlerow_equivalence)
 from . import oracles
 
 DIAMOND_KINDS = ("box", "vdom", "hdom")
 
 
+class Check(tuple):
+    """One check result, the triple (name, passed, detail).  Its seconds
+    attribute is the time since the previous check of its suite."""
+
+    def __new__(cls, name, ok, detail, seconds):
+        self = super().__new__(cls, (name, ok, detail))
+        self.seconds = seconds
+        return self
+
+
+class _Checks(list):
+    """The checks of one suite, with the time its last check was taken."""
+
+    def __init__(self):
+        super().__init__()
+        self.clock = time.perf_counter()
+
+
 def _check(results, name, ok, detail=""):
-    results.append((name, bool(ok), detail))
+    now = time.perf_counter()
+    results.append(Check(name, bool(ok), detail, now - results.clock))
+    results.clock = now
     return ok
 
 
@@ -134,7 +156,7 @@ def series_coeff_mismatches(max_degree):
 # suite: lr
 
 def suite_lr(max_degree=12):
-    results = []
+    results = _Checks()
     rng = random.Random(20240601)
 
     # symmetry and transpose symmetry through skew spectra
@@ -243,7 +265,7 @@ def suite_lr(max_degree=12):
 # suite: bases
 
 def suite_bases(max_degree=8):
-    results = []
+    results = _Checks()
     rng = random.Random(20240602)
 
     # series shapes and signs against polynomial expansion
@@ -433,7 +455,7 @@ def suite_bases(max_degree=8):
 # suite: operators
 
 def suite_operators(max_degree=8):
-    results = []
+    results = _Checks()
     rng = random.Random(20240603)
 
     # undeformed creation matches straightening, exhaustively to length four
@@ -573,7 +595,7 @@ def suite_operators_diamond(max_degree=7):
     Exhaustive over all partition sequences up to the degree bound, plus all
     rectangle sequences one size above it.
     """
-    results = []
+    results = _Checks()
     chosen = specialization_sequences(max_degree)
 
     bad_const = bad_spec0 = bad_spec1 = 0
@@ -670,7 +692,7 @@ def suite_operators_diamond(max_degree=7):
 # suite: determinants
 
 def suite_determinants(max_degree=8, max_len=4):
-    results = []
+    results = _Checks()
     shapes = [l for l in partitions_upto(max_degree) if len(l) <= max_len]
 
     bad = 0
@@ -709,7 +731,7 @@ def suite_determinants(max_degree=8, max_len=4):
 # suite: kpoly
 
 def suite_kpoly(max_degree=7):
-    results = []
+    results = _Checks()
     rng = random.Random(20240605)
 
     # operator route equals the recurrence on rectangle sequences, plus
@@ -726,6 +748,15 @@ def suite_kpoly(max_degree=7):
             if not a.same_rows(b):
                 bad += 1
     _check(results, "kpoly.operator_vs_recurrence(%d seqs x 4)" % len(seqs),
+           bad == 0, "%d bad" % bad)
+
+    # the telescoped operator route against the row-by-row chain
+    bad = 0
+    for rects in seqs:
+        for kind in KINDS:
+            if not hh_r(kind, rects).same_rows(hh_r_via_rows(kind, rects)):
+                bad += 1
+    _check(results, "kpoly.telescoped_vs_rows(%d seqs x 4)" % len(seqs),
            bad == 0, "%d bad" % bad)
 
     # single rectangles within a 3x3 box
@@ -880,7 +911,7 @@ def suite_kpoly(max_degree=7):
 # suite: duality
 
 def suite_duality(max_degree=6):
-    results = []
+    results = _Checks()
     bad = 0
     checked = 0
     for rects in dominant_rect_sequences(min(6, max_degree)):
@@ -908,7 +939,7 @@ def suite_duality(max_degree=6):
 # suite: kernels
 
 def suite_kernels(max_degree=6):
-    results = []
+    results = _Checks()
 
     # pairing kernel of the common structure constants, two letters each
     degree = min(6, max_degree)

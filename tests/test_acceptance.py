@@ -78,10 +78,11 @@ def test_criterion_06_tables():
 
 
 def test_criterion_07_cross_algorithm():
-    _criterion(7, "operator route == recurrence (|R|<=7), single "
-                  "rectangles <=3x3, connection decompositions",
-               "kpoly.operator_vs_recurrence", "kpoly.single_rectangle_3x3",
-               "kpoly.hb_connection_example")
+    _criterion(7, "operator route == recurrence (|R|<=7), telescoped == "
+                  "row-by-row, single rectangles <=3x3, connection "
+                  "decompositions",
+               "kpoly.operator_vs_recurrence", "kpoly.telescoped_vs_rows",
+               "kpoly.single_rectangle_3x3", "kpoly.hb_connection_example")
 
 
 def test_criterion_08_specializations():
@@ -125,8 +126,10 @@ def test_every_verify_check_passes():
     failed = [(check, detail) for suite in SUITES
               for check, ok, detail in _suite(suite) if not ok]
     assert not failed, failed
-    # the single-coefficient paths keep their whole-expansion oracles
+    # the single-coefficient paths keep their whole-expansion oracles, and
+    # the telescoped operator route its row-by-row one
     names = {check.split("(")[0] for suite in SUITES
              for check, _, _ in _suite(suite)}
     assert {"bases.series_coeff_vs_skew", "kpoly.coefficient_vs_table",
-            "operators.d_polynomial_vs_expansion"} <= names
+            "operators.d_polynomial_vs_expansion",
+            "kpoly.telescoped_vs_rows"} <= names

@@ -10,7 +10,7 @@ from univchar.core import LaurentPoly
 from univchar.exprparse import (MAX_NESTING, MAX_POWER, EvalError, ParseError,
                                 ast_equal, eval_expr, format_value, parse,
                                 print_ast)
-from univchar.kpoly import hh_r
+from univchar.kpoly import hh_r_via_rows
 
 
 def test_parse_examples():
@@ -201,6 +201,18 @@ def test_cli_internal_error(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cli_unexpected_exception(monkeypatch, capsys):
+    # an exception outside the mapped ones is an internal error, not a
+    # verification failure, and prints no traceback
+    def boom(_):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("univchar.cli.eval_expr", boom)
+    assert main(["eval", "s[1]"]) == 3
+    err = capsys.readouterr().err
+    assert err == "univchar: internal error: KeyError: 'boom'\n"
+
+
 def test_cli_verify_failure(monkeypatch, capsys):
     monkeypatch.setattr("univchar.verify.run_suite",
                         lambda suite, deg: [("x", False, "boom")])
@@ -213,6 +225,15 @@ def test_cli_verify_pass(capsys):
     assert main(["--json", "verify", "--suite", "kernels"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["failed"] == 0
+
+
+def test_cli_verify_json_seconds(capsys):
+    assert main(["verify", "--suite", "kernels", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks
+    for check in checks:
+        seconds = check["seconds"]
+        assert isinstance(seconds, (int, float)) and seconds >= 0, check
 
 
 def test_table_command(tmp_path, capsys):
@@ -229,11 +250,11 @@ def test_table_command(tmp_path, capsys):
     data = json.loads((out1 / "ktable_vdom.json").read_text())
     assert data["kind"] == "vdom"
     assert {"lambda": [1], "poly": {"4": "1", "6": "1"}} in data["K"]
-    # the box table against the independent row-operator route
+    # the box table against the independent row-by-row operator route
     data = json.loads((out1 / "ktable_box.json").read_text())
     rows = {tuple(rec["lambda"]): LaurentPoly.from_json(rec["poly"])
             for rec in data["K"]}
-    assert rows == hh_r("box", ((2, 2), (1,))).rows
+    assert rows == hh_r_via_rows("box", ((2, 2), (1,))).rows
 
 
 def test_table_empty_sequence(tmp_path, capsys):

@@ -5,9 +5,9 @@ from univchar.schur import SymFunc, multiply, schur_of_vector
 from univchar.series import Expansion, from_diamond, to_diamond
 from univchar.operators import tilde_b_parabolic
 from univchar.kpoly import (KTable, duality_check, h_row, h_row_via_expansion,
-                            hb_connection, hh_r, k_via_schur_recurrence,
-                            ktable_via_recurrence, single_rectangle_table,
-                            singlerow_equivalence)
+                            hb_connection, hh_r, hh_r_via_rows,
+                            k_via_schur_recurrence, ktable_via_recurrence,
+                            single_rectangle_table, singlerow_equivalence)
 from univchar.verify import rect_sequences
 
 t = LaurentPoly.t
@@ -48,6 +48,14 @@ def test_h_row_negative_indices():
             assert got == want, (kind, nu)
     # far-negative single rows annihilate
     assert h_row("vdom", (-9,), s(2, 1)).is_zero()
+
+
+def test_telescoped_matches_rows():
+    for rects in ((), ((2,), ()), ((2, 1), (1,)), ((1, 1, 1, 1), (1,), (2,)),
+                  R_EXAMPLE):
+        for kind in ("none", "box", "vdom", "hdom"):
+            assert hh_r(kind, rects).rows == \
+                hh_r_via_rows(kind, rects).rows, (kind, rects)
 
 
 def test_empty_factor_is_identity():
