@@ -16,7 +16,9 @@ hh_r telescopes the row operators.  Each row conjugates a squared-deformation
 parabolic by the plain and t-scaled series of the kind; the positive and the
 signed series are mutually inverse and skews commute, so the series between
 neighbouring rows cancel and the chain is the t-scaled positive-series skew
-of bb_r(R, 2).  hh_r_via_rows applies the rows one by one, as the oracle.
+of bb_r(R, 2), which is the recurrence table.  hh_r therefore reads its rows
+from ktable_via_recurrence; hh_r_via_rows applies the rows one by one, as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -152,16 +154,13 @@ def hh_r(kind, rects):
     commute, so between two neighbouring rows S+_1^perp S-_1^perp and
     S-_t^perp S+_t^perp cancel.  On the vacuum S-_t^perp S+_1^perp 1 = 1,
     and to_diamond applies S+_1^perp, which cancels the leading S-_1^perp.
-    What is left is S+_t^perp B_{R_1} ... B_{R_k} 1 = S+_t^perp bb_r(R, 2):
+    What is left is S+_t^perp B_{R_1} ... B_{R_k} 1 = S+_t^perp bb_r(R, 2).
+    bb_r(R, 2) is bb_r(R) at t -> t^2, so this is the recurrence table:
     one series pass over the shared type-A product.  hh_r_via_rows keeps
     the row-by-row chain as the oracle.
     """
-    kind = canonical_kind(kind)
-    rects = tuple(as_partition(r) for r in rects)
-    base = bb_r(rects, 2)
-    if kind != "none":
-        base = skew_by_series(base, kind, "+", "t")
-    return KTable(kind, rects, dict(base.terms), "operator")
+    return KTable(kind, rects, ktable_via_recurrence(kind, rects).rows,
+                  "operator")
 
 
 def hh_r_via_rows(kind, rects):
@@ -192,7 +191,7 @@ def ktable_via_recurrence(kind, rects):
     return KTable(kind, rects, rows, "recurrence")
 
 
-def k_via_schur_recurrence(kind, lam, rects, canonical=False):
+def k_via_schur_recurrence(kind, lam, rects, *, canonical=False):
     """One coefficient of the recurrence table, without building the table.
 
     bb_r is homogeneous of degree |R|, so t -> t^2 is applied once, to the
@@ -248,8 +247,9 @@ def duality_check(kind, lam, rects):
         raise ValueError("duality requires a dominant sequence")
     tkind = KIND_TRANSPOSE[kind]
     trects = dominant_rearrangement(tuple(conjugate(r) for r in rects))
-    lhs = k_via_schur_recurrence(tkind, conjugate(lam), trects, True)
-    base = k_via_schur_recurrence(kind, lam, rects, True)
+    lhs = k_via_schur_recurrence(tkind, conjugate(lam), trects,
+                                 canonical=True)
+    base = k_via_schur_recurrence(kind, lam, rects, canonical=True)
     shift = 2 * (seq_overlap(rects) + seq_weight(rects) - sum(lam))
     rhs = base.subs_power(-1).shift(shift)
     report = {

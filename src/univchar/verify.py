@@ -734,30 +734,25 @@ def suite_kpoly(max_degree=7):
     results = _Checks()
     rng = random.Random(20240605)
 
-    # operator route equals the recurrence on rectangle sequences, plus
+    # the row operators, applied one by one, against the recurrence and
+    # against the telescoped hh_r, on rectangle sequences plus
     # non-rectangle partition factors at a smaller bound
     seqs = rect_sequences(min(7, max_degree))
     seen = set(seqs)
     seqs += [q for q in partition_sequences(min(5, max_degree))
              if q not in seen]
-    bad = 0
+    bad_rec = bad_tel = 0
     for rects in seqs:
         for kind in KINDS:
-            a = hh_r(kind, rects)
-            b = ktable_via_recurrence(kind, rects)
-            if not a.same_rows(b):
-                bad += 1
+            rows = hh_r_via_rows(kind, rects)
+            if not rows.same_rows(ktable_via_recurrence(kind, rects)):
+                bad_rec += 1
+            if not rows.same_rows(hh_r(kind, rects)):
+                bad_tel += 1
     _check(results, "kpoly.operator_vs_recurrence(%d seqs x 4)" % len(seqs),
-           bad == 0, "%d bad" % bad)
-
-    # the telescoped operator route against the row-by-row chain
-    bad = 0
-    for rects in seqs:
-        for kind in KINDS:
-            if not hh_r(kind, rects).same_rows(hh_r_via_rows(kind, rects)):
-                bad += 1
+           bad_rec == 0, "%d bad" % bad_rec)
     _check(results, "kpoly.telescoped_vs_rows(%d seqs x 4)" % len(seqs),
-           bad == 0, "%d bad" % bad)
+           bad_tel == 0, "%d bad" % bad_tel)
 
     # single rectangles within a 3x3 box
     bad = 0

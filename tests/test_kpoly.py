@@ -79,7 +79,7 @@ def test_worked_example_tables():
                 (1,): (t(4) + t(6)) * 2, (): t(5) + t(7)},
     }
     for kind, rows in want.items():
-        assert hh_r(kind, R_EXAMPLE).rows == rows, kind
+        assert hh_r_via_rows(kind, R_EXAMPLE).rows == rows, kind
         assert ktable_via_recurrence(kind, R_EXAMPLE).rows == rows, kind
 
 
@@ -94,7 +94,7 @@ def test_k_via_recurrence_values():
 def test_operator_vs_recurrence_sweep():
     for rects in rect_sequences(5):
         for kind in ("none", "box", "vdom", "hdom"):
-            assert hh_r(kind, rects).same_rows(
+            assert hh_r_via_rows(kind, rects).same_rows(
                 ktable_via_recurrence(kind, rects)), (kind, rects)
 
 
