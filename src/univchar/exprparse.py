@@ -302,105 +302,6 @@ def parse(src):
     return Parser(src).parse()
 
 
-def strip_spans(node):
-    """Structural form of an AST with source spans removed."""
-    if not isinstance(node, tuple):
-        if isinstance(node, dict):
-            return {k: strip_spans(v) for k, v in node.items()}
-        if isinstance(node, list):
-            return tuple(strip_spans(v) for v in node)
-        return node
-    if node and node[0] in ("list", "listlist", "kindtag"):
-        return (node[0],) + tuple(strip_spans(v) for v in node[1:])
-    if node and isinstance(node[0], str) and len(node) >= 2 \
-            and isinstance(node[1], tuple) and len(node[1]) == 2 \
-            and all(isinstance(x, int) for x in node[1]):
-        return (node[0],) + tuple(strip_spans(v) for v in node[2:])
-    return tuple(strip_spans(v) for v in node)
-
-
-def ast_equal(a, b):
-    """Equality of ASTs up to source spans."""
-    return strip_spans(a) == strip_spans(b)
-
-
-# ---------------------------------------------------------------------------
-# printing (round-trips through parse)
-
-def print_ast(node):
-    tag = node[0]
-    if tag == "int":
-        return str(node[2])
-    if tag == "tvar":
-        return "t"
-    if tag == "eh":
-        return "%s%d" % (node[2], node[3])
-    if tag == "schur":
-        kind = node[2]
-        base = "s" if kind == "none" else "s.%s" % kind
-        return "%s[%s]" % (base, ",".join(str(x) for x in node[3]))
-    if tag == "add":
-        rhs = node[3]
-        right = print_ast(rhs)
-        if rhs[0] in ("add", "sub"):
-            right = "(%s)" % right
-        return "%s + %s" % (print_ast(node[2]), right)
-    if tag == "sub":
-        rhs = node[3]
-        right = print_ast(rhs)
-        if rhs[0] in ("add", "sub"):
-            right = "(%s)" % right
-        return "%s - %s" % (print_ast(node[2]), right)
-    if tag == "mul":
-        rhs = node[3]
-        right = _fact(rhs)
-        if rhs[0] == "mul":
-            right = "(%s)" % right
-        return "%s*%s" % (_fact(node[2]), right)
-    if tag == "neg":
-        inner = node[2]
-        if inner[0] in ("add", "sub", "mul"):
-            return "-(%s)" % print_ast(inner)
-        return "-%s" % print_ast(inner)
-    if tag == "pow":
-        return "%s^%d" % (_fact(node[2]), node[3])
-    if tag == "op":
-        _, _, family, kind, shape, operand = node
-        head = family if kind is None else "%s.%s" % (family, kind)
-        body = _print_listval(shape)
-        if operand is not None:
-            return "%s(%s, %s)" % (head, body, print_ast(operand))
-        return "%s(%s)" % (head, body)
-    if tag == "call":
-        _, _, name, args, kwargs = node
-        bits = [_print_argval(a) for a in args]
-        bits += ["%s=%s" % (k, _print_argval(v))
-                 for k, v in sorted(kwargs.items())]
-        return "%s(%s)" % (name, ", ".join(bits))
-    raise ValueError("unknown node %r" % (tag,))
-
-
-def _fact(node):
-    if node[0] in ("add", "sub"):
-        return "(%s)" % print_ast(node)
-    return print_ast(node)
-
-
-def _print_listval(v):
-    if v[0] == "list":
-        return "[%s]" % ",".join(str(x) for x in v[1])
-    return "[%s]" % ",".join("[%s]" % ",".join(str(x) for x in row)
-                             for row in v[1])
-
-
-def _print_argval(v):
-    if v[0] in ("list", "listlist"):
-        return _print_listval(v)
-    if v[0] == "kindtag":
-        return v[1]
-    return print_ast(v)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -521,7 +422,7 @@ def _eval_op(node):
     _, span, family, kind, shape, operand = node
     from .operators import (bernstein_diamond_row, bernstein_row,
                             tilde_b_diamond_parabolic, tilde_b_parabolic)
-    from .kpoly import h_row
+    from .kpoly import h_rows
     vectors = _want_vectors(shape, span)
     if operand is None:
         f = SymFunc.one()
@@ -532,10 +433,7 @@ def _eval_op(node):
             raise EvalError("operators act on Schur-basis operands")
         f = val.func
     if family == "H":
-        hk = kind or "none"
-        for vec in reversed(vectors):
-            f = h_row(hk, vec, f)
-        return Expansion("none", f)
+        return Expansion("none", h_rows(kind or "none", vectors, f))
     for vec in reversed(vectors):
         if family == "B" and kind in (None, "none"):
             for r in reversed(vec):

@@ -8,9 +8,9 @@ polynomials of the deformed product in the basis of that kind, together with
 the algorithm that produced it.  All algorithms must agree exactly; the
 verification suite cross-checks them.
 
-k_via_schur_recurrence (and operators.d_polynomial) read one coefficient
-without building the table: series.series_coeff sums the Littlewood-Richardson
-spectra of lam against the type-A product instead of skewing all of it.
+k_via_schur_recurrence reads one coefficient without building the table:
+series.series_coeff sums the Littlewood-Richardson spectra of lam against the
+type-A product instead of skewing all of it.
 
 hh_r telescopes the row operators.  Each row conjugates a squared-deformation
 parabolic by the plain and t-scaled series of the kind; the positive and the
@@ -18,7 +18,8 @@ signed series are mutually inverse and skews commute, so the series between
 neighbouring rows cancel and the chain is the t-scaled positive-series skew
 of bb_r(R, 2), which is the recurrence table.  hh_r therefore reads its rows
 from ktable_via_recurrence; hh_r_via_rows applies the rows one by one, as the
-independent oracle.
+independent oracle.  h_rows telescopes the same way along any list of index
+vectors and any operand.
 """
 
 from __future__ import annotations
@@ -119,6 +120,24 @@ def h_row(kind, nu, p):
     f = tilde_b_parabolic(nu, f, 2)
     f = skew_by_series(f, kind, "+", "t")
     f = skew_by_series(f, kind, "-", 1)
+    return f
+
+
+def h_rows(kind, vectors, p):
+    """The deformed rows of a kind along a list of index vectors, applied to
+    p, telescoped as in hh_r: S-_1^perp S+_t^perp B_(nu_1) ... B_(nu_k)
+    S-_t^perp S+_1^perp p, with B the squared-deformation parabolics.  That
+    is four series passes whatever the number of vectors, and two when p is
+    1, which S-_t^perp S+_1^perp fixes.  Applying h_row vector by vector is
+    its oracle."""
+    kind = canonical_kind(kind)
+    f = p
+    if kind != "none" and f != SymFunc.one():
+        f = skew_by_series(skew_by_series(f, kind, "+", 1), kind, "-", "t")
+    for nu in reversed(vectors):
+        f = tilde_b_parabolic(tuple(int(x) for x in nu), f, 2)
+    if kind != "none":
+        f = skew_by_series(skew_by_series(f, kind, "+", "t"), kind, "-", 1)
     return f
 
 

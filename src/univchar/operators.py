@@ -5,18 +5,37 @@ generate together with their coefficient polynomials.
 Every row operator, plain or deformed and of any kind, is one kernel in two
 stages.  The skew stage applies the factors of a generating series to the
 operand: each factor skews by the one-column or one-row function of every
-degree a, weighs the result by (-1)^a or t^(a*texp) and moves a net index
-shift j up or down by a.  Operands that reach the same shift are summed
-before the next factor skews them, so the stage is a map j -> operand that
-does not depend on the row index r.  The Pieri stage then sums the signed
-products multiply_h(stage[j], r - s + j) over the shifts s of the kind.
+degree a, weighs the result by (-1)^a, by t^(a*texp) or not at all, and
+moves a net index shift j up or down by a.  Operands that reach the same
+shift are summed before the next factor skews them, so the stage is a map
+j -> operand that does not depend on the row index r.  The Pieri stage then
+sums the signed products multiply_h(stage[j], r - s + j) over the shifts s
+of the kind.
 
-The factor table is keyed by two facts.  The Schur kind is one-sided; the
-three diamond kinds are mirrored, adding the factors of the inverse series
-with downward shifts.  The deformed kernels carry the t-weighted one-row
-factors, and the undeformed (Bernstein) kernels are the same ones without
-them.  The box and horizontal-domino rows are the vertical-domino row at r
-less the same row at r - 1 and r - 2.
+The factor table is keyed by kind.  The Schur kind is one-sided; the three
+diamond kinds are mirrored, adding the factors of the inverse series with
+downward shifts.  The undeformed (Bernstein) kernels are the deformed ones
+without their t-weighted one-row factors.  The box and horizontal-domino rows
+are the vertical-domino row at r less the same row at r - 1 and r - 2.
+
+The three diamond kinds share one deformed product in diamond coordinates,
+the coefficients in the basis of the kind.  There a kind's row is
+S+^perp R S-^perp, with S+ and S- its positive and signed series, mutually
+inverse, and R its row in the Schur basis.  The vertical-domino row is
+R_r(p) = sum_j h_(r+j) stage_j(p).  The coproduct of the positive series
+gives S+^perp(h_m g) = sum_k h_(m-k) h_k^perp S+^perp g, and skews commute
+with the stage, so the row in diamond coordinates is
+
+    U_r(q) = sum_(j,k) h_(r+j-k) h_k^perp stage_j(q):
+
+the vertical-domino factors, one more unweighted one-row factor with step -1,
+and Pieri shift 0.  The box and horizontal-domino positive series carry one
+more factor, sum_k h_k and sum_k h_k[p_2] (Macdonald, I.5 Ex. 5), whose
+skew turns the Pieri differences h_m - h_(m-1) and h_m - h_(m-2) back into
+h_m, so U_r is the same operator for all three kinds.  bb_diamond runs it,
+seeded by the straightened s_lambda, with no series anywhere;
+bb_diamond_r_via_rows keeps each kind's own row chain, seeded by the kind's
+basis element, as its oracle.
 
 Parabolic operators compose single rows and correct with the pairwise index
 shifts that come from commuting deformed rows past each other; the correction
@@ -31,9 +50,9 @@ from __future__ import annotations
 import itertools
 
 from .core import LaurentPoly, P_ONE, as_partition, canonical_kind
-from .schur import (SymFunc, multiply, multiply_h, skew_e, skew_h,
+from .schur import (Expansion, SymFunc, multiply, multiply_h, skew_e, skew_h,
                     straighten)
-from .series import diamond_unit, series_coeff, to_diamond
+from .series import diamond_unit, from_diamond, to_diamond
 
 
 class InvariantViolation(Exception):
@@ -43,19 +62,22 @@ class InvariantViolation(Exception):
 # ---------------------------------------------------------------------------
 # the row kernel
 
-# (mirrored, deformed) -> skew factors in the order they apply.  A factor
-# (column, step) skews by the one-column function of degree a with weight
-# (-1)^a when column is true, else by the one-row function with weight
-# t^(a*texp); either way it adds step * a to the net shift.
-_ROW_FACTORS = {
-    (False, False): ((True, 1),),
-    (False, True): ((True, 1), (False, 1)),
-    (True, False): ((True, 1), (True, -1)),
-    (True, True): ((True, 1), (False, 1), (True, -1), (False, -1)),
-}
+# the kind of the diamond coordinates that box, vdom and hdom share
+DIAMOND = "diamond"
+
+# kind -> skew factors in the order they apply.  A factor (skew, step) skews
+# by the one-column function of degree a with weight (-1)^a when skew is
+# "e", by the one-row function with weight t^(a*texp) when it is "ht" (left
+# out of the undeformed kernels) and without weight when it is "h"; each
+# adds step * a to the net shift.
+_MIRRORED = (("e", 1), ("ht", 1), ("e", -1), ("ht", -1))
+_ROW_FACTORS = {"none": (("e", 1), ("ht", 1)), "box": _MIRRORED,
+                "vdom": _MIRRORED, "hdom": _MIRRORED,
+                DIAMOND: _MIRRORED + (("h", -1),)}
 
 # kind -> Pieri shifts s; the rows at s > 0 are subtracted
-_PIERI_SHIFTS = {"none": (0,), "vdom": (0,), "box": (0, 1), "hdom": (0, 2)}
+_PIERI_SHIFTS = {"none": (0,), "vdom": (0,), "box": (0, 1), "hdom": (0, 2),
+                 DIAMOND: (0,)}
 
 
 def _row_stage(p, kind, texp):
@@ -66,16 +88,18 @@ def _row_stage(p, kind, texp):
     under the one-column skews of degree 1 and 2).
     """
     stage = {0: p}
-    for column, step in _ROW_FACTORS[(kind != "none", texp is not None)]:
+    for skew, step in _ROW_FACTORS[kind]:
+        if skew == "ht" and texp is None:
+            continue
         nxt = {}
         for j, f in stage.items():
             for a in range(f.degree() + 1):
-                if column:
+                if skew == "e":
                     g = skew_e(f, a)
                     g = -g if a % 2 else g
                 else:
                     g = skew_h(f, a)
-                    if a:
+                    if a and skew == "ht":
                         g = g.scaled(LaurentPoly.t(a * texp))
                 if g.is_zero():
                     continue
@@ -336,7 +360,6 @@ def _parabolic_apply(nu, p, texp, kind):
     n = len(nu)
     if n == 0:
         return p
-    kind = canonical_kind(kind)
     if n == 1:
         return _row(nu[0], p, kind, texp)
     diamond = kind != "none"
@@ -381,7 +404,7 @@ def tilde_b_parabolic(nu, p, texp=1):
 
 def tilde_b_diamond_parabolic(kind, nu, p, texp=1):
     """Deformed parabolic operator for the basis of a kind."""
-    return _parabolic_apply(nu, p, texp, kind)
+    return _parabolic_apply(nu, p, texp, canonical_kind(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +550,7 @@ def _perm_sign(w):
 # ---------------------------------------------------------------------------
 # deformed products over sequences of factors
 
-_BB_CACHE = {}   # (kind, texp, factors-suffix) -> SymFunc
+_BB_CACHE = {}   # (kind or DIAMOND, texp, factors-suffix) -> SymFunc
 
 
 def bb_r(factors, texp=1):
@@ -535,8 +558,25 @@ def bb_r(factors, texp=1):
     return _bb("none", tuple(tuple(f) for f in factors), texp)
 
 
+def bb_diamond(factors, texp=1):
+    """Deformed product over a sequence of index vectors in the diamond
+    coordinates: its coefficients are those in the basis of box, vdom and
+    hdom alike."""
+    return _bb(DIAMOND, tuple(tuple(f) for f in factors), texp)
+
+
 def bb_diamond_r(kind, factors, texp=1):
-    """Deformed product over a sequence of index vectors for a kind."""
+    """Deformed product over a sequence of index vectors for a kind, in the
+    Schur basis."""
+    kind = canonical_kind(kind)
+    if kind == "none":
+        return bb_r(factors, texp)
+    return from_diamond(Expansion(kind, bb_diamond(factors, texp)))
+
+
+def bb_diamond_r_via_rows(kind, factors, texp=1):
+    """bb_diamond_r by the kind's own row chain, seeded by the kind's basis
+    element: the verification route for bb_diamond."""
     return _bb(canonical_kind(kind), tuple(tuple(f) for f in factors), texp)
 
 
@@ -554,7 +594,7 @@ def _bb(kind, factors, texp):
             out = SymFunc()
         else:
             sign, lam = st
-            base = (SymFunc.schur(lam) if kind == "none"
+            base = (SymFunc.schur(lam) if kind in ("none", DIAMOND)
                     else diamond_unit(lam, kind))
             out = base.scaled(sign)
     else:
@@ -570,6 +610,9 @@ def c_polynomial(lam, factors):
 
 
 def d_polynomial(kind, lam, factors):
-    """Basis coefficient of the deformed product for a kind, read without
-    expanding the whole product in that basis."""
-    return series_coeff(bb_diamond_r(kind, factors), kind, lam)
+    """Basis coefficient of the deformed product for a kind: one entry of
+    the diamond product, the same for box, vdom and hdom, or the Schur
+    coefficient for kind none."""
+    if canonical_kind(kind) == "none":
+        return c_polynomial(lam, factors)
+    return bb_diamond(factors).coeff(lam)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
                    diagonal_size, from_frobenius, kind_partitions_of,
-                   partition_key)
+                   partition_key, partitions_upto)
 from .schur import Expansion, SymFunc, _skew_spectrum, _prod_spectrum, \
-    _accumulate, multiply, skew_h
+    _accumulate, multiply, skew_by, skew_h
 
 _SERIES_CACHE = {}   # (kind, sign) -> list per degree of [(partition, +-1)]
 
@@ -194,10 +194,23 @@ def change_basis(exp, to_kind):
 
 
 def diamond_product(e1, e2):
-    """Product of two Expansions of equal kind, in that basis."""
+    """Product of two Expansions of equal kind, in that basis.
+
+    The three non-Schur bases share the Newell-Littlewood product
+    (Koike-Terada, J. Algebra 107, 1987), sum over tau of
+    (s_tau^perp f)(s_tau^perp g) on the coefficient functions, so it runs
+    on the coefficients alone, with no series and no kind.
+    """
     if e1.kind != e2.kind:
         raise ValueError("kind mismatch: %s vs %s" % (e1.kind, e2.kind))
-    return to_diamond(multiply(from_diamond(e1), from_diamond(e2)), e1.kind)
+    f, g = e1.func, e2.func
+    if e1.kind == "none":
+        return Expansion("none", multiply(f, g))
+    out = SymFunc()
+    for tau in partitions_upto(min(f.degree(), g.degree())):
+        s_tau = SymFunc.schur(tau)
+        out = out + multiply(skew_by(f, s_tau), skew_by(g, s_tau))
+    return Expansion(e1.kind, out)
 
 
 def omega_diamond(exp):

@@ -25,7 +25,8 @@ from .series import (change_basis, diamond_product, diamond_unit,
                      dual_basis_truncated, from_diamond, newell_littlewood,
                      omega_diamond, series_coeff, series_terms,
                      skew_by_series, to_diamond)
-from .operators import (bb_diamond_r, bb_r, bernstein_create,
+from .operators import (DIAMOND, _parabolic_apply, bb_diamond, bb_diamond_r,
+                        bb_diamond_r_via_rows, bb_r, bernstein_create,
                         bernstein_diamond_create, d_polynomial, det_diamond,
                         det_diamond_schur, direct_extraction_oracle,
                         jacobi_trudi, tilde_b_diamond_parabolic,
@@ -361,21 +362,20 @@ def suite_bases(max_degree=8):
     _check(results, "bases.nl_symmetry_transpose(total<=%d)" % lim,
            bad == 0, "%d of %d triples" % (bad, triples))
 
-    # structure constants of the three kinds coincide and equal the cubic sum
+    # the kind-free product equals each kind's product through its series,
+    # and its structure constants equal the cubic sum
     bad = 0
     shapes = partitions_upto(min(6, max_degree))
     for i, mu in enumerate(shapes):
         for nu in shapes[i:]:
-            ref = None
             for kind in DIAMOND_KINDS:
-                e = diamond_product(Expansion(kind, SymFunc.schur(mu)),
-                                    Expansion(kind, SymFunc.schur(nu)))
-                table = {lam: c for lam, c in e.func.terms.items()}
-                if ref is None:
-                    ref = table
-                elif table != ref:
+                e1 = Expansion(kind, SymFunc.schur(mu))
+                e2 = Expansion(kind, SymFunc.schur(nu))
+                e = diamond_product(e1, e2)
+                if e != to_diamond(multiply(from_diamond(e1),
+                                            from_diamond(e2)), kind):
                     bad += 1
-            for lam, c in (ref or {}).items():
+            for lam, c in e.func.terms.items():
                 if c != LaurentPoly.const(newell_littlewood(lam, mu, nu)):
                     bad += 1
     _check(results, "bases.structure_constants_independent(<=6)", bad == 0,
@@ -488,13 +488,15 @@ def suite_operators(max_degree=8):
     _check(results, "operators.trow_annihilation",
            tilde_b_row(-3, SymFunc.schur((1,))).is_zero())
 
-    # parabolic against the extraction oracle
+    # parabolic against the extraction oracle; s[2] - s[1,1] vanishes under
+    # the first column skew but not the second
+    cancelling = SymFunc.schur((2,)) - SymFunc.schur((1, 1))
     bad = total = 0
     operands = [SymFunc.schur(l) for l in partitions_upto(3)]
     for texp in (1, 2):
         for n in (1, 2):
             for nu in itertools.product(range(-2, 5), repeat=n):
-                for p in operands:
+                for p in operands + [cancelling]:
                     total += 1
                     if tilde_b_parabolic(nu, p, texp) != \
                             direct_extraction_oracle(nu, p, "none", texp):
@@ -510,25 +512,29 @@ def suite_operators(max_degree=8):
     _check(results, "operators.parabolic_oracle(%d cases)" % total, bad == 0,
            "%d bad" % bad)
 
-    # kind parabolic against its oracle
+    # kind parabolic against its oracle, and the diamond parabolic against
+    # the same oracle read in the basis of the kind
+    def diamond_parabolic_bad(kind, nu, p, texp):
+        want = direct_extraction_oracle(nu, p, kind, texp)
+        q = to_diamond(p, kind).func
+        return ((tilde_b_diamond_parabolic(kind, nu, p, texp) != want)
+                + (_parabolic_apply(nu, q, texp, DIAMOND)
+                   != to_diamond(want, kind).func))
+
     bad = total = 0
     small_ops = [SymFunc.one(), SymFunc.schur((1,)), SymFunc.schur((2,)),
                  SymFunc.schur((1, 1))]
     for kind in DIAMOND_KINDS:
         for nu in itertools.product(range(-1, 4), repeat=2):
-            for p in small_ops:
+            for p in small_ops + [cancelling]:
                 total += 1
-                if tilde_b_diamond_parabolic(kind, nu, p) != \
-                        direct_extraction_oracle(nu, p, kind):
-                    bad += 1
+                bad += diamond_parabolic_bad(kind, nu, p, 1)
     for kind in DIAMOND_KINDS:
         for _ in range(8):
             nu = tuple(rng.randrange(-1, 4) for _ in range(3))
             p = rng.choice(small_ops)
             total += 1
-            if tilde_b_diamond_parabolic(kind, nu, p, 2) != \
-                    direct_extraction_oracle(nu, p, kind, 2):
-                bad += 1
+            bad += diamond_parabolic_bad(kind, nu, p, 2)
     _check(results, "operators.diamond_parabolic_oracle(%d cases)" % total,
            bad == 0, "%d bad" % bad)
 
@@ -601,31 +607,27 @@ def suite_operators_diamond(max_degree=7):
     bad_const = bad_spec0 = bad_spec1 = 0
     neg_rows = []
     for rects in chosen:
-        ref = None
+        table = bb_diamond(rects)
         for kind in DIAMOND_KINDS:
-            f = bb_diamond_r(kind, rects)
-            table = to_diamond(f, kind).func
-            if ref is None:
-                ref = table
-            elif table != ref:
+            rows = to_diamond(bb_diamond_r_via_rows(kind, rects), kind).func
+            if rows != table:
                 bad_const += 1
-            at0 = SymFunc(table.eval_t(0))
-            flat = tuple(x for r in rects for x in r)
-            st = straighten(flat)
-            want0 = SymFunc() if st is None else \
-                SymFunc.schur(st[1], LaurentPoly.const(st[0]))
-            if at0 != want0:
-                bad_spec0 += 1
-            at1 = SymFunc(table.eval_t(1))
-            prod = SymFunc.one()
-            for r in rects:
-                prod = multiply(prod, diamond_unit(r, kind))
-            if at1 != to_diamond(prod, kind).func:
-                bad_spec1 += 1
+        flat = tuple(x for r in rects for x in r)
+        st = straighten(flat)
+        want0 = SymFunc() if st is None else \
+            SymFunc.schur(st[1], LaurentPoly.const(st[0]))
+        if SymFunc(table.eval_t(0)) != want0:
+            bad_spec0 += 1
+        # the product of basis elements, kind-free: vdom stands for all three
+        prod = Expansion("vdom", SymFunc.one())
+        for r in rects:
+            prod = diamond_product(prod, Expansion("vdom", SymFunc.schur(r)))
+        if SymFunc(table.eval_t(1)) != prod.func:
+            bad_spec1 += 1
         if all(len(r) == 1 for r in rects):
             widths = tuple(r[0] for r in rects)
             if tuple(sorted(widths, reverse=True)) == widths:
-                for lam, poly in ref.terms.items():
+                for lam, poly in table.terms.items():
                     if any(v < 0 for v in poly.c.values()):
                         neg_rows.append((rects, lam))
     _check(results, "operators.d_constancy(%d seqs)" % len(chosen),
@@ -641,14 +643,14 @@ def suite_operators_diamond(max_degree=7):
         if not mu:
             continue
         rows = tuple((m,) for m in mu)
-        table = to_diamond(bb_diamond_r("vdom", rows), "vdom").func
-        for lam, poly in table.terms.items():
+        for lam, poly in bb_diamond(rows).terms.items():
             if any(v < 0 for v in poly.c.values()):
                 bad.append((mu, lam))
     _check(results, "operators.d_rows_nonnegative(<=8)", not bad,
            "%d negative" % len(bad))
 
-    # the worked single-row example
+    # the worked single-row example, also through each kind's Schur-basis
+    # product
     rows = ((3,), (2,), (1,))
     t = LaurentPoly.t
     want = {
@@ -660,7 +662,7 @@ def suite_operators_diamond(max_degree=7):
         (4,): t(4) + t(2) + t(3), (1, 1): t(2) + t(3),
         (2,): t(4) + t(2) + t(3), (): t(4),
     }
-    ok = True
+    ok = dict(bb_diamond(rows).terms) == want
     for kind in DIAMOND_KINDS:
         table = to_diamond(bb_diamond_r(kind, rows), kind).func
         if dict(table.terms) != want:
@@ -672,7 +674,7 @@ def suite_operators_diamond(max_degree=7):
     for rects in partition_sequences(min(5, max_degree)):
         w = seq_weight(rects)
         for kind in DIAMOND_KINDS:
-            table = to_diamond(bb_diamond_r(kind, rects), kind)
+            table = to_diamond(bb_diamond_r_via_rows(kind, rects), kind)
             for lam in partitions_upto(w):
                 checked += 1
                 if d_polynomial(kind, lam, rects) != table.coeff(lam):

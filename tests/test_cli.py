@@ -1,5 +1,4 @@
 import json
-import random
 import subprocess
 import sys
 
@@ -8,8 +7,7 @@ import pytest
 from univchar.cli import main
 from univchar.core import LaurentPoly
 from univchar.exprparse import (MAX_NESTING, MAX_POWER, EvalError, ParseError,
-                                ast_equal, eval_expr, format_value, parse,
-                                print_ast)
+                                eval_ast, eval_expr, format_value, parse)
 from univchar.kpoly import hh_r_via_rows
 
 
@@ -60,47 +58,71 @@ def test_eval_operator_expressions():
     assert v.coeff((1,)) == LaurentPoly.t(2) - LaurentPoly.const(1)
 
 
-def _random_ast(rng, depth=0):
-    choices = ["int", "t", "schur", "eh"]
-    if depth < 2:
-        choices += ["add", "mul", "neg", "call", "op"]
-    kind = rng.choice(choices)
-    span = (0, 0)
-    if kind == "int":
-        return ("int", span, rng.randrange(0, 9))
-    if kind == "t":
-        return ("pow", span, ("tvar", span), rng.choice([1, 2, 3, -1]))
-    if kind == "schur":
-        lam = tuple(sorted((rng.randrange(1, 4)
-                            for _ in range(rng.randrange(0, 3))),
-                           reverse=True))
-        return ("schur", span, rng.choice(["none", "box", "vdom", "hdom"]),
-                lam)
-    if kind == "eh":
-        return ("eh", span, rng.choice("eh"), rng.randrange(1, 4))
-    if kind == "add":
-        return (rng.choice(["add", "sub"]), span, _random_ast(rng, depth + 1),
-                _random_ast(rng, depth + 1))
-    if kind == "mul":
-        return ("mul", span, _random_ast(rng, depth + 1),
-                _random_ast(rng, depth + 1))
-    if kind == "neg":
-        return ("neg", span, _random_ast(rng, depth + 1))
-    if kind == "call":
-        lam = ("list", [2, 1])
-        return ("call", span, "nl", [lam, ("list", [1]), ("list", [1])], {})
-    vec = ("list", [rng.randrange(0, 4), rng.randrange(0, 3)])
-    return ("op", span, rng.choice(["B", "Bt"]), None, vec, None)
+# expression -> frozen printed value: precedence, negation, powers, every
+# operator family, every call and the kind tags
+EVAL_CORPUS = [
+    ('1 + 2*3', '7'),
+    ('(1 + 2)*3', '9'),
+    ('7 - 2 - 1', '4'),
+    ('2*t^2 + t', '2*t^2 + t'),
+    ('t^-2*t', 't^-1'),
+    ('s[1] + s[1]*s[1]', 's[1] + s[2] + s[1,1]'),
+    ('(s[1] + s[1])*s[1]', '(2)*s[2] + (2)*s[1,1]'),
+    ('s[2] - s[1] - s[1]', '(-2)*s[1] + s[2]'),
+    ('t^2*s[1] - s[1]', '(t^2 - 1)*s[1]'),
+    ('s[2]*s[1]*s[1]', 's[4] + (2)*s[3,1] + s[2,2] + s[2,1,1]'),
+    ('-s[1]', '(-1)*s[1]'),
+    ('--t', 't'),
+    ('-(1 + t)*s[1]', '(-t - 1)*s[1]'),
+    ('-t^2', '-t^2'),
+    ('-s[1]*-s[1]', 's[2] + s[1,1]'),
+    ('(1 + t)^3', 't^3 + 3*t^2 + 3*t + 1'),
+    ('(2*t)^2', '4*t^2'),
+    ('(1 - t)^0', '1'),
+    ('t^0', '1'),
+    ('e2*h1', 's[2,1] + s[1,1,1]'),
+    ('h2 - e2', 's[2] + (-1)*s[1,1]'),
+    ('B([3,2])', 's[3,2]'),
+    ('B([1,3])', '(-1)*s[2,2]'),
+    ('B.vd([2], s[1])', '(-1)*s[1] + s[2,1]'),
+    ('Bd.hd([2])', '(-1)*s[] + s[2]'),
+    ('Bt([1,1], s[1])', '(t)*s[2,1] + s[1,1,1]'),
+    ('Bt([[2],[1]])', '(t)*s[3] + s[2,1]'),
+    ('Btd.box([2,1])', 's[] + (-1)*s[2] + (-1)*s[1,1] + s[2,1]'),
+    ('Btd([1], s[1])', '(t - 1)*s[] + (t)*s[2] + s[1,1]'),
+    ('H.vd([[2,2],[1]])',
+     '(t^6 - 2*t^2 + 1)*s[1] + (t^4 - 1)*s[2,1] + (t^2 - 1)*s[1,1,1]'
+     ' + (t^2)*s[3,2] + s[2,2,1]'),
+    ('H([2,1])', 's[2,1]'),
+    ('H.hd([[2,-1]], s[2] - s[1,1])',
+     '(t^6 - t^4 - t^2 + 1)*s[1] + (t^4 - 1)*s[2,1]'),
+    ('expand(s.hd[2], basis=none)', '(-1)*s[] + s[2]'),
+    ('expand(s[2], basis=hd)', 's.hdom[] + s.hdom[2]'),
+    ('expand.box(s.vd[1,1])', 's.box[1] + s.box[1,1]'),
+    ('skew(s[2,1], s[1])', 's[2] + s[1,1]'),
+    ('omega(s.hd[3])', 's.hdom[1,1,1]'),
+    ('omega(2*s.vd[2,1] - s.vd[1])', '(-1)*s.vdom[1] + (2)*s.vdom[2,1]'),
+    ('dual(lambda=[1], kind=vd, degree=3)', 's[1] + s[2,1] + s[1,1,1]'),
+    ('kpoly(lambda=[1], R=[[2,2],[1]], kind=vd)', 't^6 + t^4'),
+    ('kpoly.box(lambda=[], R=[[1],[1]])', 't^4 + t^2'),
+    ('dpoly(lambda=[1], R=[[2],[1]], kind=none)', '0'),
+    ('dpoly(lambda=[1], R=[[2],[1]], kind=hd)', 't'),
+    ('dpoly.hd(lambda=[1,1], R=[[3],[2,2],[1]])', 't^5 - t^4 + t^3'),
+    ('nl([2],[1],[1])', '1'),
+    ('nl([2,1],[1],[1,1])', '1'),
+    ('s.vd[1]*s.vd[1]', 's.vdom[] + s.vdom[2] + s.vdom[1,1]'),
+    ('s.cell[1]*s.cell[1,1]', 's.box[1] + s.box[2,1] + s.box[1,1,1]'),
+    ('s.hd[2,1]*s.hd[1] - s.hd[1]',
+     '(-1)*s.hdom[1] + s.hdom[2] + s.hdom[1,1] + s.hdom[3,1] + s.hdom[2,2]'
+     ' + s.hdom[2,1,1]'),
+    ('s.hd[1] + 1', 's.hdom[] + s.hdom[1]'),
+    ('t*s.box[2] + s.box[]', 's.box[] + (t)*s.box[2]'),
+]
 
 
-def test_parse_print_roundtrip_corpus():
-    rng = random.Random(31)
-    for _ in range(200):
-        ast = _random_ast(rng)
-        text = print_ast(ast)
-        back = parse(text)
-        assert ast_equal(back, ast), text
-        assert ast_equal(parse(print_ast(back)), back)
+def test_parse_eval_golden_corpus():
+    for src, want in EVAL_CORPUS:
+        assert format_value(eval_ast(parse(src))) == want, src
 
 
 def test_cli_eval(capsys):

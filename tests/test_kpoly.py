@@ -4,8 +4,9 @@ from univchar.core import LaurentPoly, partitions_upto
 from univchar.schur import SymFunc, multiply, schur_of_vector
 from univchar.series import Expansion, from_diamond, to_diamond
 from univchar.operators import tilde_b_parabolic
+from univchar.exprparse import eval_expr
 from univchar.kpoly import (KTable, duality_check, h_row, h_row_via_expansion,
-                            hb_connection, hh_r, hh_r_via_rows,
+                            h_rows, hb_connection, hh_r, hh_r_via_rows,
                             k_via_schur_recurrence, ktable_via_recurrence,
                             single_rectangle_table, singlerow_equivalence)
 from univchar.verify import rect_sequences
@@ -56,6 +57,22 @@ def test_telescoped_matches_rows():
         for kind in ("none", "box", "vdom", "hdom"):
             assert hh_r(kind, rects).rows == \
                 hh_r_via_rows(kind, rects).rows, (kind, rects)
+
+
+def test_h_rows_telescoped_matches_rows():
+    # any index vectors, negative entries included, with and without an
+    # operand; s[2] - s[1,1] cancels under a single column skew
+    for vectors in (((2, -1),), ((2, -1), (1,)), R_EXAMPLE,
+                    ((1,), (2, 2), (1,))):
+        for p in (SymFunc.one(), s(1), s(2) - s(1, 1), s(2, 1)):
+            for kind in ("none", "box", "vdom", "hdom"):
+                want = p
+                for nu in reversed(vectors):
+                    want = h_row(kind, nu, want)
+                assert h_rows(kind, vectors, p) == want, (kind, vectors, p)
+    got = eval_expr("H.box([[2,-1],[1]], s[2] - s[1,1])")
+    want = h_row("box", (2, -1), h_row("box", (1,), s(2) - s(1, 1)))
+    assert got.func == want
 
 
 def test_empty_factor_is_identity():

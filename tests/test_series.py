@@ -3,7 +3,7 @@ import random
 import pytest
 
 from univchar.core import LaurentPoly, conjugate, partitions_upto
-from univchar.schur import Expansion, SymFunc, inner_product
+from univchar.schur import Expansion, SymFunc, inner_product, multiply
 from univchar.series import (change_basis, diamond_product, diamond_unit,
                              dual_basis_truncated, from_diamond,
                              newell_littlewood, omega_diamond, series_terms,
@@ -114,16 +114,18 @@ def test_diamond_product():
 
 
 def test_structure_constants_match_nl():
+    # the kind-free product against each kind's product through its series
     shapes = partitions_upto(4)
     for mu in shapes:
         for nu in shapes:
-            spectra = []
             for kind in ("box", "vdom", "hdom"):
-                e = diamond_product(Expansion(kind, SymFunc.schur(mu)),
-                                    Expansion(kind, SymFunc.schur(nu)))
-                spectra.append(dict(e.func.terms))
-            assert spectra[0] == spectra[1] == spectra[2]
-            for lam, c in spectra[0].items():
+                e1 = Expansion(kind, SymFunc.schur(mu))
+                e2 = Expansion(kind, SymFunc.schur(nu))
+                e = diamond_product(e1, e2)
+                want = to_diamond(multiply(from_diamond(e1),
+                                           from_diamond(e2)), kind)
+                assert e == want, (kind, mu, nu)
+            for lam, c in e.func.terms.items():
                 assert c == LaurentPoly.const(
                     newell_littlewood(lam, mu, nu)), (lam, mu, nu)
 
