@@ -210,18 +210,18 @@ def ktable_via_recurrence(kind, rects):
     return KTable(kind, rects, rows, "recurrence")
 
 
-def k_via_schur_recurrence(kind, lam, rects, *, canonical=False):
+def k_via_schur_recurrence(kind, lam, rects):
     """One coefficient of the recurrence table, without building the table.
 
     bb_r is homogeneous of degree |R|, so t -> t^2 is applied once, to the
     coefficient, and the skew's t-scale is the shift by |R| - |lam|.
-    kind, lam and rects are validated unless canonical is set, by a caller
-    that already holds a canonical kind and canonical tuples.
     """
-    if not canonical:
-        kind = canonical_kind(kind)
-        lam = as_partition(lam)
-        rects = tuple(as_partition(r) for r in rects)
+    return _k_coefficient(canonical_kind(kind), as_partition(lam),
+                          tuple(as_partition(r) for r in rects))
+
+
+def _k_coefficient(kind, lam, rects):
+    """k_via_schur_recurrence for a canonical kind, partition and sequence."""
     drop = seq_weight(rects) - sum(lam)
     return _series_coeff(bb_r(rects), kind, lam).subs_power(2).shift(drop)
 
@@ -266,9 +266,8 @@ def duality_check(kind, lam, rects):
         raise ValueError("duality requires a dominant sequence")
     tkind = KIND_TRANSPOSE[kind]
     trects = dominant_rearrangement(tuple(conjugate(r) for r in rects))
-    lhs = k_via_schur_recurrence(tkind, conjugate(lam), trects,
-                                 canonical=True)
-    base = k_via_schur_recurrence(kind, lam, rects, canonical=True)
+    lhs = _k_coefficient(tkind, conjugate(lam), trects)
+    base = _k_coefficient(kind, lam, rects)
     shift = 2 * (seq_overlap(rects) + seq_weight(rects) - sum(lam))
     rhs = base.subs_power(-1).shift(shift)
     report = {

@@ -2,7 +2,8 @@
 
 Nothing here shares algorithmic machinery with the production paths: Schur
 coefficients are recovered from monomial expansions by triangular solves
-against tableau-counting data, products are recomputed through signed
+against tableau counts (chains of horizontal strips, each found by
+filtering all partitions of its size), products are recomputed through signed
 one-row chains, deformed single-row coefficients are regraded by the charge
 statistic, and the generating series are re-expanded as explicit polynomial
 products in finitely many variables.
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 
-from .core import LaurentPoly, as_partition, canonical_kind, partitions_of
+from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
+                   contains, partitions_of)
 
 # ---------------------------------------------------------------------------
 # truncated polynomial products in n variables
@@ -67,20 +69,34 @@ def alternating_product(monomials, degree, base=None):
 # tableau counting and Schur-coefficient extraction
 
 _CHAIN_CACHE = {}
+_GROWN_CACHE = {}
+
+
+def _grown_by_row(shape, s):
+    """Shapes mu of size |shape| + s with mu/shape a horizontal strip: mu
+    contains shape and gains at most one cell in each column."""
+    key = (shape, s)
+    got = _GROWN_CACHE.get(key)
+    if got is None:
+        cols = conjugate(shape)
+        cols += (0,) * (sum(shape) + s - len(cols))
+        got = _GROWN_CACHE[key] = [
+            mu for mu in partitions_of(sum(shape) + s)
+            if contains(mu, shape)
+            and all(c - cols[j] <= 1 for j, c in enumerate(conjugate(mu)))]
+    return got
 
 
 def hstrip_chain_count(start, target, sizes):
     """Number of chains start -> target adding horizontal strips of the
     given sizes, by dynamic programming over intermediate shapes."""
-    from .schur import hstrips_added
-    from .core import contains
     frontier = {start: 1}
     for s in sizes:
         if s < 0:
             return 0
         nxt = {}
         for shape, cnt in frontier.items():
-            for grown in hstrips_added(shape, s):
+            for grown in _grown_by_row(shape, s):
                 if contains(target, grown):
                     nxt[grown] = nxt.get(grown, 0) + cnt
         frontier = nxt
@@ -91,21 +107,33 @@ def hstrip_chain_count(start, target, sizes):
 
 def kostka_number(lam, content):
     """Number of semistandard fillings of lam with the given content."""
-    key = (lam, tuple(content))
+    # a letter that does not occur adds an empty strip
+    key = (lam, tuple(c for c in content if c))
     got = _CHAIN_CACHE.get(key)
     if got is None:
-        got = hstrip_chain_count((), lam, tuple(content))
+        got = hstrip_chain_count((), lam, key[1])
         _CHAIN_CACHE[key] = got
     return got
 
 
+def _weak_compositions(n, parts):
+    """Tuples of parts nonnegative integers with sum n."""
+    if parts == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n, -1, -1):
+        for rest in _weak_compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
 def schur_monomials(lam, nvars):
     """Monomial expansion of a Schur polynomial in nvars variables."""
-    from .schur import ssyt_contents
     out = {}
-    for content, cnt in ssyt_contents(lam, nvars).items():
-        exp = tuple(content) + (0,) * (nvars - len(content))
-        out[exp] = out.get(exp, 0) + cnt
+    for exp in _weak_compositions(sum(lam), nvars):
+        cnt = kostka_number(lam, exp)
+        if cnt:
+            out[exp] = cnt
     return out
 
 

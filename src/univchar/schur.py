@@ -6,132 +6,81 @@ linear combination of Schur functions (or of the basis named by an Expansion
 tag).  Products and skews reduce to Littlewood-Richardson data computed by
 enumerating ballot fillings; the enumerations are memoized in module caches
 that act as pure memos (results never depend on hits).
+
+Products and skews by a one-row or one-column function are Pieri moves.
+mu/nu is a horizontal strip exactly when nu interlaces mu, mu_r >= nu_r >=
+mu_{r+1}, so the shapes one move reaches are the tuples of a box of
+intervals with a fixed sum (_interlacing).  A vertical strip is the
+conjugate of a horizontal one (omega, Macdonald I.5), so column moves
+conjugate the row moves of the conjugate shape.  All four moves share one
+memo, _STRIP_CACHE, and tableau contents read the same boxes.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .core import (LaurentPoly, P_ONE, as_partition, canonical_kind,
-                   contains, partition_key)
+                   conjugate, contains, partition_key)
 
 # ---------------------------------------------------------------------------
 # caches (read-mostly; insertion is plain dict assignment, entries are frozen)
 
 _PROD_CACHE = {}    # (mu, nu) -> dict lam -> int
 _SKEW_CACHE = {}    # (lam, mu) -> tuple of (nu, int)
-_HSTRIP_ADD = {}    # (lam, m) -> tuple of shapes
-_ESTRIP_ADD = {}
-_HSTRIP_DEL = {}
-_ESTRIP_DEL = {}
+_STRIP_CACHE = {}   # (lam, m, column, add) -> tuple of shapes
 _CONTENT_CACHE = {}  # (lam, nvars) -> dict content-composition -> count
-
-
-def clear_caches():
-    for d in (_PROD_CACHE, _SKEW_CACHE, _HSTRIP_ADD, _ESTRIP_ADD,
-              _HSTRIP_DEL, _ESTRIP_DEL, _CONTENT_CACHE):
-        d.clear()
 
 
 # ---------------------------------------------------------------------------
 # strip enumeration (Pieri moves)
 
-def hstrips_added(lam, m):
-    """Shapes obtained from lam by adding a horizontal strip of m cells."""
-    key = (lam, m)
-    got = _HSTRIP_ADD.get(key)
-    if got is not None:
-        return got
-    out = []
-    n = len(lam)
+def _interlacing(lo, hi, total):
+    """Tuples v with lo[r] <= v[r] <= hi[r] for every row r and sum total.
 
-    def rec(row, remaining, acc):
-        if remaining == 0:
-            shape = tuple(lam[r] + (acc[r] if r < len(acc) else 0)
-                          for r in range(n))
-            if len(acc) > n and acc[n]:
-                shape = shape + (acc[n],)
-            out.append(tuple(p for p in shape if p))
+    A branch is cut as soon as the rows left cannot make up the rest of the
+    sum, so every branch taken ends in a tuple.
+    """
+    n = len(hi)
+    lo_tail, hi_tail = [0] * (n + 1), [0] * (n + 1)
+    for r in range(n - 1, -1, -1):
+        lo_tail[r] = lo_tail[r + 1] + lo[r]
+        hi_tail[r] = hi_tail[r + 1] + hi[r]
+    acc = []
+
+    def rec(r, rest):
+        if r == n:
+            yield tuple(acc)
             return
-        if row > n:
-            return
-        above = lam[row - 1] if row > 0 else None
-        here = lam[row] if row < n else 0
-        hi = remaining if above is None else min(remaining, above - here)
-        for c in range(hi, -1, -1):
-            rec(row + 1, remaining - c, acc + [c])
+        for v in range(max(lo[r], rest - hi_tail[r + 1]),
+                       min(hi[r], rest - lo_tail[r + 1]) + 1):
+            acc.append(v)
+            yield from rec(r + 1, rest - v)
+            acc.pop()
 
-    rec(0, m, [])
-    got = tuple(sorted(set(out), key=partition_key))
-    _HSTRIP_ADD[key] = got
-    return got
+    if lo_tail[0] <= total <= hi_tail[0]:
+        yield from rec(0, total)
 
 
-def estrips_added(lam, m):
-    """Shapes obtained from lam by adding a vertical strip of m cells."""
-    key = (lam, m)
-    got = _ESTRIP_ADD.get(key)
-    if got is not None:
-        return got
-    n = len(lam)
-    padded = list(lam) + [0] * m
-    out = set()
-    for rows in itertools.combinations(range(n + m), m):
-        shape = list(padded)
-        for r in rows:
-            shape[r] += 1
-        if all(a >= b for a, b in zip(shape, shape[1:])):
-            out.add(tuple(p for p in shape if p))
-    got = tuple(sorted(out, key=partition_key))
-    _ESTRIP_ADD[key] = got
-    return got
+def _strips(lam, m, column, add):
+    """Shapes that lam gains (add) or loses by a strip of m cells, sorted.
 
-
-def hstrips_removed(lam, m):
-    """Shapes nu inside lam with lam/nu a horizontal strip of m cells."""
-    key = (lam, m)
-    got = _HSTRIP_DEL.get(key)
-    if got is not None:
-        return got
-    out = []
-    n = len(lam)
-
-    def keep(row, remaining, shape):
-        if row == n:
-            if remaining == 0:
-                out.append(tuple(p for p in shape if p))
-            return
-        below = lam[row + 1] if row + 1 < n else 0
-        upper = min(lam[row], shape[-1]) if shape else lam[row]
-        # interlacing lam[row] >= kept >= lam[row+1] keeps lam/nu horizontal
-        for kept in range(upper, below - 1, -1):
-            removed = lam[row] - kept
-            if removed > remaining:
-                break
-            keep(row + 1, remaining - removed, shape + [kept])
-
-    keep(0, m, [])
-    got = tuple(sorted(set(out), key=partition_key))
-    _HSTRIP_DEL[key] = got
-    return got
-
-
-def estrips_removed(lam, m):
-    """Shapes nu inside lam with lam/nu a vertical strip of m cells."""
-    key = (lam, m)
-    got = _ESTRIP_DEL.get(key)
-    if got is not None:
-        return got
-    n = len(lam)
-    out = set()
-    for rows in itertools.combinations(range(n), m):
-        shape = list(lam)
-        for r in rows:
-            shape[r] -= 1
-        if all(a >= b for a, b in zip(shape, shape[1:])):
-            out.add(tuple(p for p in shape if p))
-    got = tuple(sorted(out, key=partition_key))
-    _ESTRIP_DEL[key] = got
+    The strip is horizontal, or vertical when column is set.  Added rows
+    lie in lam_{r-1} >= mu_r >= lam_r, with the first row unbounded but
+    for the m cells; kept rows in lam_r >= nu_r >= lam_{r+1}.
+    """
+    key = (lam, m, column, add)
+    got = _STRIP_CACHE.get(key)
+    if got is None:
+        base = conjugate(lam) if column else lam
+        if add:
+            top = base[0] if base else 0
+            lo, hi, total = base + (0,), (top + m,) + base, sum(base) + m
+        else:
+            lo, hi, total = (base + (0,))[1:], base, sum(base) - m
+        shapes = (tuple(p for p in v if p)
+                  for v in _interlacing(lo, hi, total))
+        if column:
+            shapes = map(conjugate, shapes)
+        got = _STRIP_CACHE[key] = tuple(sorted(shapes, key=partition_key))
     return got
 
 
@@ -366,7 +315,6 @@ class SymFunc:
 
     def transposed(self):
         """Index transpose on every term (the classical degree involution)."""
-        from .core import conjugate
         r = SymFunc.__new__(SymFunc)
         r.terms = {conjugate(lam): c for lam, c in self.terms.items()}
         return r
@@ -437,8 +385,10 @@ def multiply(p, q):
     return out
 
 
-def multiply_h(p, m):
-    """Multiply by the one-row Schur function of degree m (zero for m < 0)."""
+def _pieri(p, m, column, add):
+    """Multiply (add) or skew by the one-row function of degree m, or by
+    the one-column one when column is set; zero for m < 0.  A skew by more
+    cells (rows, for a column) than lam has is zero and leaves no memo."""
     if m < 0:
         return SymFunc()
     if m == 0:
@@ -446,23 +396,21 @@ def multiply_h(p, m):
     out = SymFunc()
     acc = out.terms
     for lam, c in p.terms.items():
-        for shape in hstrips_added(lam, m):
+        if not add and m > (len(lam) if column else sum(lam)):
+            continue
+        for shape in _strips(lam, m, column, add):
             _accumulate(acc, shape, c)
     return out
+
+
+def multiply_h(p, m):
+    """Multiply by the one-row Schur function of degree m (zero for m < 0)."""
+    return _pieri(p, m, False, True)
 
 
 def multiply_e(p, m):
     """Multiply by the one-column Schur function of degree m (zero for m < 0)."""
-    if m < 0:
-        return SymFunc()
-    if m == 0:
-        return p
-    out = SymFunc()
-    acc = out.terms
-    for lam, c in p.terms.items():
-        for shape in estrips_added(lam, m):
-            _accumulate(acc, shape, c)
-    return out
+    return _pieri(p, m, True, True)
 
 
 def skew_by(p, q):
@@ -479,34 +427,12 @@ def skew_by(p, q):
 
 def skew_h(p, m):
     """Adjoint of multiplication by the one-row function of degree m."""
-    if m < 0:
-        return SymFunc()
-    if m == 0:
-        return p
-    out = SymFunc()
-    acc = out.terms
-    for lam, c in p.terms.items():
-        if sum(lam) < m:
-            continue
-        for shape in hstrips_removed(lam, m):
-            _accumulate(acc, shape, c)
-    return out
+    return _pieri(p, m, False, False)
 
 
 def skew_e(p, m):
     """Adjoint of multiplication by the one-column function of degree m."""
-    if m < 0:
-        return SymFunc()
-    if m == 0:
-        return p
-    out = SymFunc()
-    acc = out.terms
-    for lam, c in p.terms.items():
-        if len(lam) < m:
-            continue
-        for shape in estrips_removed(lam, m):
-            _accumulate(acc, shape, c)
-    return out
+    return _pieri(p, m, True, False)
 
 
 def inner_product(p, q):
@@ -590,22 +516,11 @@ def ssyt_contents(lam, nvars):
 def _shapes_between(shape, lam):
     """Shapes target with shape <= target <= lam and target/shape horizontal."""
     n = len(lam)
-    sh = list(shape) + [0] * (n - len(shape))
-    results = []
-
-    def rec(r, acc):
-        if r == n:
-            results.append(tuple(p for p in acc if p))
-            return
-        hi = lam[r]
-        if r > 0:
-            hi = min(hi, sh[r - 1])          # horizontal strip
-            hi = min(hi, acc[-1])            # partition shape
-        for v in range(sh[r], hi + 1):
-            rec(r + 1, acc + [v])
-
-    rec(0, [])
-    return results
+    lo = shape + (0,) * (n - len(shape))
+    hi = tuple(min(lam[r], lo[r - 1]) if r else lam[0] for r in range(n))
+    return [tuple(p for p in v if p)
+            for total in range(sum(lo), sum(hi) + 1)
+            for v in _interlacing(lo, hi, total)]
 
 
 def evaluate(p, alphabet, nvars):

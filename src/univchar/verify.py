@@ -20,7 +20,8 @@ from .core import (LaurentPoly, KINDS, KIND_TRANSPOSE, as_partition,
                    partitions_upto, seq_weight, frobenius, from_frobenius)
 from .schur import (Expansion, SymFunc, _prod_spectrum, _skew_spectrum,
                     evaluate, inner_product, lr_coefficient, multiply,
-                    skew_by, straighten, schur_of_vector)
+                    multiply_e, multiply_h, skew_by, skew_e, skew_h,
+                    ssyt_contents, straighten, schur_of_vector)
 from .series import (change_basis, diamond_product, diamond_unit,
                      dual_basis_truncated, from_diamond, newell_littlewood,
                      omega_diamond, series_coeff, series_terms,
@@ -259,6 +260,31 @@ def suite_lr(max_degree=12):
         if st != (1, lam):
             bad += 1
     _check(results, "lr.straighten_padded", bad == 0, "%d mismatches" % bad)
+
+    # the four Pieri maps against products and skews by the ballot spectra
+    bad = 0
+    for lam in partitions_upto(min(10, max_degree)):
+        p = SymFunc.schur(lam)
+        for m in range(7):
+            row, col = SymFunc.schur((m,)), SymFunc.schur((1,) * m)
+            for got, want in ((multiply_h(p, m), multiply(p, row)),
+                              (multiply_e(p, m), multiply(p, col)),
+                              (skew_h(p, m), skew_by(p, row)),
+                              (skew_e(p, m), skew_by(p, col))):
+                if got != want:
+                    bad += 1
+    _check(results, "lr.pieri_vs_lr_spectra(|lam|<=%d, m<=6)"
+           % min(10, max_degree), bad == 0, "%d mismatches" % bad)
+
+    # tableau contents against chains of brute-force horizontal strips
+    bad = 0
+    for lam in partitions_upto(min(7, max_degree)):
+        for nvars in range(5):
+            if ssyt_contents(lam, nvars) != \
+                    oracles.schur_monomials(lam, nvars):
+                bad += 1
+    _check(results, "lr.ssyt_contents_vs_kostka(|lam|<=%d, <=4 vars)"
+           % min(7, max_degree), bad == 0, "%d mismatches" % bad)
     return results
 
 

@@ -98,9 +98,10 @@ def test_criterion_09_duality():
 
 
 def test_criterion_10_property_based():
-    _criterion(10, "oracle battery (products, cubic sums, deformed rows, "
-                   "charge, kernels)",
+    _criterion(10, "oracle battery (products, Pieri strips, tableau "
+                   "contents, cubic sums, deformed rows, charge, kernels)",
                "lr.monomial_oracle", "lr.transpose_completion",
+               "lr.pieri_vs_lr_spectra", "lr.ssyt_contents_vs_kostka",
                "bases.nl_symmetry_transpose", "operators.parabolic_oracle",
                "operators.kostka_foulkes_charge", "kernels.pairing_kernel",
                "kernels.symplectic_invariance", "kernels.sp2_column_value")

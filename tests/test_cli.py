@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import univchar
 from univchar.cli import main
 from univchar.core import LaurentPoly
 from univchar.exprparse import (MAX_NESTING, MAX_POWER, EvalError, ParseError,
@@ -288,8 +290,13 @@ def test_table_empty_sequence(tmp_path, capsys):
 
 
 def test_console_entrypoint():
+    # the child imports the same univchar, installed or not
+    src = os.path.dirname(os.path.dirname(univchar.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "univchar.cli", "eval", "nl([2],[1],[1])"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
