@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 unreadable or unwritable path), 3 internal error (an invariant violation or
-any other unexpected exception).
+any other unexpected exception, a bare ValueError included: usage is
+validated at the edge and reported as ParseError, EvalError or an argparse
+error).
 """
 
 from __future__ import annotations
@@ -53,6 +55,15 @@ def _parse_kind(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _parse_kinds(text):
+    if text == "all":
+        return list(KINDS)
+    try:
+        return [canonical_kind(k) for k in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _global_flags(parser, suppress):
     # subcommands re-accept the global flags; suppressed defaults keep a
     # pre-subcommand occurrence from being clobbered by the subparser
@@ -97,7 +108,7 @@ def build_parser():
     p = sub.add_parser("table", parents=[common],
                        help="write coefficient tables")
     p.add_argument("-R", dest="rects", type=_parse_sequence, required=True)
-    p.add_argument("--kinds", default="all",
+    p.add_argument("--kinds", type=_parse_kinds, default="all",
                    help="comma list of kinds, or 'all'")
     p.add_argument("--out", required=True)
     p.add_argument("--latex", action="store_true")
@@ -168,7 +179,7 @@ def main(argv=None):
 
     try:
         code = _dispatch(args)
-    except (ParseError, EvalError, ValueError, OSError) as exc:
+    except (ParseError, EvalError, OSError) as exc:
         print("univchar: error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     except InvariantViolation as exc:
@@ -209,9 +220,8 @@ def _dispatch(args):
               if args.json else str(poly))
         return 0
     if args.command == "table":
-        kinds = (list(KINDS) if args.kinds == "all"
-                 else [canonical_kind(k) for k in args.kinds.split(",")])
-        return cmd_table(args.rects, kinds, args.out, args.latex, args.json)
+        return cmd_table(args.rects, args.kinds, args.out, args.latex,
+                         args.json)
     if args.command == "verify":
         return cmd_verify(args.suite, args.max_degree, args.json)
     raise ValueError("unknown command %r" % args.command)

@@ -25,16 +25,6 @@ _KIND_ALIASES = {
 
 KIND_TRANSPOSE = {"none": "none", "box": "box", "vdom": "hdom", "hdom": "vdom"}
 
-# Schur support of the degree-two seed that generates each family's series:
-# the one-column pair for vertical dominoes, the one-row pair for horizontal
-# ones, both plus a single cell for boxes, nothing for the plain Schur kind.
-KIND_SEED = {
-    "none": (),
-    "box": ((1,), (1, 1)),
-    "vdom": ((1, 1),),
-    "hdom": ((2,),),
-}
-
 
 def canonical_kind(k):
     """Normalize a kind tag, accepting the short aliases vd/hd/cell."""
@@ -353,7 +343,6 @@ class LaurentPoly:
         return cls({int(e): int(v) for e, v in obj.items()})
 
 
-P_ZERO = LaurentPoly.zero()
 P_ONE = LaurentPoly.const(1)
 
 

@@ -18,6 +18,7 @@ span for error reporting.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .core import LaurentPoly, as_partition, canonical_kind
@@ -43,9 +44,10 @@ class EvalError(ValueError):
 # repeated multiplication of a non-monomial grows without bound in both
 MAX_POWER = 256
 
-# largest coefficient bit length a power may produce, bounded before any
-# multiplication; below the 4300-digit limit on int -> str, so that every
-# accepted result prints
+# largest bit length of an integer literal, of a coefficient a power may
+# produce (bounded before any multiplication) and of a printed coefficient;
+# below the 4300-digit limit on int <-> str, so that every literal parses and
+# every accepted result prints
 MAX_POWER_BITS = 14000
 
 # deepest nesting of parentheses, operands, call arguments and negations;
@@ -59,6 +61,19 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 _PUNCT = set("[](),=+-*^.")
 
 
+def _literal(digits, span):
+    """The value of a decimal literal of at most MAX_POWER_BITS bits."""
+    digits = digits.lstrip("0") or "0"
+    # d digits make at least (d - 1) * log2(10) bits; the length test comes
+    # first, since int() refuses strings past its digit limit
+    if (len(digits) - 1) * math.log2(10) < MAX_POWER_BITS:
+        value = int(digits)
+        if value.bit_length() <= MAX_POWER_BITS:
+            return value
+    raise ParseError("integer literal longer than %d bits" % MAX_POWER_BITS,
+                     span)
+
+
 def tokenize(src):
     out = []
     pos = 0
@@ -69,7 +84,8 @@ def tokenize(src):
         start = m.start(m.lastindex)
         end = m.end()
         if m.group(1):
-            out.append(("int", int(m.group(1)), (start, end)))
+            out.append(("int", _literal(m.group(1), (start, end)),
+                        (start, end)))
         elif m.group(2):
             out.append(("name", m.group(2), (start, end)))
         else:
@@ -191,7 +207,7 @@ class Parser:
             return ("tvar", t[2])
         m = re.fullmatch(r"([eh])(\d+)", name)
         if m:
-            return ("eh", t[2], m.group(1), int(m.group(2)))
+            return ("eh", t[2], m.group(1), _literal(m.group(2), t[2]))
         if name == "s" or (name in OP_FAMILIES) or (name in CALL_NAMES):
             kind = None
             if self.peek()[0] == ".":
@@ -202,7 +218,8 @@ class Parser:
                 except ValueError:
                     raise ParseError("unknown kind tag %r" % kt[1], kt[2])
             if name == "s":
-                lam = self.bracket_list(self.expect("["))
+                self.expect("[")
+                lam = self.bracket_list()
                 try:
                     lam = as_partition(lam)
                 except ValueError as exc:
@@ -213,7 +230,7 @@ class Parser:
             return self.call(name, kind, t[2])
         raise ParseError("unknown symbol %r" % name, t[2])
 
-    def bracket_list(self, _open):
+    def bracket_list(self):
         """[int, int, ...] already past the open bracket."""
         vals = []
         if self.peek()[0] == "]":
@@ -239,13 +256,13 @@ class Parser:
             out = []
             while True:
                 self.expect("[")
-                out.append(self.bracket_list(None))
+                out.append(self.bracket_list())
                 t = self.next()
                 if t[0] == "]":
                     return ("listlist", out)
                 if t[0] != ",":
                     raise ParseError("expected ',' or ']'", t[2])
-        out = self.bracket_list(None)
+        out = self.bracket_list()
         return ("list", out)
 
     def op_apply(self, family, kind, span):
@@ -412,7 +429,7 @@ _BINARY = {
 }
 
 
-def _want_vectors(shape, span):
+def _want_vectors(shape):
     if shape[0] == "list":
         return (tuple(shape[1]),)
     return tuple(tuple(row) for row in shape[1])
@@ -423,7 +440,7 @@ def _eval_op(node):
     from .operators import (bernstein_diamond_row, bernstein_row,
                             tilde_b_diamond_parabolic, tilde_b_parabolic)
     from .kpoly import h_rows
-    vectors = _want_vectors(shape, span)
+    vectors = _want_vectors(shape)
     if operand is None:
         f = SymFunc.one()
     else:
@@ -480,6 +497,13 @@ def _kw_listlist(kwargs, key):
     raise EvalError("%r must be a list of lists" % key)
 
 
+def _partition(vals, what):
+    try:
+        return as_partition(vals)
+    except ValueError as exc:
+        raise EvalError("%s: %s" % (what, exc))
+
+
 def _eval_call(node):
     _, span, name, args, kwargs = node
     unknown = sorted(k for k in kwargs if k not in CALL_KEYWORDS[name])
@@ -505,20 +529,23 @@ def _eval_call(node):
             raise EvalError("omega takes one expression")
         return omega_diamond(_as_expansion(eval_ast(args[0])))
     if name == "dual":
-        lam = as_partition(_kw_list(kwargs, "lambda"))
+        lam = _partition(_kw_list(kwargs, "lambda"), "lambda")
         kind = _kw_kind(kwargs)
         deg = kwargs.get("degree")
         if deg is None or deg[0] != "int":
             raise EvalError("dual requires degree=<int>")
+        if deg[2] < sum(lam):
+            raise EvalError("dual degree %d is below |lambda| = %d"
+                            % (deg[2], sum(lam)))
         return Expansion("none", dual_basis_truncated(lam, kind, deg[2]))
     if name == "kpoly":
         from .kpoly import k_via_schur_recurrence
-        lam = as_partition(_kw_list(kwargs, "lambda"))
-        rects = tuple(as_partition(r) for r in _kw_listlist(kwargs, "R"))
+        lam = _partition(_kw_list(kwargs, "lambda"), "lambda")
+        rects = tuple(_partition(r, "R") for r in _kw_listlist(kwargs, "R"))
         return k_via_schur_recurrence(_kw_kind(kwargs), lam, rects)
     if name == "dpoly":
         from .operators import d_polynomial
-        lam = as_partition(_kw_list(kwargs, "lambda"))
+        lam = _partition(_kw_list(kwargs, "lambda"), "lambda")
         rects = _kw_listlist(kwargs, "R")
         return d_polynomial(_kw_kind(kwargs, "vdom"), lam, rects)
     if name == "nl":
@@ -528,7 +555,7 @@ def _eval_call(node):
         for a in args:
             if a[0] != "list":
                 raise EvalError("nl arguments are partitions")
-            shapes.append(as_partition(a[1]))
+            shapes.append(_partition(a[1], "nl argument"))
         return LaurentPoly.const(newell_littlewood(*shapes))
 
 
@@ -546,8 +573,19 @@ def eval_expr(src):
     return eval_ast(parse(src))
 
 
+def _check_printable(v):
+    """Refuse a result with a coefficient of more than MAX_POWER_BITS bits."""
+    polys = [v] if isinstance(v, LaurentPoly) else v.func.terms.values()
+    for poly in polys:
+        for c in poly.c.values():
+            if c.bit_length() > MAX_POWER_BITS:
+                raise EvalError("result has a %d-bit coefficient, more than "
+                                "%d" % (c.bit_length(), MAX_POWER_BITS))
+
+
 def format_value(v):
     """Deterministic human-readable rendering of an evaluation result."""
+    _check_printable(v)
     if isinstance(v, LaurentPoly):
         return str(v)
     prefix = "s" if v.kind == "none" else "s.%s" % v.kind
@@ -565,6 +603,7 @@ def format_value(v):
 
 
 def value_to_json(v):
+    _check_printable(v)
     if isinstance(v, LaurentPoly):
         return {"type": "poly", "poly": v.to_json()}
     return {

@@ -250,9 +250,6 @@ def jacobi_trudi(lam):
     return sym_det(matrix)
 
 
-DET_FAMILIES = ("D", "C", "B")
-
-
 def det_diamond(kind, lam, family):
     """One of the three determinantal formulas for the basis of a kind.
 

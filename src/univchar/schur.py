@@ -3,8 +3,11 @@ straightening of integer indices, and semistandard-tableau evaluation.
 
 A SymFunc is a finite sparse map partition -> LaurentPoly and is read as a
 linear combination of Schur functions (or of the basis named by an Expansion
-tag).  Products and skews reduce to Littlewood-Richardson data computed by
-enumerating ballot fillings; the enumerations are memoized in module caches
+tag).  Products and skews reduce to Littlewood-Richardson numbers, and one
+ballot fill of a skew diagram counts them all (_skew_spectrum).  A product
+s_mu s_nu is the skew Schur function of the disconnected diagram with one
+factor set above and to the right of the other (Macdonald, I.5), so its
+spectrum is a skew spectrum too.  Spectra are memoized in module caches
 that act as pure memos (results never depend on hits).
 
 Products and skews by a one-row or one-column function are Pieri moves.
@@ -88,63 +91,20 @@ def _strips(lam, m, column, add):
 # Littlewood-Richardson enumeration
 
 def _prod_spectrum(mu, nu):
-    """dict lam -> c^lam_{mu,nu}, by growing mu with ballot horizontal strips."""
+    """dict lam -> c^lam_{mu,nu}: the skew spectrum of the larger factor set
+    above and to the right of the smaller (Macdonald, I.5).  The top's ballot
+    fill is forced, so only the cells of the smaller factor branch."""
     if sum(nu) > sum(mu):
         mu, nu = nu, mu
     key = (mu, nu)
     got = _PROD_CACHE.get(key)
     if got is not None:
         return got
-    out = {}
-    ell = len(nu)
-
-    def letter(k, shape, prev_prefix):
-        # prev_prefix[r] = number of (k-1)-letters in rows 0..r
-        m = nu[k]
-        rows = len(shape)
-
-        def rec(r, remaining, placed_below_r, acc):
-            if remaining == 0:
-                finish(acc)
-                return
-            if r > rows:
-                return
-            above = shape[r - 1] if r > 0 else None
-            here = shape[r] if r < rows else 0
-            hi = remaining if above is None else min(remaining, above - here)
-            if k > 0:
-                # ballot: k-letters in rows 0..r at most (k-1)-letters in rows 0..r-1
-                cap = 0
-                if r > 0:
-                    cap = prev_prefix[min(r - 1, len(prev_prefix) - 1)]
-                hi = min(hi, cap - placed_below_r)
-            for c in range(hi, -1, -1):
-                rec(r + 1, remaining - c, placed_below_r + c, acc + [c])
-
-        def finish(acc):
-            shape2 = [shape[r] + (acc[r] if r < len(acc) else 0)
-                      for r in range(rows)]
-            if len(acc) > rows and acc[rows]:
-                shape2.append(acc[rows])
-            shape2 = tuple(p for p in shape2 if p)
-            if k + 1 == ell:
-                out[shape2] = out.get(shape2, 0) + 1
-                return
-            prefix = []
-            run = 0
-            for r in range(len(shape2) + 1):
-                run += acc[r] if r < len(acc) else 0
-                prefix.append(run)
-            letter(k + 1, shape2, prefix)
-
-        rec(0, m, 0, [])
-
-    if ell == 0:
-        out[mu] = 1
-    else:
-        letter(0, mu, [])
-    _PROD_CACHE[key] = out
-    return out
+    w = nu[0] if nu else 0
+    outer = tuple(p + w for p in mu) + nu
+    inner = (w,) * len(mu) if w else ()
+    got = _PROD_CACHE[key] = dict(_skew_spectrum(outer, inner))
+    return got
 
 
 def _skew_spectrum(lam, mu):
@@ -156,55 +116,55 @@ def _skew_spectrum(lam, mu):
     if not contains(lam, mu):
         _SKEW_CACHE[key] = ()
         return ()
-    if lam == mu:
-        got = (((), 1),)
-        _SKEW_CACHE[key] = got
+    if lam == mu or not mu:
+        # nothing to fill: lam/lam is s_() and lam/() is s_lam
+        got = _SKEW_CACHE[key] = (((() if mu else lam), 1),)
         return got
-    # cells in reverse reading order: rows top to bottom, columns right to left
-    cells = []
+    # cells row by row, right to left, with the indices in vals of the right
+    # and upper neighbours' letters (or of r + 1 at row ends and 0 on top)
     mup = list(mu) + [0] * (len(lam) - len(mu))
-    for r in range(len(lam)):
-        for c in range(lam[r] - 1, mup[r] - 1, -1):
-            cells.append((r, c))
+    n = sum(lam) - sum(mup)
+    vals = [0] * n + list(range(1, len(lam) + 1)) + [0]
+    right, above = [], []
+    for r, (a, b) in enumerate(zip(lam, mup)):
+        for c in range(a - 1, b - 1, -1):
+            i = len(right)
+            right.append(i - 1 if c < a - 1 else n + r)
+            above.append(i - a + mup[r - 1] if r and c >= mup[r - 1] else -1)
+    # backtrack on an explicit stack: a fill is as deep as lam/mu has cells
+    counts = [n + 1] + [0] * (len(lam) + 1)  # counts[0] passes letter 1
     out = {}
-    values = {}
-    counts = {}
-
-    def fill(i):
-        if i == len(cells):
-            content = []
-            v = 1
-            while counts.get(v):
-                content.append(counts[v])
-                v += 1
-            nu = tuple(content)
-            out[nu] = out.get(nu, 0) + 1
-            return
-        r, c = cells[i]
-        right = values.get((r, c + 1))
-        hi = r + 1 if right is None else min(r + 1, right)
-        above = values.get((r - 1, c)) if r > 0 and c >= mup[r - 1] else None
-        lo = (above + 1) if above is not None else 1
-        for v in range(lo, hi + 1):
-            if v > 1 and counts.get(v - 1, 0) <= counts.get(v, 0):
-                continue
-            values[(r, c)] = v
-            counts[v] = counts.get(v, 0) + 1
-            fill(i + 1)
+    i = 0
+    while i >= 0:
+        v = vals[i]
+        if v:
             counts[v] -= 1
-            del values[(r, c)]
-
-    fill(0)
-    got = tuple(sorted(out.items(), key=lambda kv: partition_key(kv[0])))
-    _SKEW_CACHE[key] = got
+            v += 1
+        else:
+            v = vals[above[i]] + 1
+        hi = vals[right[i]]
+        while v <= hi and counts[v - 1] <= counts[v]:
+            v += 1
+        if v > hi:
+            vals[i] = 0
+            i -= 1
+            continue
+        vals[i] = v
+        counts[v] += 1
+        if i + 1 < n:
+            i += 1
+        else:
+            nu = tuple(counts[1:counts.index(0, 1)])
+            out[nu] = out.get(nu, 0) + 1
+    got = _SKEW_CACHE[key] = tuple(sorted(
+        out.items(), key=lambda kv: partition_key(kv[0])))
     return got
 
 
 def lr_coefficient(lam, mu, nu):
     """The Littlewood-Richardson coefficient c^lam_{mu,nu}."""
-    if sum(lam) != sum(mu) + sum(nu):
-        return 0
-    if not contains(lam, mu) or not contains(lam, nu):
+    if (sum(lam) != sum(mu) + sum(nu)
+            or not contains(lam, mu) or not contains(lam, nu)):
         return 0
     return _prod_spectrum(mu, nu).get(lam, 0)
 
@@ -417,11 +377,18 @@ def skew_by(p, q):
     """Apply the adjoint of multiplication by q to p."""
     out = SymFunc()
     acc = out.terms
-    for lam, c1 in p.terms.items():
-        for mu, c2 in q.terms.items():
+    sized = [(lam, sum(lam), c) for lam, c in p.terms.items()]
+    for mu, c2 in q.terms.items():
+        w = sum(mu)
+        for lam, size, c1 in sized:
+            if size < w:
+                continue
+            spec = _skew_spectrum(lam, mu)
+            if not spec:
+                continue
             c = c1 * c2
-            for nu, k in _skew_spectrum(lam, mu):
-                _accumulate(acc, nu, c * k)
+            for nu, k in spec:
+                _accumulate(acc, nu, c if k == 1 else c * k)
     return out
 
 

@@ -12,7 +12,8 @@ expansion in the verification suite.
 The positive box series is the vdom seed plus one cell (Macdonald, I.5
 Ex. 5): S_box = S_vdom * sum_k h_k, t-scaled termwise, so skewing by it is the
 vdom skew followed by one one-row Pieri sweep.  The sparse signed series are
-cheaper summed directly than factored, so only this one is factored.
+cheaper summed directly than factored, so only this one is factored: every
+other series skew is skew_by by the series truncated at the operand's degree.
 """
 
 from __future__ import annotations
@@ -102,24 +103,8 @@ def skew_by_series(p, kind, sign, scale=1):
     kind = canonical_kind(kind)
     if kind == "box" and sign == "+":
         return _one_row_sweep(skew_by_series(p, "vdom", "+", scale), scale)
-    out = SymFunc()
-    acc = out.terms
-    for mu, poly in series_terms(kind, sign, scale, p.degree()):
-        if not mu:
-            for lam, c in p.terms.items():
-                _accumulate(acc, lam, c)
-            continue
-        w = sum(mu)
-        for lam, c in p.terms.items():
-            if sum(lam) < w:
-                continue
-            spec = _skew_spectrum(lam, mu)
-            if not spec:
-                continue
-            cp = c * poly
-            for nu, k in spec:
-                _accumulate(acc, nu, cp * k)
-    return out
+    return skew_by(p, SymFunc(dict(series_terms(kind, sign, scale,
+                                                p.degree()))))
 
 
 def series_coeff(p, kind, lam):
@@ -256,12 +241,7 @@ def dual_basis_truncated(lam, kind, degree):
     The dual family lives in the completion of the ring, so a truncation
     degree >= |lam| must be supplied by the caller.
     """
-    kind = canonical_kind(kind)
     if degree < sum(lam):
         raise ValueError("truncation degree below |lambda|")
-    out = SymFunc()
-    acc = out.terms
-    for mu, poly in series_terms(kind, "+", 1, degree - sum(lam)):
-        for target, k in _prod_spectrum(mu, lam).items():
-            _accumulate(acc, target, poly * k)
-    return out
+    series = SymFunc(dict(series_terms(kind, "+", 1, degree - sum(lam))))
+    return multiply(series, SymFunc.schur(lam))

@@ -8,8 +8,9 @@ import pytest
 import univchar
 from univchar.cli import main
 from univchar.core import LaurentPoly
-from univchar.exprparse import (MAX_NESTING, MAX_POWER, EvalError, ParseError,
-                                eval_ast, eval_expr, format_value, parse)
+from univchar.exprparse import (MAX_NESTING, MAX_POWER, MAX_POWER_BITS,
+                                EvalError, ParseError, eval_ast, eval_expr,
+                                format_value, parse)
 from univchar.kpoly import hh_r_via_rows
 
 
@@ -134,6 +135,11 @@ def test_cli_eval(capsys):
     assert main(["--json", "eval", "t^2"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data == {"type": "poly", "poly": {"2": "1"}}
+    # fills deeper than Python's recursion limit still print
+    assert main(["eval", "s[1000]*s[1]"]) == 0
+    assert capsys.readouterr().out.strip() == "s[1001] + s[1000,1]"
+    assert main(["eval", "skew(s[1000],s[1])"]) == 0
+    assert capsys.readouterr().out.strip() == "s[999]"
 
 
 def test_cli_expand(capsys):
@@ -235,6 +241,52 @@ def test_cli_unexpected_exception(monkeypatch, capsys):
     assert main(["eval", "s[1]"]) == 3
     err = capsys.readouterr().err
     assert err == "univchar: internal error: KeyError: 'boom'\n"
+
+
+def test_cli_value_error_is_internal(monkeypatch, capsys):
+    # usage is validated at the edge, so a bare ValueError raised inside a
+    # computation is an internal error, not a usage error
+    def boom(*_):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("univchar.kpoly.k_via_schur_recurrence", boom)
+    assert main(["kpoly", "--lambda", "[1]", "-R", "[[1]]"]) == 3
+    err = capsys.readouterr().err
+    assert err == "univchar: internal error: ValueError: boom\n"
+
+
+def test_cli_usage_errors_at_the_edge(tmp_path, capsys):
+    big = "9" * 4000
+    for expr in ("dual(lambda=[1,2], degree=3)",
+                 "dual(lambda=[2], degree=1)",
+                 "kpoly(lambda=[1,2], R=[[1]])",
+                 "kpoly(lambda=[1], R=[[1,-1]])",
+                 "dpoly(lambda=[1,2], R=[[1]])",
+                 "nl([1,2],[1],[1])",
+                 "1" * 5000,
+                 "h" + "1" * 5000,
+                 big + "*" + big):
+        for argv in (["eval", expr], ["--json", "eval", expr]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("univchar: error: ") and \
+                err.count("\n") == 1, argv
+            assert "set_int_max_str_digits" not in err
+    for kinds in ("vdom,bogus", "", "vdom,"):
+        assert main(["table", "-R", "[[1]]", "--kinds", kinds,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: argument --kinds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # literals and printed coefficients up to the bound are accepted;
+    # leading zeros do not count
+    top = 2 ** MAX_POWER_BITS - 1
+    assert main(["eval", str(top)]) == 0
+    assert capsys.readouterr().out.strip() == str(top)
+    assert main(["eval", "0" * 5000 + "7"]) == 0
+    assert capsys.readouterr().out.strip() == "7"
+    for expr in (str(top + 1), "%d*%d" % (top, top)):
+        assert main(["eval", expr]) == 2
+        assert capsys.readouterr().err.startswith("univchar: error: ")
 
 
 def test_cli_verify_failure(monkeypatch, capsys):

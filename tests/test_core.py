@@ -89,16 +89,6 @@ def test_kind_tags():
         canonical_kind("nope")
 
 
-def test_kind_seed():
-    from univchar.core import KIND_SEED
-    assert KIND_SEED["vdom"] == ((1, 1),)
-    assert KIND_SEED["hdom"] == ((2,),)
-    assert KIND_SEED["box"] == ((1,), (1, 1))
-    assert KIND_SEED["none"] == ()
-    # transposing a kind transposes its seed shapes
-    assert {conjugate(s) for s in KIND_SEED["vdom"]} == set(KIND_SEED["hdom"])
-
-
 def test_partition_order():
     got = sorted(partitions_of(3), key=partition_key)
     assert got == [(3,), (2, 1), (1, 1, 1)]

@@ -1,10 +1,11 @@
 import random
 
 from univchar.core import LaurentPoly, conjugate, partitions_of, partitions_upto
-from univchar.schur import (Expansion, SymFunc, _prod_spectrum, evaluate,
-                            inner_product, lr_coefficient, multiply,
-                            multiply_e, multiply_h, schur_of_vector, skew_by,
-                            skew_e, skew_h, ssyt_contents, straighten)
+from univchar.schur import (Expansion, SymFunc, _prod_spectrum,
+                            _skew_spectrum, evaluate, inner_product,
+                            lr_coefficient, multiply, multiply_e, multiply_h,
+                            schur_of_vector, skew_by, skew_e, skew_h,
+                            ssyt_contents, straighten)
 from univchar import oracles
 
 
@@ -78,6 +79,35 @@ def test_lr_symmetry_and_transpose():
             assert dict(a) == dict(b)
             c = _prod_spectrum(conjugate(mu), conjugate(nu))
             assert {conjugate(l): v for l, v in a.items()} == dict(c)
+
+
+def test_lr_spectrum_edge_cases():
+    # an empty factor on either side, and on both
+    assert _prod_spectrum((2, 1), ()) == {(2, 1): 1}
+    assert _prod_spectrum((), (2, 1)) == {(2, 1): 1}
+    assert _prod_spectrum((), ()) == {(): 1}
+    # nothing to fill: an empty inner shape, lam = mu, and mu not in lam
+    assert _skew_spectrum((3, 1), ()) == (((3, 1), 1),)
+    assert _skew_spectrum((3, 1), (3, 1)) == (((), 1),)
+    assert _skew_spectrum((3, 1), (1, 1, 1)) == ()
+    # two columns stack into len(mu) + len(nu) rows; two rows are Pieri
+    for a, b in ((1, 1), (2, 3), (3, 2), (1, 4)):
+        got = s(*(1,) * a) * s(*(1,) * b)
+        assert got == multiply_e(s(*(1,) * a), b)
+        assert (1,) * (a + b) in got.terms
+        assert s(a) * s(b) == multiply_h(s(a), b)
+
+
+def test_lr_spectrum_deep_fills():
+    # fills deeper than Python's recursion limit: a product fills only the
+    # smaller factor's cells, and the fill keeps its own stack
+    assert multiply(s(1000), s(1)) == multiply_h(s(1000), 1)
+    assert multiply(s(1), s(1000)) == multiply_h(s(1000), 1)
+    assert multiply(s(600), s(600)) == multiply_h(s(600), 600)
+    column = s(*(1,) * 1000)
+    assert multiply(column, s(1)) == multiply_e(column, 1)
+    assert skew_by(s(1000), s(1)) == s(999)
+    assert skew_by(s(600, 600), s(600)) == s(600)
 
 
 def test_monomial_oracle_small():
