@@ -5,15 +5,16 @@ generate together with their coefficient polynomials.
 Every row operator, plain or deformed and of any kind, is one kernel in two
 stages.  The skew stage applies the factors of a generating series to the
 operand: each factor skews by the one-column or one-row function of every
-degree a, weighs the result by (-1)^a, by t^(a*texp) or not at all, and
-moves a net index shift j up or down by a.  Operands that reach the same
-shift are summed before the next factor skews them, so the stage is a map
-j -> operand that does not depend on the row index r.  The Pieri stage then
-sums the signed products multiply_h(stage[j], r - s + j) over the shifts s
-of the kind.
+degree a, weighs the result by (-1)^a or by t^(a*texp), and moves a net
+index shift j up or down by a.  Operands that reach the same shift are
+summed before the next factor skews them, so the stage is a map j -> operand
+that does not depend on the row index r.  The Pieri stage then sums the
+signed products multiply_h(stage[j], r - s + j) over the shifts s of the
+kind.
 
-The factor table is keyed by kind.  The Schur kind is one-sided; the three
-diamond kinds are mirrored, adding the factors of the inverse series with
+The kernel table is keyed by kind: skew factors, Pieri shifts and the level
+weights of the parabolic operators.  The Schur kind is one-sided; box, vdom
+and hdom are mirrored, adding the factors of the inverse series with
 downward shifts.  The undeformed (Bernstein) kernels are the deformed ones
 without their t-weighted one-row factors.  The box and horizontal-domino rows
 are the vertical-domino row at r less the same row at r - 1 and r - 2.
@@ -26,14 +27,16 @@ R_r(p) = sum_j h_(r+j) stage_j(p).  The coproduct of the positive series
 gives S+^perp(h_m g) = sum_k h_(m-k) h_k^perp S+^perp g, and skews commute
 with the stage, so the row in diamond coordinates is
 
-    U_r(q) = sum_(j,k) h_(r+j-k) h_k^perp stage_j(q):
+    U_r(q) = sum_(j,k) h_(r+j-k) h_k^perp stage_j(q),
 
-the vertical-domino factors, one more unweighted one-row factor with step -1,
-and Pieri shift 0.  The box and horizontal-domino positive series carry one
+with Pieri shift 0.  The box and horizontal-domino positive series carry one
 more factor, sum_k h_k and sum_k h_k[p_2] (Macdonald, I.5 Ex. 5), whose
 skew turns the Pieri differences h_m - h_(m-1) and h_m - h_(m-2) back into
-h_m, so U_r is the same operator for all three kinds.  bb_diamond runs it,
-seeded by the straightened s_lambda, with no series anywhere;
+h_m, so U_r is the same operator for all three kinds.  Its unweighted skews
+with step -1, by E(-1/z) in the stage and by H(1/z) in the sum over k,
+cancel: f^perp g^perp = (fg)^perp and E(-u) H(u) = 1 (Macdonald, I (2.6)).
+So U_r is the type-A stage plus one t-weighted one-row factor with step -1.
+bb_diamond runs it from the straightened s_lambda, with no series anywhere;
 bb_diamond_r_via_rows keeps each kind's own row chain, seeded by the kind's
 basis element, as its oracle.
 
@@ -65,19 +68,23 @@ class InvariantViolation(Exception):
 # the kind of the diamond coordinates that box, vdom and hdom share
 DIAMOND = "diamond"
 
-# kind -> skew factors in the order they apply.  A factor (skew, step) skews
-# by the one-column function of degree a with weight (-1)^a when skew is
-# "e", by the one-row function with weight t^(a*texp) when it is "ht" (left
-# out of the undeformed kernels) and without weight when it is "h"; each
-# adds step * a to the net shift.
-_MIRRORED = (("e", 1), ("ht", 1), ("e", -1), ("ht", -1))
-_ROW_FACTORS = {"none": (("e", 1), ("ht", 1)), "box": _MIRRORED,
-                "vdom": _MIRRORED, "hdom": _MIRRORED,
-                DIAMOND: _MIRRORED + (("h", -1),)}
-
-# kind -> Pieri shifts s; the rows at s > 0 are subtracted
-_PIERI_SHIFTS = {"none": (0,), "vdom": (0,), "box": (0, 1), "hdom": (0, 2),
-                 DIAMOND: (0,)}
+# kind -> (skew factors, Pieri shifts, level options).  A skew factor
+# (skew, step) skews by the one-column function of degree a, weight (-1)^a,
+# when skew is "e", or by the one-row function, weight t^(a*texp), when it is
+# "ht" (left out of the undeformed kernels), and adds step * a to the net
+# shift.  The rows at Pieri shifts s > 0 are subtracted.  A level option
+# (delta, drop, tpow, sign) pairs the current parabolic position with one
+# earlier one: it moves that one's pending shift by delta and drops the
+# current index by drop, with weight sign * t^(tpow*texp).
+_A = (("e", 1), ("ht", 1))
+_MIRRORED = _A + (("e", -1), ("ht", -1))
+_A_LEVELS = ((0, 0, 0, 1), (1, 1, 1, -1))
+_MIRRORED_LEVELS = _A_LEVELS + ((-1, 1, 1, -1), (0, 2, 2, 1))
+_KERNELS = {"none": (_A, (0,), _A_LEVELS),
+            "vdom": (_MIRRORED, (0,), _MIRRORED_LEVELS),
+            "box": (_MIRRORED, (0, 1), _MIRRORED_LEVELS),
+            "hdom": (_MIRRORED, (0, 2), _MIRRORED_LEVELS),
+            DIAMOND: (_A + (("ht", -1),), (0,), _MIRRORED_LEVELS)}
 
 
 def _row_stage(p, kind, texp):
@@ -88,7 +95,7 @@ def _row_stage(p, kind, texp):
     under the one-column skews of degree 1 and 2).
     """
     stage = {0: p}
-    for skew, step in _ROW_FACTORS[kind]:
+    for skew, step in _KERNELS[kind][0]:
         if skew == "ht" and texp is None:
             continue
         nxt = {}
@@ -99,7 +106,7 @@ def _row_stage(p, kind, texp):
                     g = -g if a % 2 else g
                 else:
                     g = skew_h(f, a)
-                    if a and skew == "ht":
+                    if a:
                         g = g.scaled(LaurentPoly.t(a * texp))
                 if g.is_zero():
                     continue
@@ -113,7 +120,7 @@ def _row_stage(p, kind, texp):
 def _pieri_stage(stage, kind, r):
     """The row at index r from a skew stage: signed sum of multiply_h."""
     out = SymFunc()
-    for s in _PIERI_SHIFTS[kind]:
+    for s in _KERNELS[kind][1]:
         for j, f in stage.items():
             g = multiply_h(f, r - s + j)
             out = out - g if s else out + g
@@ -307,27 +314,21 @@ def _halve_exact(f):
 # ---------------------------------------------------------------------------
 # parabolic operators
 
-_LEVEL_CACHE = {}   # (p, texp, diamond?) -> dict ds -> ((drop, poly), ...)
+_LEVEL_CACHE = {}   # (p, texp, levels) -> dict ds -> ((drop, poly), ...)
 
 
-def _level_weights(p, texp, diamond):
+def _level_weights(p, texp, levels):
     """Joint pair-correction weights for one parabolic position.
 
     Maps each vector of pending index shifts for the p earlier positions to
     the list of (index drop at the current position, weight).
     """
-    key = (p, texp, diamond)
+    key = (p, texp, levels)
     got = _LEVEL_CACHE.get(key)
     if got is not None:
         return got
-    if diamond:
-        options = ((0, 0, P_ONE),
-                   (1, 1, LaurentPoly.t(texp, -1)),
-                   (-1, 1, LaurentPoly.t(texp, -1)),
-                   (0, 2, LaurentPoly.t(2 * texp)))
-    else:
-        options = ((0, 0, P_ONE),
-                   (1, 1, LaurentPoly.t(texp, -1)))
+    options = tuple((delta, drop, LaurentPoly.t(tpow * texp, sign))
+                    for delta, drop, tpow, sign in levels)
     joint = {((), 0): P_ONE}
     for _ in range(p):
         nxt = {}
@@ -359,10 +360,9 @@ def _parabolic_apply(nu, p, texp, kind):
         return p
     if n == 1:
         return _row(nu[0], p, kind, texp)
-    diamond = kind != "none"
     states = {(0,) * n: p}
     for pos in range(n - 1, -1, -1):
-        grouped = _level_weights(pos, texp, diamond)
+        grouped = _level_weights(pos, texp, _KERNELS[kind][2])
         new_states = {}
         for pending, f in states.items():
             if f.is_zero():

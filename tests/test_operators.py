@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from univchar.core import LaurentPoly, partitions_of, partitions_upto
-from univchar.schur import SymFunc, multiply, schur_of_vector
-from univchar.series import diamond_unit, to_diamond
+from univchar.schur import (Expansion, SymFunc, multiply, schur_of_vector,
+                            skew_e, skew_h)
+from univchar.series import diamond_unit, from_diamond, to_diamond
 from univchar.operators import (InvariantViolation, _halve_exact,
                                 bb_diamond, bb_diamond_r,
                                 bb_diamond_r_via_rows, bb_r, bernstein_create,
@@ -15,7 +16,7 @@ from univchar.operators import (InvariantViolation, _halve_exact,
                                 jacobi_trudi, tilde_b_diamond_parabolic,
                                 tilde_b_diamond_row, tilde_b_parabolic,
                                 tilde_b_row)
-from univchar import oracles
+from univchar import operators, oracles
 
 
 def s(*parts):
@@ -56,6 +57,18 @@ def test_diamond_creation():
         for lam in partitions_upto(7):
             f = bernstein_diamond_create(kind, lam)
             assert f == diamond_unit(lam, kind), (kind, lam)
+
+
+def test_bernstein_rows_in_kind_basis():
+    # without its t-weighted factors the diamond row is the Schur Bernstein
+    # row, so each kind's Bernstein row reads as it in the kind's own basis
+    for kind in ("box", "vdom", "hdom"):
+        for mu in partitions_upto(4):
+            p = SymFunc.schur(mu)
+            q = from_diamond(Expansion(kind, p))
+            for r in range(-3, 6):
+                got = to_diamond(bernstein_diamond_row(kind, r, q), kind)
+                assert got.func == bernstein_row(r, p), (kind, mu, r)
 
 
 def test_jacobi_trudi():
@@ -130,6 +143,19 @@ def test_tilde_diamond_rows():
                     got0 = tilde_b_diamond_row(kind, r, p, texp).eval_t(0)
                     assert SymFunc(got0) == \
                         bernstein_diamond_row(kind, r, p), (kind, lam, r)
+
+
+def test_unweighted_row_factors_cancel():
+    # E(-u) H(u) = 1: the unweighted one-column and one-row skews with step
+    # -1 cancel, which leaves the diamond row three factors
+    for lam in partitions_upto(6):
+        p = SymFunc.schur(lam)
+        for n in range(1, sum(lam) + 1):
+            acc = SymFunc()
+            for a in range(n + 1):
+                g = skew_e(skew_h(p, n - a), a)
+                acc = acc - g if a % 2 else acc + g
+            assert acc.is_zero(), (lam, n)
 
 
 def test_parabolic_basics():
@@ -268,3 +294,21 @@ def test_bb_specializations():
         assert SymFunc(rows.eval_t(0)) == schur_of_vector((2, 1, 2))
         prod = multiply(diamond_unit((2, 1), kind), diamond_unit((2,), kind))
         assert SymFunc(rows.eval_t(1)) == to_diamond(prod, kind).func
+
+
+def test_diamond_kernel_mutants_are_caught(monkeypatch):
+    # each kind's own row chain is the oracle of the three-factor diamond
+    # entry: dropping a factor or taking the type-A level weights shows
+    factors, shifts, levels = operators._KERNELS[operators.DIAMOND]
+    mutants = [((factors[:i] + factors[i + 1:], shifts, levels),
+                ((1,), (1,))) for i in range(len(factors))]
+    mutants.append(((factors, shifts, operators._A_LEVELS),
+                    ((1,), (1, 1), (1,))))
+    for entry, R in mutants:
+        for texp in (1, 2):
+            monkeypatch.setitem(operators._KERNELS, operators.DIAMOND, entry)
+            monkeypatch.setattr(operators, "_BB_CACHE", {})
+            monkeypatch.setattr(operators, "_LEVEL_CACHE", {})
+            rows = bb_diamond_r_via_rows("vdom", R, texp)
+            assert bb_diamond(R, texp) != to_diamond(rows, "vdom").func, \
+                (entry, R, texp)
