@@ -43,8 +43,9 @@ basis element, as its oracle.
 Parabolic operators compose single rows and correct with the pairwise index
 shifts that come from commuting deformed rows past each other; the correction
 bookkeeping runs as a small dynamic program over pending index shifts, which
-builds each operand's skew stage once and runs the Pieri stage once per index
-drop.  A brute-force multivariate extraction oracle is provided for
+builds each operand's skew stage once, runs the Pieri stage once per index
+drop and adds each weighted row in place into the accumulator of its next
+pending shifts.  A brute-force multivariate extraction oracle is provided for
 cross-checking.
 """
 
@@ -53,8 +54,8 @@ from __future__ import annotations
 import itertools
 
 from .core import LaurentPoly, P_ONE, as_partition, canonical_kind
-from .schur import (Expansion, SymFunc, multiply, multiply_h, skew_e, skew_h,
-                    straighten)
+from .schur import (Expansion, SymFunc, add_into, multiply, multiply_h, skew_e,
+                    skew_h, straighten, to_func)
 from .series import diamond_unit, from_diamond, to_diamond
 
 
@@ -92,7 +93,8 @@ def _row_stage(p, kind, texp):
 
     Skews run over every degree up to the operand's: a sum of Schur terms
     can vanish under one skew and not under a higher one (s[2] - s[1,1]
-    under the one-column skews of degree 1 and 2).
+    under the one-column skews of degree 1 and 2).  Each factor adds its
+    weighted skews straight into one accumulator per net shift.
     """
     stage = {0: p}
     for skew, step in _KERNELS[kind][0]:
@@ -101,30 +103,32 @@ def _row_stage(p, kind, texp):
         nxt = {}
         for j, f in stage.items():
             for a in range(f.degree() + 1):
+                acc = nxt.setdefault(j + step * a, {})
                 if skew == "e":
-                    g = skew_e(f, a)
-                    g = -g if a % 2 else g
+                    skew_e(f, a, acc, 0, -1 if a % 2 else 1)
                 else:
-                    g = skew_h(f, a)
-                    if a:
-                        g = g.scaled(LaurentPoly.t(a * texp))
-                if g.is_zero():
-                    continue
-                k = j + step * a
-                cur = nxt.get(k)
-                nxt[k] = g if cur is None else cur + g
-        stage = nxt
+                    skew_h(f, a, acc, a * texp)
+        stage = _nonzero_funcs(nxt)
     return stage
+
+
+def _nonzero_funcs(accs):
+    """key -> SymFunc of every accumulator of accs whose sum is not zero."""
+    out = {}
+    for k, acc in accs.items():
+        f = to_func(acc)
+        if f:
+            out[k] = f
+    return out
 
 
 def _pieri_stage(stage, kind, r):
     """The row at index r from a skew stage: signed sum of multiply_h."""
-    out = SymFunc()
+    acc = {}
     for s in _KERNELS[kind][1]:
         for j, f in stage.items():
-            g = multiply_h(f, r - s + j)
-            out = out - g if s else out + g
-    return out
+            multiply_h(f, r - s + j, acc, 0, -1 if s else 1)
+    return to_func(acc)
 
 
 def _row(r, p, kind, texp):
@@ -365,33 +369,27 @@ def _parabolic_apply(nu, p, texp, kind):
         grouped = _level_weights(pos, texp, _KERNELS[kind][2])
         new_states = {}
         for pending, f in states.items():
-            if f.is_zero():
-                continue
             stage = _row_stage(f, kind, texp)
             base = nu[pos] + pending[pos]
             rows = {}
             for ds, drops in grouped.items():
-                acc = None
+                acc = new_states.setdefault(
+                    tuple(pending[i] + ds[i] for i in range(pos)), {})
                 for drop, w in drops:
                     g = rows.get(drop)
                     if g is None:
                         g = rows[drop] = _pieri_stage(stage, kind, base - drop)
-                    if g.is_zero():
-                        continue
-                    piece = g.scaled(w)
-                    acc = piece if acc is None else acc + piece
-                if acc is None or acc.is_zero():
-                    continue
-                newpending = tuple(pending[i] + ds[i] for i in range(pos))
-                cur = new_states.get(newpending)
-                new_states[newpending] = acc if cur is None else cur + acc
-        states = new_states
+                    if len(w.c) == 1:
+                        (e, v), = w.c.items()
+                        for lam, c in g.terms.items():
+                            add_into(acc, lam, c, e, v)
+                    else:
+                        for lam, c in g.terms.items():
+                            add_into(acc, lam, c * w)
+        states = _nonzero_funcs(new_states)
         if not states:
             return SymFunc()
-    total = SymFunc()
-    for f in states.values():
-        total = total + f
-    return total
+    return states[()]
 
 
 def tilde_b_parabolic(nu, p, texp=1):

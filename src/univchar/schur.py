@@ -17,6 +17,12 @@ intervals with a fixed sum (_interlacing).  A vertical strip is the
 conjugate of a horizontal one (omega, Macdonald I.5), so column moves
 conjugate the row moves of the conjugate shape.  All four moves share one
 memo, _STRIP_CACHE, and tableau contents read the same boxes.
+
+Products, skews, Pieri moves and evaluations share one accumulator: a dict
+key -> raw {exponent: int} dict, into which add_into adds mult * t^shift * c
+in place, and which to_func turns into a SymFunc once, dropping the terms
+that cancelled.  The Pieri moves take an accumulator as their target, so a
+caller sums weighted moves without building the moves themselves.
 """
 
 from __future__ import annotations
@@ -131,11 +137,24 @@ def _skew_spectrum(lam, mu):
             i = len(right)
             right.append(i - 1 if c < a - 1 else n + r)
             above.append(i - a + mup[r - 1] if r and c >= mup[r - 1] else -1)
-    # backtrack on an explicit stack: a fill is as deep as lam/mu has cells
     counts = [n + 1] + [0] * (len(lam) + 1)  # counts[0] passes letter 1
+    # the leading rows that share the top row's inner edge head their
+    # columns, so row r there holds only r + 1 (all of a product's top
+    # factor): seed them and fill the rest
+    start = 0
+    for r, (a, b) in enumerate(zip(lam, mup)):
+        if b != mup[0]:
+            break
+        vals[start:start + a - b] = [r + 1] * (a - b)
+        counts[r + 1] = a - b
+        start += a - b
+    if start == n:
+        got = _SKEW_CACHE[key] = ((tuple(counts[1:counts.index(0, 1)]), 1),)
+        return got
+    # backtrack on an explicit stack: a fill is as deep as lam/mu has cells
     out = {}
-    i = 0
-    while i >= 0:
+    i = start
+    while i >= start:
         v = vals[i]
         if v:
             counts[v] -= 1
@@ -322,84 +341,117 @@ class Expansion:
 
 
 # ---------------------------------------------------------------------------
-# products and skews
+# products and skews, summed in one accumulator
 
-def _accumulate(acc, lam, c):
-    s = acc.get(lam)
-    s = c if s is None else s + c
-    if s:
-        acc[lam] = s
+def add_into(acc, lam, c, shift=0, mult=1):
+    """Add mult * t^shift * c at lam into acc, a dict key -> raw
+    {exponent: int} dict; c is a LaurentPoly and mult an int."""
+    d = acc.get(lam)
+    if d is None:
+        acc[lam] = ({e + shift: v * mult for e, v in c.c.items()}
+                    if shift or mult != 1 else dict(c.c))
+    elif shift or mult != 1:
+        for e, v in c.c.items():
+            e += shift
+            d[e] = d.get(e, 0) + v * mult
     else:
-        acc.pop(lam, None)
+        for e, v in c.c.items():
+            d[e] = d.get(e, 0) + v
+
+
+def to_func(acc):
+    """The SymFunc of an accumulator, without its zero terms."""
+    out = SymFunc()
+    terms = out.terms
+    for lam, d in acc.items():
+        if 0 in d.values():
+            d = {e: v for e, v in d.items() if v}
+            if not d:
+                continue
+        c = terms[lam] = LaurentPoly.__new__(LaurentPoly)
+        c.c = d
+    return out
 
 
 def multiply(p, q):
     """Product in the Schur basis via Littlewood-Richardson coefficients."""
-    out = SymFunc()
-    acc = out.terms
+    acc = {}
     for mu, c1 in p.terms.items():
         for nu, c2 in q.terms.items():
             c = c1 * c2
             for lam, k in _prod_spectrum(mu, nu).items():
-                _accumulate(acc, lam, c * k)
-    return out
+                add_into(acc, lam, c, 0, k)
+    return to_func(acc)
 
 
-def _pieri(p, m, column, add):
+def _pieri(p, m, column, add, into, shift, mult):
     """Multiply (add) or skew by the one-row function of degree m, or by
     the one-column one when column is set; zero for m < 0.  A skew by more
-    cells (rows, for a column) than lam has is zero and leaves no memo."""
+    cells (rows, for a column) than lam has is zero and leaves no memo.
+
+    With an accumulator into, mult * t^shift times the result is added to
+    it and None is returned; without one, the result is returned."""
+    if into is None:
+        if m == 0:
+            return p
+        into = {}
+        _pieri(p, m, column, add, into, 0, 1)
+        return to_func(into)
     if m < 0:
-        return SymFunc()
-    if m == 0:
-        return p
-    out = SymFunc()
-    acc = out.terms
+        return
     for lam, c in p.terms.items():
-        if not add and m > (len(lam) if column else sum(lam)):
+        if not m:
+            shapes = (lam,)
+        elif not add and m > (len(lam) if column else sum(lam)):
             continue
-        for shape in _strips(lam, m, column, add):
-            _accumulate(acc, shape, c)
-    return out
+        else:
+            shapes = _strips(lam, m, column, add)
+        for shape in shapes:
+            add_into(into, shape, c, shift, mult)
 
 
-def multiply_h(p, m):
+def multiply_h(p, m, into=None, shift=0, mult=1):
     """Multiply by the one-row Schur function of degree m (zero for m < 0)."""
-    return _pieri(p, m, False, True)
+    return _pieri(p, m, False, True, into, shift, mult)
 
 
 def multiply_e(p, m):
     """Multiply by the one-column Schur function of degree m (zero for m < 0)."""
-    return _pieri(p, m, True, True)
+    return _pieri(p, m, True, True, None, 0, 1)
 
 
 def skew_by(p, q):
     """Apply the adjoint of multiplication by q to p."""
-    out = SymFunc()
-    acc = out.terms
+    acc = {}
     sized = [(lam, sum(lam), c) for lam, c in p.terms.items()]
     for mu, c2 in q.terms.items():
         w = sum(mu)
+        # a monomial coefficient of q is a shift and a multiplier
+        mono = next(iter(c2.c.items())) if len(c2.c) == 1 else None
         for lam, size, c1 in sized:
             if size < w:
                 continue
             spec = _skew_spectrum(lam, mu)
             if not spec:
                 continue
-            c = c1 * c2
-            for nu, k in spec:
-                _accumulate(acc, nu, c if k == 1 else c * k)
-    return out
+            if mono is None:
+                c = c1 * c2
+                for nu, k in spec:
+                    add_into(acc, nu, c, 0, k)
+            else:
+                for nu, k in spec:
+                    add_into(acc, nu, c1, mono[0], mono[1] * k)
+    return to_func(acc)
 
 
-def skew_h(p, m):
+def skew_h(p, m, into=None, shift=0, mult=1):
     """Adjoint of multiplication by the one-row function of degree m."""
-    return _pieri(p, m, False, False)
+    return _pieri(p, m, False, False, into, shift, mult)
 
 
-def skew_e(p, m):
+def skew_e(p, m, into=None, shift=0, mult=1):
     """Adjoint of multiplication by the one-column function of degree m."""
-    return _pieri(p, m, True, False)
+    return _pieri(p, m, True, False, into, shift, mult)
 
 
 def inner_product(p, q):
@@ -498,7 +550,7 @@ def evaluate(p, alphabet, nvars):
     exponent vector to LaurentPoly.
     """
     alphabet = [tuple(a) for a in alphabet]
-    out = {}
+    acc = {}
     m = len(alphabet)
     for lam, c in p.terms.items():
         for content, cnt in ssyt_contents(lam, m).items():
@@ -508,5 +560,5 @@ def evaluate(p, alphabet, nvars):
                     mono = alphabet[i]
                     for k in range(nvars):
                         exp[k] += mult * mono[k]
-            _accumulate(out, tuple(exp), c * cnt)
-    return out
+            add_into(acc, tuple(exp), c, 0, cnt)
+    return to_func(acc).terms

@@ -22,7 +22,7 @@ from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
                    diagonal_size, from_frobenius, kind_partitions_of,
                    partition_key, partitions_upto)
 from .schur import Expansion, SymFunc, _skew_spectrum, _prod_spectrum, \
-    _accumulate, multiply, skew_by, skew_h
+    multiply, skew_by, skew_h, to_func
 
 _SERIES_CACHE = {}   # (kind, sign) -> list per degree of [(partition, +-1)]
 
@@ -139,12 +139,10 @@ def _series_coeff(p, kind, lam):
 
 def _one_row_sweep(p, scale):
     """Skew p by sum_k h_k, with h_k weighted by t**k when scale is 't'."""
-    out = SymFunc()
-    acc = out.terms
+    acc = {}
     for k in range(p.degree() + 1):
-        for lam, c in skew_h(p, k).terms.items():
-            _accumulate(acc, lam, c.shift(k) if scale == "t" else c)
-    return out
+        skew_h(p, k, acc, k if scale == "t" else 0)
+    return to_func(acc)
 
 
 # ---------------------------------------------------------------------------

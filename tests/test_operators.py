@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -17,6 +18,7 @@ from univchar.operators import (InvariantViolation, _halve_exact,
                                 tilde_b_diamond_row, tilde_b_parabolic,
                                 tilde_b_row)
 from univchar import operators, oracles
+from univchar.verify import specialization_sequences
 
 
 def s(*parts):
@@ -187,6 +189,30 @@ def test_diamond_parabolic_vs_oracle():
             direct_extraction_oracle((2, 1), cancelling, kind), kind
 
 
+def test_parabolic_two_term_level_weights(monkeypatch):
+    # every weight of the kernel table is a monomial; written as (w + 1) and
+    # -1 at the same index drop, some weights have two terms and take the
+    # c * w path of _parabolic_apply, which must still match the oracle
+    level_weights = operators._level_weights
+    minus_one = LaurentPoly.const(-1)
+    seen = []
+
+    def split(p, texp, levels):
+        got = {ds: tuple(x for drop, w in drops
+                         for x in ((drop, w + 1), (drop, minus_one)))
+               for ds, drops in level_weights(p, texp, levels).items()}
+        seen.extend(len(w.c) for drops in got.values() for _, w in drops)
+        return got
+
+    monkeypatch.setattr(operators, "_level_weights", split)
+    cancelling = s(2) - s(1, 1)
+    assert tilde_b_parabolic((2, 1), cancelling, 2) == \
+        direct_extraction_oracle((2, 1), cancelling, "none", 2)
+    assert tilde_b_diamond_parabolic("vdom", (2, 1), cancelling) == \
+        direct_extraction_oracle((2, 1), cancelling, "vdom")
+    assert max(seen) == 2
+
+
 def test_oracle_guards():
     with pytest.raises(ValueError):
         direct_extraction_oracle((1,) * 6, one)
@@ -312,3 +338,31 @@ def test_diamond_kernel_mutants_are_caught(monkeypatch):
             rows = bb_diamond_r_via_rows("vdom", R, texp)
             assert bb_diamond(R, texp) != to_diamond(rows, "vdom").func, \
                 (entry, R, texp)
+
+
+# sha256 of repr((R, f.freeze())) over verify.specialization_sequences(6),
+# in sweep order: a kernel-free record of bb_diamond and bb_r, frozen before
+# the row kernel accumulated in place
+_BB_DIGESTS = {
+    ("bb_diamond", 1):
+        "bc8ab3139dcbce2c460b089d4deed491ce865d818c7db3349b72a02e45cca710",
+    ("bb_diamond", 2):
+        "934229386d294969bb75506ba052511b5f71f1c696da13d6c9ba744803a10589",
+    ("bb_r", 1):
+        "c6b65e5fe0740d1c0b82233f40e3b66eb9973c0a28424ea08b98cf1ede7da067",
+    ("bb_r", 2):
+        "d37c39544053a98869835fd8898a0638b7ee3289293927d1c8f7fd691d5e66e3",
+}
+
+
+def test_bb_digests_are_frozen():
+    # d_constancy compares routes that share the row kernel; these digests
+    # pin the products themselves, so a kernel change that alters any
+    # coefficient shows here
+    seqs = specialization_sequences(6)
+    for (name, texp), want in _BB_DIGESTS.items():
+        fn = {"bb_diamond": bb_diamond, "bb_r": bb_r}[name]
+        h = hashlib.sha256()
+        for R in seqs:
+            h.update(repr((R, fn(R, texp).freeze())).encode())
+        assert h.hexdigest() == want, (name, texp)

@@ -2,10 +2,11 @@ import random
 
 from univchar.core import LaurentPoly, conjugate, partitions_of, partitions_upto
 from univchar.schur import (Expansion, SymFunc, _prod_spectrum,
-                            _skew_spectrum, evaluate, inner_product,
-                            lr_coefficient, multiply, multiply_e, multiply_h,
-                            schur_of_vector, skew_by, skew_e, skew_h,
-                            ssyt_contents, straighten)
+                            _skew_spectrum, add_into, evaluate,
+                            inner_product, lr_coefficient, multiply,
+                            multiply_e, multiply_h, schur_of_vector, skew_by,
+                            skew_e, skew_h, ssyt_contents, straighten,
+                            to_func)
 from univchar import oracles
 
 
@@ -180,3 +181,57 @@ def test_symfunc_api():
     assert f.transposed().coeff((2, 1)) == LaurentPoly.t(2)
     e = Expansion("vd", f)
     assert e.kind == "vdom"
+
+
+def test_accumulator_matches_plain_arithmetic():
+    t = LaurentPoly.t
+    a = t(0, 2) + t(3, -1)
+    b = t(-1) + t(2, 5)
+    acc = {}
+    add_into(acc, (2,), a)
+    add_into(acc, (2,), a, 3, -2)
+    add_into(acc, (1, 1), b, -1)
+    add_into(acc, (1, 1), b * a)        # a non-monomial multiplier
+    add_into(acc, (1, 1), t(1, -5), 0, 1)  # cancels one exponent only
+    add_into(acc, (3,), b, 2, 4)
+    add_into(acc, (3,), b, 2, -4)        # cancels the whole term
+    got = to_func(acc)
+    want = (SymFunc({(2,): a}) + SymFunc({(2,): a.shift(3) * -2})
+            + SymFunc({(1, 1): b.shift(-1) + b * a - t(1, 5)}))
+    assert got == want
+    assert (3,) not in got.terms
+    assert all(v for c in got.terms.values() for v in c.c.values())
+    assert to_func({(1,): {0: 0}}).is_zero()
+
+
+def test_pieri_into_an_accumulator():
+    # mult * t^shift times each Pieri move, added in place, is the scaled
+    # move; a skew of s[2] - s[1,1] by one cell cancels to zero
+    t = LaurentPoly.t
+    p = s(2, 1).scaled(t(1) + t(-2, 3)) + s(3) - s(1, 1, 1) + s(2)
+    for pieri in (multiply_h, skew_h, skew_e):
+        for m in range(-1, 4):
+            for shift, mult in ((0, 1), (2, 1), (0, -1), (-3, 4)):
+                acc = {}
+                pieri(p, m, acc, shift, mult)
+                want = pieri(p, m).scaled(t(shift, mult))
+                assert to_func(acc) == want, (pieri, m, shift, mult)
+    for skew in (skew_h, skew_e):
+        acc = {}
+        skew(s(2) - s(1, 1), 1, acc, 1, -1)
+        assert acc and to_func(acc).is_zero()
+
+
+def test_skew_by_monomial_and_polynomial_coefficients():
+    # skew_by shifts by a monomial coefficient of q and multiplies by any
+    # other; both must agree with adjointness to the product, also where
+    # an LR number is 2 (s[3,2,1] skewed by s[2,1] at s[2,1])
+    t = LaurentPoly.t
+    p = s(3, 2, 1).scaled(t(1) + t(0, 2)) + s(4, 2).scaled(t(-1, -1))
+    mono, poly = t(2, -3), t(0) + t(1)
+    for a, b in ((mono, poly), (poly, mono)):
+        q = s(2, 1).scaled(a) + s(1).scaled(b) + s(1, 1).scaled(t(-1))
+        got = skew_by(p, q)
+        for nu in partitions_upto(5):
+            assert got.coeff(nu) == inner_product(
+                p, multiply(q, SymFunc.schur(nu))), (a, nu)
