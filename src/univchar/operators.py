@@ -318,14 +318,18 @@ def _halve_exact(f):
 # ---------------------------------------------------------------------------
 # parabolic operators
 
-_LEVEL_CACHE = {}   # (p, texp, levels) -> dict ds -> ((drop, poly), ...)
+_LEVEL_CACHE = {}   # (p, texp, levels) -> dict ds -> ((drop, e, v), ...)
 
 
 def _level_weights(p, texp, levels):
     """Joint pair-correction weights for one parabolic position.
 
     Maps each vector of pending index shifts for the p earlier positions to
-    the list of (index drop at the current position, weight).
+    the list of (index drop at the current position, weight v * t^e).  Every
+    weight is a monomial: ds fixes each earlier position's option but for
+    delta 0, whose two options differ in drop, so the total drop fixes how
+    many of those take which, and the weight is a binomial multiple of one
+    monomial.  A table that broke this would fail the unpacking below.
     """
     key = (p, texp, levels)
     got = _LEVEL_CACHE.get(key)
@@ -345,7 +349,8 @@ def _level_weights(p, texp, levels):
         joint = nxt
     grouped = {}
     for (ds, drop), w in joint.items():
-        grouped.setdefault(ds, []).append((drop, w))
+        (e, v), = w.c.items()
+        grouped.setdefault(ds, []).append((drop, e, v))
     got = {ds: tuple(lst) for ds, lst in grouped.items()}
     _LEVEL_CACHE[key] = got
     return got
@@ -375,17 +380,12 @@ def _parabolic_apply(nu, p, texp, kind):
             for ds, drops in grouped.items():
                 acc = new_states.setdefault(
                     tuple(pending[i] + ds[i] for i in range(pos)), {})
-                for drop, w in drops:
+                for drop, e, v in drops:
                     g = rows.get(drop)
                     if g is None:
                         g = rows[drop] = _pieri_stage(stage, kind, base - drop)
-                    if len(w.c) == 1:
-                        (e, v), = w.c.items()
-                        for lam, c in g.terms.items():
-                            add_into(acc, lam, c, e, v)
-                    else:
-                        for lam, c in g.terms.items():
-                            add_into(acc, lam, c * w)
+                    for lam, c in g.terms.items():
+                        add_into(acc, lam, c, e, v)
         states = _nonzero_funcs(new_states)
         if not states:
             return SymFunc()

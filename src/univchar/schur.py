@@ -137,24 +137,11 @@ def _skew_spectrum(lam, mu):
             i = len(right)
             right.append(i - 1 if c < a - 1 else n + r)
             above.append(i - a + mup[r - 1] if r and c >= mup[r - 1] else -1)
-    counts = [n + 1] + [0] * (len(lam) + 1)  # counts[0] passes letter 1
-    # the leading rows that share the top row's inner edge head their
-    # columns, so row r there holds only r + 1 (all of a product's top
-    # factor): seed them and fill the rest
-    start = 0
-    for r, (a, b) in enumerate(zip(lam, mup)):
-        if b != mup[0]:
-            break
-        vals[start:start + a - b] = [r + 1] * (a - b)
-        counts[r + 1] = a - b
-        start += a - b
-    if start == n:
-        got = _SKEW_CACHE[key] = ((tuple(counts[1:counts.index(0, 1)]), 1),)
-        return got
     # backtrack on an explicit stack: a fill is as deep as lam/mu has cells
+    counts = [n + 1] + [0] * (len(lam) + 1)  # counts[0] passes letter 1
     out = {}
-    i = start
-    while i >= start:
+    i = 0
+    while i >= 0:
         v = vals[i]
         if v:
             counts[v] -= 1

@@ -189,30 +189,6 @@ def test_diamond_parabolic_vs_oracle():
             direct_extraction_oracle((2, 1), cancelling, kind), kind
 
 
-def test_parabolic_two_term_level_weights(monkeypatch):
-    # every weight of the kernel table is a monomial; written as (w + 1) and
-    # -1 at the same index drop, some weights have two terms and take the
-    # c * w path of _parabolic_apply, which must still match the oracle
-    level_weights = operators._level_weights
-    minus_one = LaurentPoly.const(-1)
-    seen = []
-
-    def split(p, texp, levels):
-        got = {ds: tuple(x for drop, w in drops
-                         for x in ((drop, w + 1), (drop, minus_one)))
-               for ds, drops in level_weights(p, texp, levels).items()}
-        seen.extend(len(w.c) for drops in got.values() for _, w in drops)
-        return got
-
-    monkeypatch.setattr(operators, "_level_weights", split)
-    cancelling = s(2) - s(1, 1)
-    assert tilde_b_parabolic((2, 1), cancelling, 2) == \
-        direct_extraction_oracle((2, 1), cancelling, "none", 2)
-    assert tilde_b_diamond_parabolic("vdom", (2, 1), cancelling) == \
-        direct_extraction_oracle((2, 1), cancelling, "vdom")
-    assert max(seen) == 2
-
-
 def test_oracle_guards():
     with pytest.raises(ValueError):
         direct_extraction_oracle((1,) * 6, one)
