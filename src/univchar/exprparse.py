@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 
-from .core import LaurentPoly, as_partition, canonical_kind
+from .core import _KIND_ALIASES, LaurentPoly, as_partition, canonical_kind
 from .schur import Expansion, SymFunc, skew_by
 from .series import (change_basis, diamond_product, dual_basis_truncated,
                      newell_littlewood, omega_diamond)
@@ -305,8 +305,7 @@ class Parser:
         t = self.peek()
         if t[0] == "[":
             return self.list_literal()
-        if t[0] == "name" and t[1] in ("none", "box", "cell", "vd", "vdom",
-                                       "hd", "hdom", "schur", "empty"):
+        if t[0] == "name" and t[1] in _KIND_ALIASES:
             nxt = self.toks[self.i + 1][0]
             if nxt in (",", ")"):
                 self.next()

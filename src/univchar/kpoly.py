@@ -16,10 +16,10 @@ hh_r telescopes the row operators.  Each row conjugates a squared-deformation
 parabolic by the plain and t-scaled series of the kind; the positive and the
 signed series are mutually inverse and skews commute, so the series between
 neighbouring rows cancel and the chain is the t-scaled positive-series skew
-of bb_r(R, 2), which is the recurrence table.  hh_r therefore reads its rows
-from ktable_via_recurrence; hh_r_via_rows applies the rows one by one, as the
-independent oracle.  h_rows telescopes the same way along any list of index
-vectors and any operand.
+of bb_r(R) at t -> t^2, which is the recurrence table.  hh_r therefore reads
+its rows from ktable_via_recurrence.  h_rows telescopes the same way along
+any list of index vectors and any operand; hh_r_via_rows calls it once per
+rectangle, applying the rows one by one, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -108,28 +108,13 @@ def _latex_partition(lam):
 # ---------------------------------------------------------------------------
 # conjugated row operators
 
-def h_row(kind, nu, p):
-    """One deformed row of a kind: conjugate the squared-deformation parabolic
-    by the difference of plain and t-scaled generating series."""
-    kind = canonical_kind(kind)
-    nu = tuple(int(x) for x in nu)
-    if kind == "none":
-        return tilde_b_parabolic(nu, p, 2)
-    f = skew_by_series(p, kind, "+", 1)
-    f = skew_by_series(f, kind, "-", "t")
-    f = tilde_b_parabolic(nu, f, 2)
-    f = skew_by_series(f, kind, "+", "t")
-    f = skew_by_series(f, kind, "-", 1)
-    return f
-
-
 def h_rows(kind, vectors, p):
     """The deformed rows of a kind along a list of index vectors, applied to
     p, telescoped as in hh_r: S-_1^perp S+_t^perp B_(nu_1) ... B_(nu_k)
     S-_t^perp S+_1^perp p, with B the squared-deformation parabolics.  That
     is four series passes whatever the number of vectors, and two when p is
-    1, which S-_t^perp S+_1^perp fixes.  Applying h_row vector by vector is
-    its oracle."""
+    1, which S-_t^perp S+_1^perp fixes.  With one vector it is one row, and
+    applying it vector by vector is its oracle."""
     kind = canonical_kind(kind)
     f = p
     if kind != "none" and f != SymFunc.one():
@@ -141,7 +126,7 @@ def h_rows(kind, vectors, p):
     return f
 
 
-def h_row_via_expansion(kind, nu, p, size_bound=None):
+def h_row_via_expansion(kind, nu, p):
     """Verification route for one deformed row: positive-series expansion
     into kind parabolics with squared deformation."""
     kind = canonical_kind(kind)
@@ -149,8 +134,7 @@ def h_row_via_expansion(kind, nu, p, size_bound=None):
     if kind == "none":
         return tilde_b_parabolic(nu, p, 2)
     n = len(nu)
-    if size_bound is None:
-        size_bound = 2 * (max(p.degree(), 0) + sum(x for x in nu if x > 0)) + 4
+    size_bound = 2 * (max(p.degree(), 0) + sum(x for x in nu if x > 0)) + 4
     out = SymFunc()
     for m in range(size_bound + 1):
         for lam in kind_partitions_of(m, kind, max_len=n):
@@ -168,15 +152,15 @@ def hh_r(kind, rects):
 
     Write S+_s and S-_s for the positive and signed series of the kind at
     scale s (1 or t), and X^perp for the adjoint of multiplication by X.
-    Each row is h_row = S-_1^perp S+_t^perp B_nu S-_t^perp S+_1^perp, with
-    B_nu the squared-deformation parabolic.  S+_s S-_s = 1 and skews
-    commute, so between two neighbouring rows S+_1^perp S-_1^perp and
-    S-_t^perp S+_t^perp cancel.  On the vacuum S-_t^perp S+_1^perp 1 = 1,
-    and to_diamond applies S+_1^perp, which cancels the leading S-_1^perp.
-    What is left is S+_t^perp B_{R_1} ... B_{R_k} 1 = S+_t^perp bb_r(R, 2).
-    bb_r(R, 2) is bb_r(R) at t -> t^2, so this is the recurrence table:
-    one series pass over the shared type-A product.  hh_r_via_rows keeps
-    the row-by-row chain as the oracle.
+    Each row is S-_1^perp S+_t^perp B_nu S-_t^perp S+_1^perp, with B_nu
+    the squared-deformation parabolic.  S+_s S-_s = 1 and skews commute, so
+    between two neighbouring rows S+_1^perp S-_1^perp and S-_t^perp
+    S+_t^perp cancel.  On the vacuum S-_t^perp S+_1^perp 1 = 1, and
+    to_diamond applies S+_1^perp, which cancels the leading S-_1^perp.
+    What is left is S+_t^perp B_{R_1} ... B_{R_k} 1, the t-scaled skew of
+    bb_r(R) at t -> t^2, so this is the recurrence table: one series pass
+    over the shared type-A product.  hh_r_via_rows keeps the row-by-row
+    chain as the oracle.
     """
     return KTable(kind, rects, ktable_via_recurrence(kind, rects).rows,
                   "operator")
@@ -189,7 +173,7 @@ def hh_r_via_rows(kind, rects):
     rects = tuple(as_partition(r) for r in rects)
     f = SymFunc.one()
     for r in reversed(rects):
-        f = h_row(kind, r, f)
+        f = h_rows(kind, (r,), f)
     rows = dict(to_diamond(f, kind).func.terms)
     return KTable(kind, rects, rows, "operator")
 
@@ -329,7 +313,12 @@ def hb_factor_terms(kind, rect, operand_degree):
     return terms
 
 
-def hb_connection(kind, rects, max_factor_len=5):
+# longest factor the connection enumerates: the index vectors of
+# hb_factor_terms multiply quickly with it
+_HB_MAX_FACTOR_LEN = 5
+
+
+def hb_connection(kind, rects):
     """Cross-check of the two routes to a kind table.
 
     Builds the table by expanding every conjugated row into deformed kind
@@ -339,7 +328,7 @@ def hb_connection(kind, rects, max_factor_len=5):
     """
     kind = canonical_kind(kind)
     rects = tuple(as_partition(r) for r in rects)
-    if any(len(r) > max_factor_len for r in rects):
+    if any(len(r) > _HB_MAX_FACTOR_LEN for r in rects):
         raise ValueError("factor too long for the connection enumeration")
     f = SymFunc.one()
     factor_terms = []

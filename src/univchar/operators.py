@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import LaurentPoly, P_ONE, as_partition, canonical_kind
+from .core import LaurentPoly, as_partition, canonical_kind
 from .schur import (Expansion, SymFunc, add_into, multiply, multiply_h, skew_e,
                     skew_h, straighten, to_func)
 from .series import diamond_unit, from_diamond, to_diamond
@@ -74,13 +74,13 @@ DIAMOND = "diamond"
 # when skew is "e", or by the one-row function, weight t^(a*texp), when it is
 # "ht" (left out of the undeformed kernels), and adds step * a to the net
 # shift.  The rows at Pieri shifts s > 0 are subtracted.  A level option
-# (delta, drop, tpow, sign) pairs the current parabolic position with one
-# earlier one: it moves that one's pending shift by delta and drops the
-# current index by drop, with weight sign * t^(tpow*texp).
+# (delta, drop) pairs the current parabolic position with one earlier one:
+# it moves that one's pending shift by delta and drops the current index by
+# drop, with weight (-t^texp)^drop (see _level_weights).
 _A = (("e", 1), ("ht", 1))
 _MIRRORED = _A + (("e", -1), ("ht", -1))
-_A_LEVELS = ((0, 0, 0, 1), (1, 1, 1, -1))
-_MIRRORED_LEVELS = _A_LEVELS + ((-1, 1, 1, -1), (0, 2, 2, 1))
+_A_LEVELS = ((0, 0), (1, 1))
+_MIRRORED_LEVELS = _A_LEVELS + ((-1, 1), (0, 2))
 _KERNELS = {"none": (_A, (0,), _A_LEVELS),
             "vdom": (_MIRRORED, (0,), _MIRRORED_LEVELS),
             "box": (_MIRRORED, (0, 1), _MIRRORED_LEVELS),
@@ -163,14 +163,14 @@ def bernstein_diamond_create(kind, nu):
     return f
 
 
-def tilde_b_row(r, p, texp=1):
-    """Deformed row operator for the Schur basis; texp=2 substitutes t^2."""
-    return _row(r, p, "none", texp)
+def tilde_b_row(r, p):
+    """Deformed row operator for the Schur basis."""
+    return _row(r, p, "none", 1)
 
 
-def tilde_b_diamond_row(kind, r, p, texp=1):
+def tilde_b_diamond_row(kind, r, p):
     """Deformed row operator for the basis of a kind."""
-    return _row(r, p, canonical_kind(kind), texp)
+    return _row(r, p, canonical_kind(kind), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -318,39 +318,35 @@ def _halve_exact(f):
 # ---------------------------------------------------------------------------
 # parabolic operators
 
-_LEVEL_CACHE = {}   # (p, texp, levels) -> dict ds -> ((drop, e, v), ...)
+_LEVEL_CACHE = {}   # (p, levels) -> dict ds -> ((drop, count), ...)
 
 
-def _level_weights(p, texp, levels):
+def _level_weights(p, levels):
     """Joint pair-correction weights for one parabolic position.
 
     Maps each vector of pending index shifts for the p earlier positions to
-    the list of (index drop at the current position, weight v * t^e).  Every
-    weight is a monomial: ds fixes each earlier position's option but for
-    delta 0, whose two options differ in drop, so the total drop fixes how
-    many of those take which, and the weight is a binomial multiple of one
-    monomial.  A table that broke this would fail the unpacking below.
+    the pairs (index drop at the current position, number of level choices
+    giving it).  Every pair correction is a product of binomials
+    1 - t^texp m, each monomial m lowering the current index by one, so a
+    level option of drop d takes d of those monomials and weighs
+    (-t^texp)^d.  A choice of options thus weighs (-t^texp) to its total
+    drop, whatever the choice and the texp; _parabolic_apply applies it.
     """
-    key = (p, texp, levels)
+    key = (p, levels)
     got = _LEVEL_CACHE.get(key)
     if got is not None:
         return got
-    options = tuple((delta, drop, LaurentPoly.t(tpow * texp, sign))
-                    for delta, drop, tpow, sign in levels)
-    joint = {((), 0): P_ONE}
+    joint = {((), 0): 1}
     for _ in range(p):
         nxt = {}
-        for (ds, drop), w in joint.items():
-            for delta, dr, wf in options:
+        for (ds, drop), n in joint.items():
+            for delta, dr in levels:
                 k = (ds + (delta,), drop + dr)
-                cur = nxt.get(k)
-                piece = w * wf
-                nxt[k] = piece if cur is None else cur + piece
+                nxt[k] = nxt.get(k, 0) + n
         joint = nxt
     grouped = {}
-    for (ds, drop), w in joint.items():
-        (e, v), = w.c.items()
-        grouped.setdefault(ds, []).append((drop, e, v))
+    for (ds, drop), n in joint.items():
+        grouped.setdefault(ds, []).append((drop, n))
     got = {ds: tuple(lst) for ds, lst in grouped.items()}
     _LEVEL_CACHE[key] = got
     return got
@@ -371,7 +367,7 @@ def _parabolic_apply(nu, p, texp, kind):
         return _row(nu[0], p, kind, texp)
     states = {(0,) * n: p}
     for pos in range(n - 1, -1, -1):
-        grouped = _level_weights(pos, texp, _KERNELS[kind][2])
+        grouped = _level_weights(pos, _KERNELS[kind][2])
         new_states = {}
         for pending, f in states.items():
             stage = _row_stage(f, kind, texp)
@@ -380,12 +376,16 @@ def _parabolic_apply(nu, p, texp, kind):
             for ds, drops in grouped.items():
                 acc = new_states.setdefault(
                     tuple(pending[i] + ds[i] for i in range(pos)), {})
-                for drop, e, v in drops:
-                    g = rows.get(drop)
-                    if g is None:
-                        g = rows[drop] = _pieri_stage(stage, kind, base - drop)
-                    for lam, c in g.terms.items():
-                        add_into(acc, lam, c, e, v)
+                for drop, cnt in drops:
+                    row = rows.get(drop)
+                    if row is None:
+                        row = rows[drop] = (
+                            _pieri_stage(stage, kind, base - drop).terms,
+                            texp * drop)
+                    terms, e = row
+                    mult = -cnt if drop % 2 else cnt
+                    for lam, c in terms.items():
+                        add_into(acc, lam, c, e, mult)
         states = _nonzero_funcs(new_states)
         if not states:
             return SymFunc()
@@ -545,40 +545,41 @@ def _perm_sign(w):
 # ---------------------------------------------------------------------------
 # deformed products over sequences of factors
 
-_BB_CACHE = {}   # (kind or DIAMOND, texp, factors-suffix) -> SymFunc
+_BB_CACHE = {}   # (kind or DIAMOND, factors-suffix) -> SymFunc
 
 
-def bb_r(factors, texp=1):
-    """Deformed product over a sequence of index vectors, Schur basis."""
-    return _bb("none", tuple(tuple(f) for f in factors), texp)
+def bb_r(factors):
+    """Deformed product over a sequence of index vectors, Schur basis; at
+    the squared deformation it is bb_r(factors).subs_power(2)."""
+    return _bb("none", tuple(tuple(f) for f in factors))
 
 
-def bb_diamond(factors, texp=1):
+def bb_diamond(factors):
     """Deformed product over a sequence of index vectors in the diamond
     coordinates: its coefficients are those in the basis of box, vdom and
     hdom alike."""
-    return _bb(DIAMOND, tuple(tuple(f) for f in factors), texp)
+    return _bb(DIAMOND, tuple(tuple(f) for f in factors))
 
 
-def bb_diamond_r(kind, factors, texp=1):
+def bb_diamond_r(kind, factors):
     """Deformed product over a sequence of index vectors for a kind, in the
     Schur basis."""
     kind = canonical_kind(kind)
     if kind == "none":
-        return bb_r(factors, texp)
-    return from_diamond(Expansion(kind, bb_diamond(factors, texp)))
+        return bb_r(factors)
+    return from_diamond(Expansion(kind, bb_diamond(factors)))
 
 
-def bb_diamond_r_via_rows(kind, factors, texp=1):
+def bb_diamond_r_via_rows(kind, factors):
     """bb_diamond_r by the kind's own row chain, seeded by the kind's basis
     element: the verification route for bb_diamond."""
-    return _bb(canonical_kind(kind), tuple(tuple(f) for f in factors), texp)
+    return _bb(canonical_kind(kind), tuple(tuple(f) for f in factors))
 
 
-def _bb(kind, factors, texp):
+def _bb(kind, factors):
     if not factors:
         return SymFunc.one()
-    key = (kind, texp, factors)
+    key = (kind, factors)
     got = _BB_CACHE.get(key)
     if got is not None:
         return got
@@ -593,8 +594,7 @@ def _bb(kind, factors, texp):
                     else diamond_unit(lam, kind))
             out = base.scaled(sign)
     else:
-        tail = _bb(kind, factors[1:], texp)
-        out = _parabolic_apply(factors[0], tail, texp, kind)
+        out = _parabolic_apply(factors[0], _bb(kind, factors[1:]), 1, kind)
     _BB_CACHE[key] = out
     return out
 

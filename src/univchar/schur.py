@@ -413,21 +413,15 @@ def skew_by(p, q):
     sized = [(lam, sum(lam), c) for lam, c in p.terms.items()]
     for mu, c2 in q.terms.items():
         w = sum(mu)
-        # a monomial coefficient of q is a shift and a multiplier
-        mono = next(iter(c2.c.items())) if len(c2.c) == 1 else None
+        # each term v * t^e of q's coefficient is a shift and a multiplier
+        monos = tuple(c2.c.items())
         for lam, size, c1 in sized:
             if size < w:
                 continue
             spec = _skew_spectrum(lam, mu)
-            if not spec:
-                continue
-            if mono is None:
-                c = c1 * c2
+            for e, v in monos:
                 for nu, k in spec:
-                    add_into(acc, nu, c, 0, k)
-            else:
-                for nu, k in spec:
-                    add_into(acc, nu, c1, mono[0], mono[1] * k)
+                    add_into(acc, nu, c1, e, v * k)
     return to_func(acc)
 
 

@@ -32,7 +32,7 @@ from .operators import (DIAMOND, _parabolic_apply, bb_diamond, bb_diamond_r,
                         det_diamond_schur, direct_extraction_oracle,
                         jacobi_trudi, tilde_b_diamond_parabolic,
                         tilde_b_parabolic, tilde_b_row)
-from .kpoly import (duality_check, h_row, h_row_via_expansion,
+from .kpoly import (duality_check, h_row_via_expansion, h_rows,
                     hb_connection, hh_r, hh_r_via_rows,
                     k_via_schur_recurrence, ktable_via_recurrence,
                     single_rectangle_table, singlerow_equivalence)
@@ -920,7 +920,7 @@ def suite_kpoly(max_degree=7):
         nu = tuple(rng.randrange(-1, 3) for _ in range(rng.randrange(1, 3)))
         kind = rng.choice(DIAMOND_KINDS)
         p = SymFunc.schur(lam)
-        if h_row_via_expansion(kind, nu, p) != h_row(kind, nu, p):
+        if h_row_via_expansion(kind, nu, p) != h_rows(kind, (nu,), p):
             bad += 1
     _check(results, "kpoly.h_row_expansion", bad == 0, "%d bad" % bad)
 
@@ -1052,8 +1052,7 @@ def run_suite(name, max_degree=None):
     """Run one named suite (or 'all'); returns list of check triples."""
     if name == "all":
         out = []
-        for key in ("lr", "bases", "operators", "determinants", "kpoly",
-                    "duality", "kernels"):
+        for key in SUITES:
             out.extend(run_suite(key, max_degree))
         return out
     fn = SUITES.get(name)

@@ -60,15 +60,13 @@ def test_skew_examples():
 
 
 def test_adjointness_sweep():
-    for lam in partitions_upto(7):
-        for mu in partitions_upto(4):
-            if sum(mu) > sum(lam):
-                continue
-            skewed = skew_by(SymFunc.schur(lam), SymFunc.schur(mu))
-            for nu in partitions_of(sum(lam) - sum(mu)):
-                lhs = skewed.coeff(nu)
-                rhs = multiply(SymFunc.schur(mu), SymFunc.schur(nu)).coeff(lam)
-                assert lhs == rhs, (lam, mu, nu)
+    # one case; the sweep is the verify check lr.adjointness
+    lam, mu = (4, 3, 2, 1), (2, 1)
+    skewed = skew_by(SymFunc.schur(lam), SymFunc.schur(mu))
+    for nu in partitions_of(sum(lam) - sum(mu)):
+        lhs = skewed.coeff(nu)
+        rhs = multiply(SymFunc.schur(mu), SymFunc.schur(nu)).coeff(lam)
+        assert lhs == rhs, nu
 
 
 def test_lr_symmetry_and_transpose():
