@@ -59,7 +59,7 @@ def _parse_kinds(text):
     if text == "all":
         return list(KINDS)
     try:
-        return [canonical_kind(k) for k in text.split(",")]
+        return list(dict.fromkeys(canonical_kind(k) for k in text.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -123,11 +123,10 @@ def build_parser():
 
 
 def cmd_table(rects, kinds, out_dir, latex, as_json):
-    from .kpoly import ktable_via_recurrence
+    from .kpoly import ktables
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for kind in kinds:
-        table = ktable_via_recurrence(kind, rects)
+    for kind, table in ktables(kinds, rects).items():
         path = os.path.join(out_dir, "ktable_%s.json" % kind)
         with open(path, "w") as fh:
             json.dump(table.to_json(), fh, indent=1, sort_keys=True)

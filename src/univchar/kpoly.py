@@ -8,6 +8,10 @@ polynomials of the deformed product in the basis of that kind, together with
 the algorithm that produced it.  All algorithms must agree exactly; the
 verification suite cross-checks them.
 
+ktables builds the tables of several kinds from one type-A product and one
+vdom series skew, box and hdom by one-row sweeps; ktable_via_recurrence is
+its one-kind case.
+
 k_via_schur_recurrence reads one coefficient without building the table:
 series.series_coeff sums the Littlewood-Richardson spectra of lam against the
 type-A product instead of skewing all of it.
@@ -29,7 +33,8 @@ from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
                    kind_partitions_of, partition_key, seq_overlap, seq_weight,
                    KIND_TRANSPOSE)
 from .schur import SymFunc, lr_coefficient, ssyt_contents
-from .series import _series_coeff, skew_by_series, to_diamond
+from .series import (_one_row_sweep, _series_coeff, skew_by_series,
+                     to_diamond)
 from .operators import (bb_r, tilde_b_parabolic, tilde_b_diamond_parabolic)
 
 
@@ -181,17 +186,33 @@ def hh_r_via_rows(kind, rects):
 # ---------------------------------------------------------------------------
 # Schur-side recurrence (production path)
 
-def ktable_via_recurrence(kind, rects):
-    """Full table from the type-A deformed product: substitute the squared
-    deformation, then skew by the t-scaled positive series of the kind."""
-    kind = canonical_kind(kind)
+def ktables(kinds, rects):
+    """Tables of several kinds over one sequence, as a dict kind -> KTable
+    in the order of kinds: bb_r(R) at t -> t^2, skewed by the t-scaled
+    positive series of each kind.  The vdom skew is taken once, box is its
+    one-row sweep and hdom, when box is built too, the signed sweep of box
+    (the factorisations in the series module); alone, hdom keeps its own
+    series skew."""
+    kinds = [canonical_kind(k) for k in kinds]
     rects = tuple(as_partition(r) for r in rects)
     base = bb_r(rects).subs_power(2)
-    if kind == "none":
-        rows = dict(base.terms)
-    else:
-        rows = dict(skew_by_series(base, kind, "+", "t").terms)
-    return KTable(kind, rects, rows, "recurrence")
+    funcs = {"none": base}
+    if "box" in kinds or "vdom" in kinds:
+        funcs["vdom"] = skew_by_series(base, "vdom", "+", "t")
+    if "box" in kinds:
+        funcs["box"] = _one_row_sweep(funcs["vdom"], "t")
+        if "hdom" in kinds:
+            funcs["hdom"] = _one_row_sweep(funcs["box"], "t", -1)
+    elif "hdom" in kinds:
+        funcs["hdom"] = skew_by_series(base, "hdom", "+", "t")
+    return {kind: KTable(kind, rects, dict(funcs[kind].terms), "recurrence")
+            for kind in kinds}
+
+
+def ktable_via_recurrence(kind, rects):
+    """Full table of one kind: ktables for that kind alone."""
+    kind = canonical_kind(kind)
+    return ktables((kind,), rects)[kind]
 
 
 def k_via_schur_recurrence(kind, lam, rects):

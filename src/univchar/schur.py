@@ -27,6 +27,8 @@ caller sums weighted moves without building the moves themselves.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .core import (LaurentPoly, P_ONE, as_partition, canonical_kind,
                    conjugate, contains, partition_key)
 
@@ -70,27 +72,46 @@ def _interlacing(lo, hi, total):
 
 
 def _strips(lam, m, column, add):
-    """Shapes that lam gains (add) or loses by a strip of m cells, sorted.
+    """Shapes that lam gains (add) or loses by a strip of m cells, sorted
+    by partition_key.
 
-    The strip is horizontal, or vertical when column is set.  Added rows
-    lie in lam_{r-1} >= mu_r >= lam_r, with the first row unbounded but
-    for the m cells; kept rows in lam_r >= nu_r >= lam_{r+1}.
+    The strip is horizontal, or vertical when column is set (the row strips
+    of the conjugate, conjugated back).  Added rows lie in
+    lam_{r-1} >= mu_r >= lam_r, with the first row unbounded but for the m
+    cells, and are enumerated for the one size m.  Kept rows lie in
+    lam_r >= nu_r >= lam_{r+1}, and every caller of a removal asks for all
+    sizes, so one product pass over those intervals stores the entry of
+    every size from 0 to lam_1 (l(lam) for a column) at once; larger sizes
+    are empty.  Each interval runs downwards, so the pass yields each size
+    in decreasing lexicographic order, which is partition_key order: only
+    column removals are sorted, after the conjugation.
     """
     key = (lam, m, column, add)
     got = _STRIP_CACHE.get(key)
-    if got is None:
-        base = conjugate(lam) if column else lam
-        if add:
-            top = base[0] if base else 0
-            lo, hi, total = base + (0,), (top + m,) + base, sum(base) + m
-        else:
-            lo, hi, total = (base + (0,))[1:], base, sum(base) - m
-        shapes = (tuple(p for p in v if p)
-                  for v in _interlacing(lo, hi, total))
+    if got is not None:
+        return got
+    base = conjugate(lam) if column else lam
+    top = base[0] if base else 0
+    if add:
+        shapes = (tuple(p for p in v if p) for v in
+                  _interlacing(base + (0,), (top + m,) + base,
+                               sum(base) + m))
         if column:
             shapes = map(conjugate, shapes)
         got = _STRIP_CACHE[key] = tuple(sorted(shapes, key=partition_key))
-    return got
+        return got
+    if m > top:
+        return ()
+    full = sum(base)
+    by_size = [[] for _ in range(top + 1)]
+    for v in product(*(range(a, b - 1, -1)
+                       for a, b in zip(base, base[1:] + (0,)))):
+        by_size[full - sum(v)].append(tuple(filter(None, v)))
+    for size, shapes in enumerate(by_size):
+        if column:
+            shapes = sorted(map(conjugate, shapes), key=partition_key)
+        _STRIP_CACHE[lam, size, column, False] = tuple(shapes)
+    return _STRIP_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +395,8 @@ def multiply(p, q):
 def _pieri(p, m, column, add, into, shift, mult):
     """Multiply (add) or skew by the one-row function of degree m, or by
     the one-column one when column is set; zero for m < 0.  A skew by more
-    cells (rows, for a column) than lam has is zero and leaves no memo.
+    cells than lam's first row (than its rows, for a column) is zero and
+    leaves no memo.
 
     With an accumulator into, mult * t^shift times the result is added to
     it and None is returned; without one, the result is returned."""
@@ -389,7 +411,7 @@ def _pieri(p, m, column, add, into, shift, mult):
     for lam, c in p.terms.items():
         if not m:
             shapes = (lam,)
-        elif not add and m > (len(lam) if column else sum(lam)):
+        elif not add and m > (len(lam) if column else lam[0] if lam else 0):
             continue
         else:
             shapes = _strips(lam, m, column, add)

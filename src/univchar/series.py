@@ -14,6 +14,14 @@ Ex. 5): S_box = S_vdom * sum_k h_k, t-scaled termwise, so skewing by it is the
 vdom skew followed by one one-row Pieri sweep.  The sparse signed series are
 cheaper summed directly than factored, so only this one is factored: every
 other series skew is skew_by by the series truncated at the operand's degree.
+
+The positive hdom series factors too: S_hdom = S_vdom * prod_i (1 - x_i^2)^-1
+= S_box * sum_k (-1)^k h_k (the same exercise), so the hdom skew is the box
+skew followed by one signed one-row sweep.  skew_by_series does not take that
+route: a caller that wants hdom alone would pay the vdom skew and two sweeps
+for one direct skew, which was slower on the diamond benchmark workload.
+Only the multi-kind tables (kpoly.ktables) use it, when box is built as
+well and its skew is already paid for.
 """
 
 from __future__ import annotations
@@ -137,11 +145,12 @@ def _series_coeff(p, kind, lam):
     return total
 
 
-def _one_row_sweep(p, scale):
-    """Skew p by sum_k h_k, with h_k weighted by t**k when scale is 't'."""
+def _one_row_sweep(p, scale, sign=1):
+    """Skew p by sum_k sign**k h_k, with h_k weighted by t**k when scale is
+    't'."""
     acc = {}
     for k in range(p.degree() + 1):
-        skew_h(p, k, acc, k if scale == "t" else 0)
+        skew_h(p, k, acc, k if scale == "t" else 0, sign ** k)
     return to_func(acc)
 
 

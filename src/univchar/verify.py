@@ -22,10 +22,10 @@ from .schur import (Expansion, SymFunc, _prod_spectrum, _skew_spectrum,
                     evaluate, inner_product, lr_coefficient, multiply,
                     multiply_e, multiply_h, skew_by, skew_e, skew_h,
                     ssyt_contents, straighten, schur_of_vector)
-from .series import (change_basis, diamond_product, diamond_unit,
-                     dual_basis_truncated, from_diamond, newell_littlewood,
-                     omega_diamond, series_coeff, series_terms,
-                     skew_by_series, to_diamond)
+from .series import (_one_row_sweep, change_basis, diamond_product,
+                     diamond_unit, dual_basis_truncated, from_diamond,
+                     newell_littlewood, omega_diamond, series_coeff,
+                     series_terms, skew_by_series, to_diamond)
 from .operators import (DIAMOND, _parabolic_apply, bb_diamond, bb_diamond_r,
                         bb_diamond_r_via_rows, bb_r, bernstein_create,
                         bernstein_diamond_create, d_polynomial, det_diamond,
@@ -34,7 +34,7 @@ from .operators import (DIAMOND, _parabolic_apply, bb_diamond, bb_diamond_r,
                         tilde_b_parabolic, tilde_b_row)
 from .kpoly import (duality_check, h_row_via_expansion, h_rows,
                     hb_connection, hh_r, hh_r_via_rows,
-                    k_via_schur_recurrence, ktable_via_recurrence,
+                    k_via_schur_recurrence, ktable_via_recurrence, ktables,
                     single_rectangle_table, singlerow_equivalence)
 from . import oracles
 
@@ -122,11 +122,15 @@ def specialization_sequences(max_degree):
 def skew_by_series_mismatches(max_degree):
     """(kind, sign, scale, operand) where skew_by_series differs from the
     direct sum over series_terms, for s_lambda with |lambda| <= max_degree,
-    s[2] - s[1,1] and t*s[3,1] + s[2].
+    s[2] - s[1,1] and t*s[3,1] + s[2]; and ('hdom', 'box sweep', scale,
+    operand) where the signed one-row sweep of the box '+' skew differs
+    from the hdom '+' skew.
 
     It guards the box '+' factorisation (the vdom skew, then one one-row
-    Pieri sweep); for the other seven kind/sign pairs skew_by_series is
-    skew_by by the same truncated series, so they agree by construction."""
+    Pieri sweep) and the hdom one of the multi-kind tables (the box skew,
+    then one signed sweep); for the other seven kind/sign pairs
+    skew_by_series is skew_by by the same truncated series, so they agree
+    by construction."""
     s = SymFunc.schur
     operands = [s(lam) for lam in partitions_upto(max_degree)] + [
         s((2,)) - s((1, 1)), s((3, 1), LaurentPoly.t(1)) + s((2,))]
@@ -137,6 +141,12 @@ def skew_by_series_mismatches(max_degree):
             want = skew_by(p, SymFunc(terms))
             if skew_by_series(p, kind, sign, scale) != want:
                 bad.append((kind, sign, scale, p))
+    for scale in (1, "t"):
+        for p in operands:
+            box = skew_by_series(p, "box", "+", scale)
+            if _one_row_sweep(box, scale, -1) != \
+                    skew_by_series(p, "hdom", "+", scale):
+                bad.append(("hdom", "box sweep", scale, p))
     return bad
 
 
@@ -312,7 +322,8 @@ def suite_bases(max_degree=8):
                 ok_all = False
     _check(results, "bases.series_polynomial_oracle(deg<=%d)" % d, ok_all)
 
-    # skew_by_series (box "+" factored through vdom) against the direct sum
+    # skew_by_series (box "+" factored through vdom) against the direct
+    # sum, and hdom "+" against the signed sweep of box "+"
     bad = skew_by_series_mismatches(6)
     _check(results, "bases.skew_by_series_vs_series_terms(deg<=6)", not bad,
            "%d bad" % len(bad))
@@ -775,18 +786,24 @@ def suite_kpoly(max_degree=7):
     seen = set(seqs)
     seqs += [q for q in partition_sequences(min(5, max_degree))
              if q not in seen]
-    bad_rec = bad_tel = 0
+    bad_rec = bad_tel = bad_shared = 0
     for rects in seqs:
+        shared = ktables(KINDS, rects)
         for kind in KINDS:
             rows = hh_r_via_rows(kind, rects)
             if not rows.same_rows(ktable_via_recurrence(kind, rects)):
                 bad_rec += 1
             if not rows.same_rows(hh_r(kind, rects)):
                 bad_tel += 1
+            if not rows.same_rows(shared[kind]):
+                bad_shared += 1
     _check(results, "kpoly.operator_vs_recurrence(%d seqs x 4)" % len(seqs),
            bad_rec == 0, "%d bad" % bad_rec)
     _check(results, "kpoly.telescoped_vs_rows(%d seqs x 4)" % len(seqs),
            bad_tel == 0, "%d bad" % bad_tel)
+    # the multi-kind tables of `univchar table`, box and hdom by sweeps
+    _check(results, "kpoly.shared_tables_vs_rows(%d seqs x 4)" % len(seqs),
+           bad_shared == 0, "%d bad" % bad_shared)
 
     # single rectangles within a 3x3 box
     bad = 0

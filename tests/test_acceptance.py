@@ -128,9 +128,10 @@ def test_every_verify_check_passes():
               for check, ok, detail in _suite(suite) if not ok]
     assert not failed, failed
     # the single-coefficient paths keep their whole-expansion oracles, and
-    # the telescoped operator route its row-by-row one
+    # the telescoped operator route and the multi-kind tables their
+    # row-by-row one
     names = {check.split("(")[0] for suite in SUITES
              for check, _, _ in _suite(suite)}
     assert {"bases.series_coeff_vs_skew", "kpoly.coefficient_vs_table",
             "operators.d_polynomial_vs_expansion",
-            "kpoly.telescoped_vs_rows"} <= names
+            "kpoly.telescoped_vs_rows", "kpoly.shared_tables_vs_rows"} <= names

@@ -326,11 +326,21 @@ def test_table_command(tmp_path, capsys):
     data = json.loads((out1 / "ktable_vdom.json").read_text())
     assert data["kind"] == "vdom"
     assert {"lambda": [1], "poly": {"4": "1", "6": "1"}} in data["K"]
-    # the box table against the independent row-by-row operator route
-    data = json.loads((out1 / "ktable_box.json").read_text())
-    rows = {tuple(rec["lambda"]): LaurentPoly.from_json(rec["poly"])
-            for rec in data["K"]}
-    assert rows == hh_r_via_rows("box", ((2, 2), (1,))).rows
+    # every table against the independent row-by-row operator route
+    for kind in ("none", "box", "vdom", "hdom"):
+        data = json.loads((out1 / ("ktable_%s.json" % kind)).read_text())
+        rows = {tuple(rec["lambda"]): LaurentPoly.from_json(rec["poly"])
+                for rec in data["K"]}
+        assert rows == hh_r_via_rows(kind, ((2, 2), (1,))).rows, kind
+
+
+def test_table_repeated_kind(tmp_path, capsys):
+    # cell is an alias of box: the table is written and listed once
+    assert main(["table", "-R", "[[2,2],[1]]", "--kinds", "box,cell",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == \
+        [str(tmp_path / "ktable_box.json")]
+    assert os.listdir(tmp_path) == ["ktable_box.json"]
 
 
 def test_table_empty_sequence(tmp_path, capsys):

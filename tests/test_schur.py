@@ -1,8 +1,9 @@
 import random
 
-from univchar.core import LaurentPoly, conjugate, partitions_of, partitions_upto
+from univchar.core import (LaurentPoly, conjugate, contains, partition_key,
+                           partitions_of, partitions_upto)
 from univchar.schur import (Expansion, SymFunc, _prod_spectrum,
-                            _skew_spectrum, add_into, evaluate,
+                            _skew_spectrum, _strips, add_into, evaluate,
                             inner_product, lr_coefficient, multiply,
                             multiply_e, multiply_h, schur_of_vector, skew_by,
                             skew_e, skew_h, ssyt_contents, straighten,
@@ -32,6 +33,26 @@ def test_pieri_edge_cases():
     # the first row may take all m cells
     assert multiply_h(s(2, 1), 3) == \
         s(5, 1) + s(4, 2) + s(4, 1, 1) + s(3, 2, 1)
+
+
+def test_removal_strips_against_brute_force():
+    # lam/mu is a horizontal strip when no column of it holds two cells,
+    # a vertical one when no row does
+    def strip(lam, mu, column):
+        a, b = (lam, mu) if column else (conjugate(lam), conjugate(mu))
+        b += (0,) * (len(a) - len(b))
+        return all(x - y <= 1 for x, y in zip(a, b))
+
+    for lam in partitions_upto(8):
+        for m in range(sum(lam) + 1):
+            for column in (False, True):
+                want = sorted((mu for mu in partitions_of(sum(lam) - m)
+                               if contains(lam, mu) and
+                               strip(lam, mu, column)), key=partition_key)
+                assert list(_strips(lam, m, column, False)) == want, \
+                    (lam, m, column)
+                if m > (len(lam) if column else lam[0] if lam else 0):
+                    assert not want
 
 
 def test_product_example():
