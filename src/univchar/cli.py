@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .core import as_partition, canonical_kind, KINDS
+from .core import as_partition, canonical_kind, seq_weight, KINDS
 from .exprparse import (EvalError, ParseError, eval_expr, format_value,
                         value_to_json)
 from .operators import InvariantViolation
@@ -22,6 +22,12 @@ from .operators import InvariantViolation
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
 INTERNAL_ERROR = 3
+
+# largest total size |R| of a `table` sequence.  The benchmark ladder tops
+# out at 19 cells, and the largest sequence measured, at 29 cells, takes
+# about 23 s and 290 MB on a 2-vCPU machine; time and memory grow steeply
+# with |R|.
+MAX_TABLE_WEIGHT = 30
 
 
 def _parse_partition_list(text):
@@ -38,6 +44,16 @@ def _parse_sequence(text):
         return tuple(as_partition(r) for r in data)
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError("bad sequence %r: %s" % (text, exc))
+
+
+def _parse_table_sequence(text):
+    rects = _parse_sequence(text)
+    cells = seq_weight(rects)
+    if cells > MAX_TABLE_WEIGHT:
+        raise argparse.ArgumentTypeError(
+            "sequence of %d cells, above the cap of %d"
+            % (cells, MAX_TABLE_WEIGHT))
+    return rects
 
 
 def _non_negative_int(text):
@@ -107,7 +123,8 @@ def build_parser():
 
     p = sub.add_parser("table", parents=[common],
                        help="write coefficient tables")
-    p.add_argument("-R", dest="rects", type=_parse_sequence, required=True)
+    p.add_argument("-R", dest="rects", type=_parse_table_sequence,
+                   required=True)
     p.add_argument("--kinds", type=_parse_kinds, default="all",
                    help="comma list of kinds, or 'all'")
     p.add_argument("--out", required=True)

@@ -8,9 +8,15 @@ operand: each factor skews by the one-column or one-row function of every
 degree a, weighs the result by (-1)^a or by t^(a*texp), and moves a net
 index shift j up or down by a.  Operands that reach the same shift are
 summed before the next factor skews them, so the stage is a map j -> operand
-that does not depend on the row index r.  The Pieri stage then sums the
-signed products multiply_h(stage[j], r - s + j) over the shifts s of the
-kind.
+that does not depend on the row index r.  Its factors are the t-weighted
+one-row skews ("ht") and, for the mirrored kinds, the one-column skews with
+step -1 ("e", -1).  The Pieri stage then sums B_(r-s+j) stage[j] over the
+shifts s of the kind, with B_m = sum_a (-1)^a h_(m+a) e_a^perp Bernstein's
+operator: it is the one-column factor with step +1 that every kind's series
+carries, followed by the product with h_(r-s+j), and it sends s_lam to the
+straightened s_(m, lam) (Macdonald, I.5 Ex. 29), so each Schur term of the
+stage takes one insertion (schur.bernstein_insert) instead of a skew per
+degree and a Pieri product whose terms cancel.
 
 The kernel table is keyed by kind: skew factors, Pieri shifts and the level
 weights of the parabolic operators.  The Schur kind is one-sided; box, vdom
@@ -22,10 +28,11 @@ are the vertical-domino row at r less the same row at r - 1 and r - 2.
 The three diamond kinds share one deformed product in diamond coordinates,
 the coefficients in the basis of the kind.  There a kind's row is
 S+^perp R S-^perp, with S+ and S- its positive and signed series, mutually
-inverse, and R its row in the Schur basis.  The vertical-domino row is
-R_r(p) = sum_j h_(r+j) stage_j(p).  The coproduct of the positive series
-gives S+^perp(h_m g) = sum_k h_(m-k) h_k^perp S+^perp g, and skews commute
-with the stage, so the row in diamond coordinates is
+inverse, and R its row in the Schur basis.  Write stage_j for the skew
+stage with the one-column factor of step +1 included; the vertical-domino
+row is R_r(p) = sum_j h_(r+j) stage_j(p).  The coproduct of the positive
+series gives S+^perp(h_m g) = sum_k h_(m-k) h_k^perp S+^perp g, and skews
+commute with the stage, so the row in diamond coordinates is
 
     U_r(q) = sum_(j,k) h_(r+j-k) h_k^perp stage_j(q),
 
@@ -45,8 +52,10 @@ shifts that come from commuting deformed rows past each other; the correction
 bookkeeping runs as a small dynamic program over pending index shifts, which
 builds each operand's skew stage once, runs the Pieri stage once per index
 drop and adds each weighted row in place into the accumulator of its next
-pending shifts.  A brute-force multivariate extraction oracle is provided for
-cross-checking.
+pending shifts.  vdom_table_chain runs that program on the diamond row
+stage with the type-A levels, which gives the vdom table with no
+Littlewood-Richardson spectrum.  A brute-force multivariate extraction
+oracle is provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -54,8 +63,8 @@ from __future__ import annotations
 import itertools
 
 from .core import LaurentPoly, as_partition, canonical_kind
-from .schur import (Expansion, SymFunc, add_into, multiply, multiply_h, skew_e,
-                    skew_h, straighten, to_func)
+from .schur import (Expansion, SymFunc, add_into, bernstein_insert, multiply,
+                    multiply_h, skew_e, skew_h, straighten, to_func)
 from .series import diamond_unit, from_diamond, to_diamond
 
 
@@ -76,25 +85,31 @@ DIAMOND = "diamond"
 # shift.  The rows at Pieri shifts s > 0 are subtracted.  A level option
 # (delta, drop) pairs the current parabolic position with one earlier one:
 # it moves that one's pending shift by delta and drops the current index by
-# drop, with weight (-t^texp)^drop (see _level_weights).
-_A = (("e", 1), ("ht", 1))
+# drop, with weight (-t^texp)^drop (see _level_weights).  VDOM_TABLE is the
+# diamond row stage with the type-A levels: at texp 2 its chain from 1 is
+# the vdom table (vdom_table_chain).
+_A = (("ht", 1),)
 _MIRRORED = _A + (("e", -1), ("ht", -1))
 _A_LEVELS = ((0, 0), (1, 1))
 _MIRRORED_LEVELS = _A_LEVELS + ((-1, 1), (0, 2))
+VDOM_TABLE = "vdom table"
 _KERNELS = {"none": (_A, (0,), _A_LEVELS),
             "vdom": (_MIRRORED, (0,), _MIRRORED_LEVELS),
             "box": (_MIRRORED, (0, 1), _MIRRORED_LEVELS),
             "hdom": (_MIRRORED, (0, 2), _MIRRORED_LEVELS),
-            DIAMOND: (_A + (("ht", -1),), (0,), _MIRRORED_LEVELS)}
+            DIAMOND: (_A + (("ht", -1),), (0,), _MIRRORED_LEVELS),
+            VDOM_TABLE: (_A + (("ht", -1),), (0,), _A_LEVELS)}
 
 
 def _row_stage(p, kind, texp):
     """Map net shift j -> skewed operand; texp None is the undeformed kernel.
 
-    Skews run over every degree up to the operand's: a sum of Schur terms
-    can vanish under one skew and not under a higher one (s[2] - s[1,1]
-    under the one-column skews of degree 1 and 2).  Each factor adds its
-    weighted skews straight into one accumulator per net shift.
+    The stage holds the kind's skew factors but the one-column skews with
+    step +1, which the Bernstein insertion of _pieri_stage applies.  Skews
+    run over every degree up to the operand's: a sum of Schur terms can
+    vanish under one skew and not under a higher one (s[2] - s[1,1] under
+    the one-column skews of degree 1 and 2).  Each factor adds its weighted
+    skews straight into one accumulator per net shift.
     """
     stage = {0: p}
     for skew, step in _KERNELS[kind][0]:
@@ -123,11 +138,21 @@ def _nonzero_funcs(accs):
 
 
 def _pieri_stage(stage, kind, r):
-    """The row at index r from a skew stage: signed sum of multiply_h."""
+    """The row at index r from a skew stage: the signed sum, over the
+    kind's Pieri shifts s, of Bernstein's operator B_(r-s+j) on stage[j].
+
+    B_m = sum_a (-1)^a h_(m+a) e_a^perp, so B_(r-s+j) applies the one-column
+    skews with step +1 and the Pieri product in one move, each Schur term
+    s_lam going to the straightened s_(m, lam) (schur.bernstein_insert).
+    """
     acc = {}
     for s in _KERNELS[kind][1]:
         for j, f in stage.items():
-            multiply_h(f, r - s + j, acc, 0, -1 if s else 1)
+            m = r - s + j
+            for lam, c in f.terms.items():
+                got = bernstein_insert(m, lam)
+                if got is not None:
+                    add_into(acc, got[1], c, 0, -got[0] if s else got[0])
     return to_func(acc)
 
 
@@ -597,6 +622,24 @@ def _bb(kind, factors):
         out = _parabolic_apply(factors[0], _bb(kind, factors[1:]), 1, kind)
     _BB_CACHE[key] = out
     return out
+
+
+def vdom_table_chain(factors):
+    """The vdom table over a sequence of index vectors, in the vdom basis,
+    as one parabolic chain at texp 2 started at 1, reading no
+    Littlewood-Richardson spectrum: the oracle of the series skew of
+    kpoly.ktables.
+
+    The table is F^perp bb_r(factors) at t -> t^2, with F the t-scaled
+    positive vdom series.  The coproduct of F gives F^perp(h_m g) =
+    sum_k t^(2k) h_(m-k) h_k^perp F^perp g, the row stage commutes with
+    F^perp and F^perp 1 = 1, so each row of the chain is the type-A row at
+    texp 2 with one more one-row factor of step -1 (the VDOM_TABLE kernel).
+    """
+    f = SymFunc.one()
+    for nu in reversed(tuple(factors)):
+        f = _parabolic_apply(nu, f, 2, VDOM_TABLE)
+    return f
 
 
 def c_polynomial(lam, factors):

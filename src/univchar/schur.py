@@ -4,11 +4,16 @@ straightening of integer indices, and semistandard-tableau evaluation.
 A SymFunc is a finite sparse map partition -> LaurentPoly and is read as a
 linear combination of Schur functions (or of the basis named by an Expansion
 tag).  Products and skews reduce to Littlewood-Richardson numbers, and one
-ballot fill of a skew diagram counts them all (_skew_spectrum).  A product
+ballot fill of a skew diagram counts them all (_lr_fill).  A product
 s_mu s_nu is the skew Schur function of the disconnected diagram with one
 factor set above and to the right of the other (Macdonald, I.5), so its
-spectrum is a skew spectrum too.  Spectra are memoized in module caches
-that act as pure memos (results never depend on hits).
+spectrum is a skew spectrum too.  The fill itself keeps no memo; product
+spectra and the nonempty skew spectra of skew_by are memoized in module
+caches that act as pure memos (results never depend on hits).
+
+Bernstein's operator B_m s_lam = s_(m, lam) (Macdonald, I.5 Ex. 29) moves m
+past the rows of lam in one pass (bernstein_insert), and straightening an
+integer index vector is the right fold of it.
 
 Products and skews by a one-row or one-column function are Pieri moves.
 mu/nu is a horizontal strip exactly when nu interlaces mu, mu_r >= nu_r >=
@@ -36,7 +41,7 @@ from .core import (LaurentPoly, P_ONE, as_partition, canonical_kind,
 # caches (read-mostly; insertion is plain dict assignment, entries are frozen)
 
 _PROD_CACHE = {}    # (mu, nu) -> dict lam -> int
-_SKEW_CACHE = {}    # (lam, mu) -> tuple of (nu, int)
+_SKEW_CACHE = {}    # (lam, mu) -> nonempty tuple of (nu, int), for skew_by
 _STRIP_CACHE = {}   # (lam, m, column, add) -> tuple of shapes
 _CONTENT_CACHE = {}  # (lam, nvars) -> dict content-composition -> count
 
@@ -130,23 +135,31 @@ def _prod_spectrum(mu, nu):
     w = nu[0] if nu else 0
     outer = tuple(p + w for p in mu) + nu
     inner = (w,) * len(mu) if w else ()
-    got = _PROD_CACHE[key] = dict(_skew_spectrum(outer, inner))
+    got = _PROD_CACHE[key] = _lr_fill(outer, inner)
     return got
 
 
 def _skew_spectrum(lam, mu):
-    """tuple of (nu, c^lam_{mu,nu}) over all nu, via ballot fillings of lam/mu."""
+    """tuple of (nu, c^lam_{mu,nu}) over all nu, via ballot fillings of
+    lam/mu, in fill order; memoized when not empty."""
     key = (lam, mu)
     got = _SKEW_CACHE.get(key)
     if got is not None:
         return got
+    got = tuple(_lr_fill(lam, mu).items())
+    if got:
+        _SKEW_CACHE[key] = got
+    return got
+
+
+def _lr_fill(lam, mu):
+    """dict nu -> c^lam_{mu,nu}, in fill order, by one ballot fill of lam/mu
+    (empty unless mu is contained in lam); not memoized."""
     if not contains(lam, mu):
-        _SKEW_CACHE[key] = ()
-        return ()
+        return {}
     if lam == mu or not mu:
         # nothing to fill: lam/lam is s_() and lam/() is s_lam
-        got = _SKEW_CACHE[key] = (((() if mu else lam), 1),)
-        return got
+        return {(() if mu else lam): 1}
     # cells row by row, right to left, with the indices in vals of the right
     # and upper neighbours' letters (or of r + 1 at row ends and 0 on top)
     mup = list(mu) + [0] * (len(lam) - len(mu))
@@ -183,9 +196,7 @@ def _skew_spectrum(lam, mu):
         else:
             nu = tuple(counts[1:counts.index(0, 1)])
             out[nu] = out.get(nu, 0) + 1
-    got = _SKEW_CACHE[key] = tuple(sorted(
-        out.items(), key=lambda kv: partition_key(kv[0])))
-    return got
+    return out
 
 
 def lr_coefficient(lam, mu, nu):
@@ -471,27 +482,50 @@ def inner_product(p, q):
 # ---------------------------------------------------------------------------
 # straightening
 
+def bernstein_insert(m, lam):
+    """Bernstein's operator B_m on s_lam: B_m s_lam = s_(m, lam) (Macdonald,
+    I.5 Ex. 29), straightened.
+
+    With k the number of rows i of lam with lam_i - i > m, s_(m, lam) is
+    zero when some lam_i - i equals m or when m + k < 0, and otherwise
+    (-1)^k s_(lam_1 - 1, ..., lam_k - 1, m + k, lam_(k+1), ...), with the
+    zero parts of the case m + k = 0 dropped.  Returns None when it
+    vanishes, otherwise (sign, partition).
+    """
+    k = 0
+    for part in lam:
+        d = part - k - 1
+        if d < m:
+            break
+        if d == m:
+            return None
+        k += 1
+    if m + k < 0:
+        return None
+    head = tuple(part - 1 for part in lam[:k])
+    if m + k:
+        shape = head + (m + k,) + lam[k:]
+    else:
+        # k is the length of lam, and its rows of one cell become empty
+        shape = tuple(filter(None, head))
+    return -1 if k % 2 else 1, shape
+
+
 def straighten(nu):
-    """Normalize an integer index vector for the Schur family.
+    """Normalize an integer index vector for the Schur family: the right
+    fold of bernstein_insert, s_nu = B_(nu_1) ... B_(nu_n) 1.
 
     Returns None when the indexed function vanishes, otherwise (sign, lam)
     with sign in {1, -1} and lam a partition.
     """
-    n = len(nu)
-    v = [nu[i] + (n - 1 - i) for i in range(n)]
-    if len(set(v)) != n:
-        return None
-    if min(v, default=0) < 0:
-        return None
-    inversions = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v[i] < v[j]:
-                inversions += 1
-    sign = -1 if inversions % 2 else 1
-    w = sorted(v, reverse=True)
-    lam = tuple(w[i] - (n - 1 - i) for i in range(n))
-    return sign, as_partition(lam)
+    sign, lam = 1, ()
+    for m in reversed(nu):
+        got = bernstein_insert(m, lam)
+        if got is None:
+            return None
+        s, lam = got
+        sign *= s
+    return sign, lam
 
 
 def schur_of_vector(nu):

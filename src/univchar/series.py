@@ -12,8 +12,12 @@ expansion in the verification suite.
 The positive box series is the vdom seed plus one cell (Macdonald, I.5
 Ex. 5): S_box = S_vdom * sum_k h_k, t-scaled termwise, so skewing by it is the
 vdom skew followed by one one-row Pieri sweep.  The sparse signed series are
-cheaper summed directly than factored, so only this one is factored: every
-other series skew is skew_by by the series truncated at the operand's degree.
+cheaper summed directly than factored, so only this one is factored.  Every
+other series skew sums one integer spectrum per Schur term s_lam of the
+operand: nu -> sum_mu sign_mu c^lam_{mu,nu} over the series terms mu
+contained in lam, memoized per (lam, kind, sign), with the t-scale the shift
+t^(|lam| - |nu|).  The Littlewood-Richardson fills behind a spectrum are not
+memoized one by one: a table pass reads almost none of them twice.
 
 The positive hdom series factors too: S_hdom = S_vdom * prod_i (1 - x_i^2)^-1
 = S_box * sum_k (-1)^k h_k (the same exercise), so the hdom skew is the box
@@ -29,10 +33,12 @@ from __future__ import annotations
 from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
                    diagonal_size, from_frobenius, kind_partitions_of,
                    partition_key, partitions_upto)
-from .schur import Expansion, SymFunc, _skew_spectrum, _prod_spectrum, \
-    multiply, skew_by, skew_h, to_func
+from .schur import (Expansion, SymFunc, _lr_fill, _prod_spectrum,
+                    _skew_spectrum, add_into, multiply, skew_by, skew_h,
+                    to_func)
 
 _SERIES_CACHE = {}   # (kind, sign) -> list per degree of [(partition, +-1)]
+_SPECTRUM_CACHE = {}  # (lam, kind, sign) -> tuple of (nu, int)
 
 
 def _signed_shapes(kind, n):
@@ -75,17 +81,10 @@ def _signed_shapes(kind, n):
     return out
 
 
-def series_terms(kind, sign, scale, degree):
-    """Terms of the generating series of a kind up to the given degree.
-
-    sign is '+' or '-'; scale is 1 or 't' and multiplies the term at mu by
-    t**|mu|.  Returns a list of (partition, LaurentPoly).
-    """
-    kind = canonical_kind(kind)
-    if degree < 0:
-        return []
-    key = (kind, sign)
-    rows = _SERIES_CACHE.setdefault(key, [])
+def _series_rows(kind, sign, degree):
+    """Per degree up to the given one, the shapes of the series of a
+    canonical kind with their integer signs."""
+    rows = _SERIES_CACHE.setdefault((kind, sign), [])
     while len(rows) <= degree:
         n = len(rows)
         if sign == "+":
@@ -96,6 +95,19 @@ def series_terms(kind, sign, scale, degree):
         else:
             raise ValueError("sign must be '+' or '-'")
         rows.append(tuple(level))
+    return rows
+
+
+def series_terms(kind, sign, scale, degree):
+    """Terms of the generating series of a kind up to the given degree.
+
+    sign is '+' or '-'; scale is 1 or 't' and multiplies the term at mu by
+    t**|mu|.  Returns a list of (partition, LaurentPoly).
+    """
+    kind = canonical_kind(kind)
+    if degree < 0:
+        return []
+    rows = _series_rows(kind, sign, degree)
     out = []
     for n in range(degree + 1):
         for lam, sgn in rows[n]:
@@ -107,12 +119,40 @@ def series_terms(kind, sign, scale, degree):
 
 
 def skew_by_series(p, kind, sign, scale=1):
-    """Apply the adjoint of multiplication by a generating series to p."""
+    """Apply the adjoint of multiplication by a generating series to p.
+
+    Each term c s_lam of p adds c times the series spectrum of lam, each of
+    its entries at nu shifted by t**(|lam| - |nu|) when scale is 't'; the
+    positive box series is the vdom skew and one one-row sweep."""
     kind = canonical_kind(kind)
     if kind == "box" and sign == "+":
         return _one_row_sweep(skew_by_series(p, "vdom", "+", scale), scale)
-    return skew_by(p, SymFunc(dict(series_terms(kind, sign, scale,
-                                                p.degree()))))
+    scaled = scale == "t"
+    acc = {}
+    for lam, c in p.terms.items():
+        size = sum(lam)
+        for nu, k in _series_spectrum(lam, kind, sign):
+            add_into(acc, nu, c, size - sum(nu) if scaled else 0, k)
+    return to_func(acc)
+
+
+def _series_spectrum(lam, kind, sign):
+    """tuple of (nu, sum over the series terms mu of sign_mu c^lam_{mu,nu}),
+    nu with a nonzero sum: the skew of s_lam by the unscaled series of a
+    canonical kind.  Memoized per (lam, kind, sign); the fills of the
+    terms mu contained in lam are not."""
+    key = (lam, kind, sign)
+    got = _SPECTRUM_CACHE.get(key)
+    if got is not None:
+        return got
+    size = sum(lam)
+    acc = {}
+    for row in _series_rows(kind, sign, size)[:size + 1]:
+        for mu, sgn in row:
+            for nu, k in _lr_fill(lam, mu).items():
+                acc[nu] = acc.get(nu, 0) + sgn * k
+    got = _SPECTRUM_CACHE[key] = tuple(kv for kv in acc.items() if kv[1])
+    return got
 
 
 def series_coeff(p, kind, lam):

@@ -31,7 +31,7 @@ from .operators import (DIAMOND, _parabolic_apply, bb_diamond, bb_diamond_r,
                         bernstein_diamond_create, d_polynomial, det_diamond,
                         det_diamond_schur, direct_extraction_oracle,
                         jacobi_trudi, tilde_b_diamond_parabolic,
-                        tilde_b_parabolic, tilde_b_row)
+                        tilde_b_parabolic, tilde_b_row, vdom_table_chain)
 from .kpoly import (duality_check, h_row_via_expansion, h_rows,
                     hb_connection, hh_r, hh_r_via_rows,
                     k_via_schur_recurrence, ktable_via_recurrence, ktables,
@@ -126,11 +126,10 @@ def skew_by_series_mismatches(max_degree):
     operand) where the signed one-row sweep of the box '+' skew differs
     from the hdom '+' skew.
 
-    It guards the box '+' factorisation (the vdom skew, then one one-row
-    Pieri sweep) and the hdom one of the multi-kind tables (the box skew,
-    then one signed sweep); for the other seven kind/sign pairs
-    skew_by_series is skew_by by the same truncated series, so they agree
-    by construction."""
+    It guards the per-lambda series spectra that skew_by_series sums, the
+    box '+' factorisation (the vdom skew, then one one-row Pieri sweep) and
+    the hdom one of the multi-kind tables (the box skew, then one signed
+    sweep)."""
     s = SymFunc.schur
     operands = [s(lam) for lam in partitions_upto(max_degree)] + [
         s((2,)) - s((1, 1)), s((3, 1), LaurentPoly.t(1)) + s((2,))]
@@ -322,8 +321,9 @@ def suite_bases(max_degree=8):
                 ok_all = False
     _check(results, "bases.series_polynomial_oracle(deg<=%d)" % d, ok_all)
 
-    # skew_by_series (box "+" factored through vdom) against the direct
-    # sum, and hdom "+" against the signed sweep of box "+"
+    # skew_by_series (per-lambda spectra, box "+" factored through vdom)
+    # against skew_by by the truncated series, and hdom "+" against the
+    # signed sweep of box "+"
     bad = skew_by_series_mismatches(6)
     _check(results, "bases.skew_by_series_vs_series_terms(deg<=6)", not bad,
            "%d bad" % len(bad))
@@ -781,12 +781,14 @@ def suite_kpoly(max_degree=7):
 
     # the row operators, applied one by one, against the recurrence and
     # against the telescoped hh_r, on rectangle sequences plus
-    # non-rectangle partition factors at a smaller bound
+    # non-rectangle partition factors at a smaller bound.  hh_r reads its
+    # rows from ktable_via_recurrence, so operator_vs_recurrence and
+    # telescoped_vs_rows now make the same comparison under two names.
     seqs = rect_sequences(min(7, max_degree))
     seen = set(seqs)
     seqs += [q for q in partition_sequences(min(5, max_degree))
              if q not in seen]
-    bad_rec = bad_tel = bad_shared = 0
+    bad_rec = bad_tel = bad_shared = bad_chain = 0
     for rects in seqs:
         shared = ktables(KINDS, rects)
         for kind in KINDS:
@@ -797,6 +799,8 @@ def suite_kpoly(max_degree=7):
                 bad_tel += 1
             if not rows.same_rows(shared[kind]):
                 bad_shared += 1
+        if vdom_table_chain(rects).terms != shared["vdom"].rows:
+            bad_chain += 1
     _check(results, "kpoly.operator_vs_recurrence(%d seqs x 4)" % len(seqs),
            bad_rec == 0, "%d bad" % bad_rec)
     _check(results, "kpoly.telescoped_vs_rows(%d seqs x 4)" % len(seqs),
@@ -804,6 +808,10 @@ def suite_kpoly(max_degree=7):
     # the multi-kind tables of `univchar table`, box and hdom by sweeps
     _check(results, "kpoly.shared_tables_vs_rows(%d seqs x 4)" % len(seqs),
            bad_shared == 0, "%d bad" % bad_shared)
+    # their vdom series skew against the parabolic chain, which reads no
+    # Littlewood-Richardson spectrum
+    _check(results, "kpoly.vdom_chain_vs_tables(%d seqs)" % len(seqs),
+           bad_chain == 0, "%d bad" % bad_chain)
 
     # single rectangles within a 3x3 box
     bad = 0

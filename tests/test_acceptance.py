@@ -127,11 +127,12 @@ def test_every_verify_check_passes():
     failed = [(check, detail) for suite in SUITES
               for check, ok, detail in _suite(suite) if not ok]
     assert not failed, failed
-    # the single-coefficient paths keep their whole-expansion oracles, and
-    # the telescoped operator route and the multi-kind tables their
-    # row-by-row one
+    # the single-coefficient paths keep their whole-expansion oracles, the
+    # telescoped operator route and the multi-kind tables their row-by-row
+    # one, and the vdom series skew of the tables its parabolic chain
     names = {check.split("(")[0] for suite in SUITES
              for check, _, _ in _suite(suite)}
     assert {"bases.series_coeff_vs_skew", "kpoly.coefficient_vs_table",
             "operators.d_polynomial_vs_expansion",
-            "kpoly.telescoped_vs_rows", "kpoly.shared_tables_vs_rows"} <= names
+            "kpoly.telescoped_vs_rows", "kpoly.shared_tables_vs_rows",
+            "kpoly.vdom_chain_vs_tables"} <= names

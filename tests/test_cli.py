@@ -334,6 +334,24 @@ def test_table_command(tmp_path, capsys):
         assert rows == hh_r_via_rows(kind, ((2, 2), (1,))).rows, kind
 
 
+def test_table_weight_cap(tmp_path, capsys):
+    # a sequence past the cap is a usage error, raised before any table is
+    # computed or any directory made
+    cap = univchar.cli.MAX_TABLE_WEIGHT
+    out = tmp_path / "out"
+    for rects in ("[[%d]]" % (cap + 1), "[[6,6],[5,5],[4,4],[3,3],[2,2],[1]]"):
+        assert main(["table", "-R", rects, "--kinds", "none",
+                     "--out", str(out)]) == 2
+        assert "error: argument -R" in capsys.readouterr().err
+    assert not out.exists()
+    # the cap admits a sequence of exactly cap cells
+    assert main(["table", "-R", "[[%d]]" % cap, "--kinds", "none",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads((out / "ktable_none.json").read_text())
+    assert data["K"] == [{"lambda": [cap], "poly": {"0": "1"}}]
+
+
 def test_table_repeated_kind(tmp_path, capsys):
     # cell is an alias of box: the table is written and listed once
     assert main(["table", "-R", "[[2,2],[1]]", "--kinds", "box,cell",

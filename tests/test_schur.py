@@ -3,8 +3,9 @@ import random
 from univchar.core import (LaurentPoly, conjugate, contains, partition_key,
                            partitions_of, partitions_upto)
 from univchar.schur import (Expansion, SymFunc, _prod_spectrum,
-                            _skew_spectrum, _strips, add_into, evaluate,
-                            inner_product, lr_coefficient, multiply,
+                            _skew_spectrum, _strips, add_into,
+                            bernstein_insert, evaluate, inner_product,
+                            lr_coefficient, multiply,
                             multiply_e, multiply_h, schur_of_vector, skew_by,
                             skew_e, skew_h, ssyt_contents, straighten,
                             to_func)
@@ -156,6 +157,35 @@ def test_straighten():
     for lam in partitions_upto(8):
         assert straighten(lam + (0, 0)) == (1, lam)
     assert schur_of_vector((1, 3)) == s(2, 2).scaled(-1)
+
+
+def _straighten_by_sorting(nu):
+    """Reference straightening: sort nu + staircase, count the inversions."""
+    n = len(nu)
+    v = [nu[i] + n - 1 - i for i in range(n)]
+    if len(set(v)) != n or min(v, default=0) < 0:
+        return None
+    inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
+    w = sorted(v, reverse=True)
+    lam = tuple(p for p in (w[i] - (n - 1 - i) for i in range(n)) if p)
+    return -1 if inversions % 2 else 1, lam
+
+
+def test_bernstein_insert():
+    # B_m s_lam = s_(m, lam): against sorting, and against the sum
+    # sum_a (-1)^a h_(m+a) e_a^perp s_lam that defines B_m
+    assert bernstein_insert(-1, (1,)) == (-1, ())
+    for lam in partitions_upto(8):
+        size = sum(lam)
+        for m in range(-size - 2, size + 3):
+            want = _straighten_by_sorting((m,) + lam)
+            assert bernstein_insert(m, lam) == want, (m, lam)
+            assert straighten((m,) + lam) == want, (m, lam)
+            acc = {}
+            for a in range(size + 1):
+                multiply_h(skew_e(s(*lam), a), m + a, acc, 0, (-1) ** a)
+            assert to_func(acc) == (SymFunc() if want is None else
+                                    SymFunc.schur(want[1], want[0])), (m, lam)
 
 
 def test_associativity_random():

@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from univchar.core import LaurentPoly, conjugate, partitions_upto
-from univchar.schur import Expansion, SymFunc, inner_product, multiply
-from univchar.series import (change_basis, diamond_product, diamond_unit,
+from univchar.core import KINDS, LaurentPoly, conjugate, partitions_upto
+from univchar.schur import (Expansion, SymFunc, inner_product, multiply,
+                            skew_by)
+from univchar.series import (_series_spectrum, change_basis,
+                             diamond_product, diamond_unit,
                              dual_basis_truncated, from_diamond,
                              newell_littlewood, omega_diamond, series_terms,
                              skew_by_series, to_diamond)
@@ -165,6 +168,22 @@ def test_skew_by_series_linearity():
     want = (from_diamond(Expansion("vdom", s(3, 1))).scaled(LaurentPoly.t(1))
             + from_diamond(Expansion("vdom", s(2))))
     assert got == want
+
+
+def test_series_spectrum_vs_skew_by():
+    # the per-lambda spectrum, t-scaled by the shift |lam| - |nu|, against
+    # skew_by by the series truncated at |lam|
+    for lam in partitions_upto(8):
+        p = s(*lam)
+        for kind, sign, scale in itertools.product(KINDS, "+-", (1, "t")):
+            want = skew_by(p, SymFunc(dict(series_terms(kind, sign, scale,
+                                                        sum(lam)))))
+            got = SymFunc({nu: LaurentPoly.t(
+                sum(lam) - sum(nu) if scale == "t" else 0, k)
+                for nu, k in _series_spectrum(lam, kind, sign)})
+            assert got == want, (kind, sign, scale, lam)
+            assert skew_by_series(p, kind, sign, scale) == want, \
+                (kind, sign, scale, lam)
 
 
 def test_skew_by_series_vs_series_terms():
