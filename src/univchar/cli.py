@@ -23,11 +23,15 @@ USAGE_ERROR = 2
 VERIFY_FAIL = 1
 INTERNAL_ERROR = 3
 
-# largest total size |R| of a `table` sequence.  The benchmark ladder tops
-# out at 19 cells, and the largest sequence measured, at 29 cells, takes
-# about 23 s and 290 MB on a 2-vCPU machine; time and memory grow steeply
-# with |R|.
+# largest total size |R| and number of factors of a `table` sequence.  The
+# benchmark ladder tops out at 19 cells in 4 factors, and
+# ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells, takes about 20 s and 290 MB on
+# a 2-vCPU machine.  Time and memory grow steeply with both: thirty one-cell
+# factors would need every partition of 30, and 22 of them already cost as
+# much as that 29-cell sequence.  Of 14 sequences measured at the caps, the
+# slowest, five factors (3,2,1), took about 100 s and 790 MB.
 MAX_TABLE_WEIGHT = 30
+MAX_TABLE_FACTORS = 5
 
 
 def _parse_partition_list(text):
@@ -53,6 +57,10 @@ def _parse_table_sequence(text):
         raise argparse.ArgumentTypeError(
             "sequence of %d cells, above the cap of %d"
             % (cells, MAX_TABLE_WEIGHT))
+    if len(rects) > MAX_TABLE_FACTORS:
+        raise argparse.ArgumentTypeError(
+            "sequence of %d factors, above the cap of %d"
+            % (len(rects), MAX_TABLE_FACTORS))
     return rects
 
 

@@ -4,12 +4,13 @@ straightening of integer indices, and semistandard-tableau evaluation.
 A SymFunc is a finite sparse map partition -> LaurentPoly and is read as a
 linear combination of Schur functions (or of the basis named by an Expansion
 tag).  Products and skews reduce to Littlewood-Richardson numbers, and one
-ballot fill of a skew diagram counts them all (_lr_fill).  A product
-s_mu s_nu is the skew Schur function of the disconnected diagram with one
-factor set above and to the right of the other (Macdonald, I.5), so its
-spectrum is a skew spectrum too.  The fill itself keeps no memo; product
-spectra and the nonempty skew spectra of skew_by are memoized in module
-caches that act as pure memos (results never depend on hits).
+ballot fill of a skew diagram counts them all (_skew_spectrum).  A
+product s_mu s_nu is the skew Schur function of the disconnected diagram
+with one factor set above and to the right of the other (Macdonald, I.5),
+so its spectrum is a skew spectrum too.  The fill keeps no memo: skews are
+mostly one-shot, and the series skews memoize per operand term instead
+(series._SPECTRUM_CACHE).  Product spectra are memoized in a module cache
+that acts as a pure memo (results never depend on hits).
 
 Bernstein's operator B_m s_lam = s_(m, lam) (Macdonald, I.5 Ex. 29) moves m
 past the rows of lam in one pass (bernstein_insert), and straightening an
@@ -41,7 +42,6 @@ from .core import (LaurentPoly, P_ONE, as_partition, canonical_kind,
 # caches (read-mostly; insertion is plain dict assignment, entries are frozen)
 
 _PROD_CACHE = {}    # (mu, nu) -> dict lam -> int
-_SKEW_CACHE = {}    # (lam, mu) -> nonempty tuple of (nu, int), for skew_by
 _STRIP_CACHE = {}   # (lam, m, column, add) -> tuple of shapes
 _CONTENT_CACHE = {}  # (lam, nvars) -> dict content-composition -> count
 
@@ -135,31 +135,19 @@ def _prod_spectrum(mu, nu):
     w = nu[0] if nu else 0
     outer = tuple(p + w for p in mu) + nu
     inner = (w,) * len(mu) if w else ()
-    got = _PROD_CACHE[key] = _lr_fill(outer, inner)
+    got = _PROD_CACHE[key] = dict(_skew_spectrum(outer, inner))
     return got
 
 
 def _skew_spectrum(lam, mu):
-    """tuple of (nu, c^lam_{mu,nu}) over all nu, via ballot fillings of
-    lam/mu, in fill order; memoized when not empty."""
-    key = (lam, mu)
-    got = _SKEW_CACHE.get(key)
-    if got is not None:
-        return got
-    got = tuple(_lr_fill(lam, mu).items())
-    if got:
-        _SKEW_CACHE[key] = got
-    return got
-
-
-def _lr_fill(lam, mu):
-    """dict nu -> c^lam_{mu,nu}, in fill order, by one ballot fill of lam/mu
-    (empty unless mu is contained in lam); not memoized."""
+    """tuple of (nu, c^lam_{mu,nu}) over all nu, in fill order, by one
+    ballot fill of lam/mu (empty unless mu is contained in lam); not
+    memoized."""
     if not contains(lam, mu):
-        return {}
+        return ()
     if lam == mu or not mu:
         # nothing to fill: lam/lam is s_() and lam/() is s_lam
-        return {(() if mu else lam): 1}
+        return (((() if mu else lam), 1),)
     # cells row by row, right to left, with the indices in vals of the right
     # and upper neighbours' letters (or of r + 1 at row ends and 0 on top)
     mup = list(mu) + [0] * (len(lam) - len(mu))
@@ -196,7 +184,7 @@ def _lr_fill(lam, mu):
         else:
             nu = tuple(counts[1:counts.index(0, 1)])
             out[nu] = out.get(nu, 0) + 1
-    return out
+    return tuple(out.items())
 
 
 def lr_coefficient(lam, mu, nu):

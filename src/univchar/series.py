@@ -16,8 +16,10 @@ cheaper summed directly than factored, so only this one is factored.  Every
 other series skew sums one integer spectrum per Schur term s_lam of the
 operand: nu -> sum_mu sign_mu c^lam_{mu,nu} over the series terms mu
 contained in lam, memoized per (lam, kind, sign), with the t-scale the shift
-t^(|lam| - |nu|).  The Littlewood-Richardson fills behind a spectrum are not
-memoized one by one: a table pass reads almost none of them twice.
+t^(|lam| - |nu|).  Basis changes over many small operands (to_diamond,
+from_diamond) meet the same lam again and again and read that memo back;
+a single table skews each lam once.  The Littlewood-Richardson fills behind
+a spectrum are not memoized one by one.
 
 The positive hdom series factors too: S_hdom = S_vdom * prod_i (1 - x_i^2)^-1
 = S_box * sum_k (-1)^k h_k (the same exercise), so the hdom skew is the box
@@ -33,9 +35,8 @@ from __future__ import annotations
 from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
                    diagonal_size, from_frobenius, kind_partitions_of,
                    partition_key, partitions_upto)
-from .schur import (Expansion, SymFunc, _lr_fill, _prod_spectrum,
-                    _skew_spectrum, add_into, multiply, skew_by, skew_h,
-                    to_func)
+from .schur import (Expansion, SymFunc, _prod_spectrum, _skew_spectrum,
+                    add_into, multiply, skew_by, skew_h, to_func)
 
 _SERIES_CACHE = {}   # (kind, sign) -> list per degree of [(partition, +-1)]
 _SPECTRUM_CACHE = {}  # (lam, kind, sign) -> tuple of (nu, int)
@@ -149,7 +150,7 @@ def _series_spectrum(lam, kind, sign):
     acc = {}
     for row in _series_rows(kind, sign, size)[:size + 1]:
         for mu, sgn in row:
-            for nu, k in _lr_fill(lam, mu).items():
+            for nu, k in _skew_spectrum(lam, mu):
                 acc[nu] = acc.get(nu, 0) + sgn * k
     got = _SPECTRUM_CACHE[key] = tuple(kv for kv in acc.items() if kv[1])
     return got

@@ -335,15 +335,22 @@ def test_table_command(tmp_path, capsys):
 
 
 def test_table_weight_cap(tmp_path, capsys):
-    # a sequence past the cap is a usage error, raised before any table is
-    # computed or any directory made
+    # a sequence past either cap is a usage error, raised before any table
+    # is computed or any directory made; more factors than the cap are
+    # refused however few their cells
     cap = univchar.cli.MAX_TABLE_WEIGHT
+    factors = univchar.cli.MAX_TABLE_FACTORS
     out = tmp_path / "out"
-    for rects in ("[[%d]]" % (cap + 1), "[[6,6],[5,5],[4,4],[3,3],[2,2],[1]]"):
+    for rects in ("[[%d]]" % (cap + 1), "[[6,6],[5,5],[4,4],[3,3],[2,2],[1]]",
+                  json.dumps([[1]] * (factors + 1))):
         assert main(["table", "-R", rects, "--kinds", "none",
                      "--out", str(out)]) == 2
         assert "error: argument -R" in capsys.readouterr().err
     assert not out.exists()
+    # and admit a sequence of exactly that many factors
+    assert main(["table", "-R", json.dumps([[1]] * factors), "--kinds",
+                 "none", "--out", str(tmp_path / "few")]) == 0
+    capsys.readouterr()
     # the cap admits a sequence of exactly cap cells
     assert main(["table", "-R", "[[%d]]" % cap, "--kinds", "none",
                  "--out", str(out)]) == 0
