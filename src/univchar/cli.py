@@ -23,13 +23,17 @@ USAGE_ERROR = 2
 VERIFY_FAIL = 1
 INTERNAL_ERROR = 3
 
-# largest total size |R| and number of factors of a `table` sequence.  The
-# benchmark ladder tops out at 19 cells in 4 factors, and
-# ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells, takes about 20 s and 290 MB on
-# a 2-vCPU machine.  Time and memory grow steeply with both: thirty one-cell
-# factors would need every partition of 30, and 22 of them already cost as
-# much as that 29-cell sequence.  Of 14 sequences measured at the caps, the
-# slowest, five factors (3,2,1), took about 100 s and 790 MB.
+# largest total size |R| and number of factors of a `table`, `kpoly` or
+# `dpoly` sequence.  The benchmark ladder tops out at 19 cells in 4
+# factors, and ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells, takes about 20 s
+# and 290 MB on a 2-vCPU machine.  Time and memory grow steeply with both:
+# thirty one-cell factors would need every partition of 30, and 22 of them
+# already cost as much as that 29-cell sequence.  Of 14 sequences measured
+# at the caps, the slowest, five factors (3,2,1), took about 100 s and
+# 790 MB.  On a diamond kind dpoly builds bb_diamond: 6.6 s and 114 MB on
+# the 29-cell sequence, 99 s and 490 MB on five (3,2,1), where table took
+# 71 s and 880 MB on the same machine; kpoly, and dpoly of kind none, read
+# bb_r: 0.4 s and 35 MB, and 5 s and 150 MB (CPU time, peak RSS).
 MAX_TABLE_WEIGHT = 30
 MAX_TABLE_FACTORS = 5
 
@@ -120,14 +124,16 @@ def build_parser():
     p.add_argument("--kind", type=_parse_kind, default="none")
     p.add_argument("--lambda", dest="lam", type=_parse_partition_list,
                    required=True)
-    p.add_argument("-R", dest="rects", type=_parse_sequence, required=True)
+    p.add_argument("-R", dest="rects", type=_parse_table_sequence,
+                   required=True)
 
     p = sub.add_parser("dpoly", parents=[common],
                        help="one deformed-product coefficient")
     p.add_argument("--kind", type=_parse_kind, default="vdom")
     p.add_argument("--lambda", dest="lam", type=_parse_partition_list,
                    required=True)
-    p.add_argument("-R", dest="rects", type=_parse_sequence, required=True)
+    p.add_argument("-R", dest="rects", type=_parse_table_sequence,
+                   required=True)
 
     p = sub.add_parser("table", parents=[common],
                        help="write coefficient tables")

@@ -436,8 +436,7 @@ def _want_vectors(shape):
 
 def _eval_op(node):
     _, span, family, kind, shape, operand = node
-    from .operators import (bernstein_diamond_row, bernstein_row,
-                            tilde_b_diamond_parabolic, tilde_b_parabolic)
+    from .operators import bernstein_diamond_row, tilde_b_diamond_parabolic
     from .kpoly import h_rows
     vectors = _want_vectors(shape)
     if operand is None:
@@ -448,22 +447,17 @@ def _eval_op(node):
         if val.kind != "none":
             raise EvalError("operators act on Schur-basis operands")
         f = val.func
+    # a kind tag selects the kind's operator; untagged, the diamond
+    # families act as vdom and the others as the Schur kind none
+    kind = kind or ("vdom" if family in ("Bd", "Btd") else "none")
     if family == "H":
-        return Expansion("none", h_rows(kind or "none", vectors, f))
+        return Expansion("none", h_rows(kind, vectors, f))
     for vec in reversed(vectors):
-        if family == "B" and kind in (None, "none"):
+        if family in ("B", "Bd"):
             for r in reversed(vec):
-                f = bernstein_row(r, f)
-        elif family in ("B", "Bd"):
-            # a kind tag on B selects the kind row family
-            for r in reversed(vec):
-                f = bernstein_diamond_row(kind or "vdom", r, f)
-        elif family == "Bt" and kind in (None, "none"):
-            f = tilde_b_parabolic(vec, f)
-        elif family in ("Bt", "Btd"):
-            f = tilde_b_diamond_parabolic(kind or "vdom", vec, f)
+                f = bernstein_diamond_row(kind, r, f)
         else:
-            raise EvalError("unknown operator family %r" % family)
+            f = tilde_b_diamond_parabolic(kind, vec, f)
     return Expansion("none", f)
 
 

@@ -9,8 +9,8 @@ the algorithm that produced it.  All algorithms must agree exactly; the
 verification suite cross-checks them.
 
 ktables builds the tables of several kinds from one type-A product and one
-vdom series skew, box and hdom by one-row sweeps; ktable_via_recurrence is
-its one-kind case.
+vdom series skew, box and hdom by one-row sweeps.  Every kind, none (the
+empty tile, the Schur case) included, takes the same route.
 
 k_via_schur_recurrence reads one coefficient without building the table:
 series.series_coeff sums the Littlewood-Richardson spectra of lam against the
@@ -20,10 +20,10 @@ hh_r telescopes the row operators.  Each row conjugates a squared-deformation
 parabolic by the plain and t-scaled series of the kind; the positive and the
 signed series are mutually inverse and skews commute, so the series between
 neighbouring rows cancel and the chain is the t-scaled positive-series skew
-of bb_r(R) at t -> t^2, which is the recurrence table.  hh_r therefore reads
-its rows from ktable_via_recurrence.  h_rows telescopes the same way along
-any list of index vectors and any operand; hh_r_via_rows calls it once per
-rectangle, applying the rows one by one, as the independent oracle.
+of bb_r(R) at t -> t^2, which is the recurrence table.  hh_r therefore is
+the one-kind case of ktables.  h_rows telescopes the same way along any list
+of index vectors and any operand; hh_r_via_rows calls it once per rectangle,
+applying the rows one by one, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
 from .schur import SymFunc, lr_coefficient, ssyt_contents
 from .series import (_one_row_sweep, _series_coeff, skew_by_series,
                      to_diamond)
-from .operators import (bb_r, tilde_b_parabolic, tilde_b_diamond_parabolic)
+from .operators import bb_r, tilde_b_diamond_parabolic
 
 
 class KTable:
@@ -125,7 +125,7 @@ def h_rows(kind, vectors, p):
     if kind != "none" and f != SymFunc.one():
         f = skew_by_series(skew_by_series(f, kind, "+", 1), kind, "-", "t")
     for nu in reversed(vectors):
-        f = tilde_b_parabolic(tuple(int(x) for x in nu), f, 2)
+        f = tilde_b_diamond_parabolic("none", nu, f, 2)
     if kind != "none":
         f = skew_by_series(skew_by_series(f, kind, "+", "t"), kind, "-", 1)
     return f
@@ -137,7 +137,7 @@ def h_row_via_expansion(kind, nu, p):
     kind = canonical_kind(kind)
     nu = tuple(int(x) for x in nu)
     if kind == "none":
-        return tilde_b_parabolic(nu, p, 2)
+        return tilde_b_diamond_parabolic("none", nu, p, 2)
     n = len(nu)
     size_bound = 2 * (max(p.degree(), 0) + sum(x for x in nu if x > 0)) + 4
     out = SymFunc()
@@ -163,12 +163,11 @@ def hh_r(kind, rects):
     S+_t^perp cancel.  On the vacuum S-_t^perp S+_1^perp 1 = 1, and
     to_diamond applies S+_1^perp, which cancels the leading S-_1^perp.
     What is left is S+_t^perp B_{R_1} ... B_{R_k} 1, the t-scaled skew of
-    bb_r(R) at t -> t^2, so this is the recurrence table: one series pass
-    over the shared type-A product.  hh_r_via_rows keeps the row-by-row
-    chain as the oracle.
+    bb_r(R) at t -> t^2, so this is the recurrence table of ktables for
+    the one kind: one series pass over the shared type-A product.
+    hh_r_via_rows keeps the row-by-row chain as the oracle.
     """
-    return KTable(kind, rects, ktable_via_recurrence(kind, rects).rows,
-                  "operator")
+    return ktables((kind,), rects)[canonical_kind(kind)]
 
 
 def hh_r_via_rows(kind, rects):
@@ -207,12 +206,6 @@ def ktables(kinds, rects):
         funcs["hdom"] = skew_by_series(base, "hdom", "+", "t")
     return {kind: KTable(kind, rects, dict(funcs[kind].terms), "recurrence")
             for kind in kinds}
-
-
-def ktable_via_recurrence(kind, rects):
-    """Full table of one kind: ktables for that kind alone."""
-    kind = canonical_kind(kind)
-    return ktables((kind,), rects)[kind]
 
 
 def k_via_schur_recurrence(kind, lam, rects):

@@ -21,9 +21,12 @@ degree and a Pieri product whose terms cancel.
 The kernel table is keyed by kind: skew factors, Pieri shifts and the level
 weights of the parabolic operators.  The Schur kind is one-sided; box, vdom
 and hdom are mirrored, adding the factors of the inverse series with
-downward shifts.  The undeformed (Bernstein) kernels are the deformed ones
-without their t-weighted one-row factors.  The box and horizontal-domino rows
-are the vertical-domino row at r less the same row at r - 1 and r - 2.
+downward shifts.  So each operator has one name that takes the kind, and
+kind none, the empty tile, is its Schur case; tilde_b_diamond_parabolic at
+one index is the deformed row.  The undeformed (Bernstein) kernels are the
+deformed ones without their t-weighted one-row factors.  The box and
+horizontal-domino rows are the vertical-domino row at r less the same row
+at r - 1 and r - 2.
 
 The three diamond kinds share one deformed product in diamond coordinates,
 the coefficients in the basis of the kind.  There a kind's row is
@@ -163,18 +166,10 @@ def _row(r, p, kind, texp):
 # ---------------------------------------------------------------------------
 # row operators
 
-def bernstein_row(r, p):
-    """Add an indexed row in the Schur basis: sum of signed Pieri moves."""
-    return _row(r, p, "none", None)
-
-
-def bernstein_create(nu):
-    """Compose row operators along an integer vector, applied to 1."""
-    return bernstein_diamond_create("none", nu)
-
-
 def bernstein_diamond_row(kind, r, p):
-    """Row creation operator for the basis of a kind, in the Schur basis."""
+    """Row creation operator for the basis of a kind, in the Schur basis.
+    Kind none, the empty tile, is the Schur operator: Bernstein's row B_r,
+    with B_r s_lam = s_(r, lam) straightened."""
     return _row(r, p, canonical_kind(kind), None)
 
 
@@ -186,16 +181,6 @@ def bernstein_diamond_create(kind, nu):
         if not f:
             break
     return f
-
-
-def tilde_b_row(r, p):
-    """Deformed row operator for the Schur basis."""
-    return _row(r, p, "none", 1)
-
-
-def tilde_b_diamond_row(kind, r, p):
-    """Deformed row operator for the basis of a kind."""
-    return _row(r, p, canonical_kind(kind), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +402,10 @@ def _parabolic_apply(nu, p, texp, kind):
     return states[()]
 
 
-def tilde_b_parabolic(nu, p, texp=1):
-    """Deformed parabolic operator for the Schur basis."""
-    return _parabolic_apply(nu, p, texp, "none")
-
-
 def tilde_b_diamond_parabolic(kind, nu, p, texp=1):
-    """Deformed parabolic operator for the basis of a kind."""
+    """Deformed parabolic operator for the basis of a kind.  Kind none (the
+    empty tile) is the Schur operator, and one index nu = (r,) gives the
+    deformed row at r."""
     return _parabolic_apply(nu, p, texp, canonical_kind(kind))
 
 
@@ -642,15 +624,10 @@ def vdom_table_chain(factors):
     return f
 
 
-def c_polynomial(lam, factors):
-    """Schur coefficient of the type-A deformed product."""
-    return bb_r(factors).coeff(lam)
-
-
 def d_polynomial(kind, lam, factors):
     """Basis coefficient of the deformed product for a kind: one entry of
     the diamond product, the same for box, vdom and hdom, or the Schur
     coefficient for kind none."""
     if canonical_kind(kind) == "none":
-        return c_polynomial(lam, factors)
+        return bb_r(factors).coeff(lam)
     return bb_diamond(factors).coeff(lam)

@@ -1,6 +1,7 @@
 """Independent brute-force oracles used only for cross-validation.
 
-Nothing here shares algorithmic machinery with the production paths: Schur
+Nothing here shares algorithmic machinery with the production paths: index
+vectors are straightened by sorting against the staircase, Schur
 coefficients are recovered from monomial expansions by triangular solves
 against tableau counts (chains of horizontal strips, each found by
 filtering all partitions of its size), products are recomputed through signed
@@ -63,6 +64,23 @@ def alternating_product(monomials, degree, base=None):
                 del acc[e2]
         out = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# straightening
+
+def straighten_by_sorting(nu):
+    """Straightening of an integer index vector by sorting: nu plus the
+    staircase, sorted, with the sign of its inversions.  Returns None when
+    s_nu vanishes, otherwise (sign, lam)."""
+    n = len(nu)
+    v = [nu[i] + n - 1 - i for i in range(n)]
+    if len(set(v)) != n or min(v, default=0) < 0:
+        return None
+    inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
+    w = sorted(v, reverse=True)
+    lam = tuple(p for p in (w[i] - (n - 1 - i) for i in range(n)) if p)
+    return -1 if inversions % 2 else 1, lam
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,14 @@ from .series import (_one_row_sweep, change_basis, diamond_product,
                      newell_littlewood, omega_diamond, series_coeff,
                      series_terms, skew_by_series, to_diamond)
 from .operators import (DIAMOND, _parabolic_apply, bb_diamond, bb_diamond_r,
-                        bb_diamond_r_via_rows, bb_r, bernstein_create,
+                        bb_diamond_r_via_rows, bb_r,
                         bernstein_diamond_create, d_polynomial, det_diamond,
                         det_diamond_schur, direct_extraction_oracle,
                         jacobi_trudi, tilde_b_diamond_parabolic,
-                        tilde_b_parabolic, tilde_b_row, vdom_table_chain)
+                        vdom_table_chain)
 from .kpoly import (duality_check, h_row_via_expansion, h_rows,
                     hb_connection, hh_r, hh_r_via_rows,
-                    k_via_schur_recurrence, ktable_via_recurrence, ktables,
+                    k_via_schur_recurrence, ktables,
                     single_rectangle_table, singlerow_equivalence)
 from . import oracles
 
@@ -501,11 +501,14 @@ def suite_operators(max_degree=8):
     results = _Checks()
     rng = random.Random(20240603)
 
-    # undeformed creation matches straightening, exhaustively to length four
+    # undeformed creation matches straightening by sorting, exhaustively to
+    # length four: straighten is itself the fold of the row's insertion
     bad = 0
     for n in (1, 2, 3, 4):
         for nu in itertools.product(range(-2, 6), repeat=n):
-            if bernstein_create(nu) != schur_of_vector(nu):
+            st = oracles.straighten_by_sorting(nu)
+            want = {} if st is None else {st[1]: LaurentPoly.const(st[0])}
+            if bernstein_diamond_create("none", nu).terms != want:
                 bad += 1
     _check(results, "operators.create_straighten(n<=4)", bad == 0,
            "%d bad" % bad)
@@ -521,15 +524,15 @@ def suite_operators(max_degree=8):
     _check(results, "operators.diamond_creation(<=%d)" % min(8, max_degree),
            bad == 0, "%d bad" % bad)
 
-    # deformed row examples
-    one = SymFunc.one()
+    # deformed Schur row examples: kind none at one index
+    one, s1 = SymFunc.one(), SymFunc.schur((1,))
     _check(results, "operators.trow_unit",
-           tilde_b_row(2, one) == SymFunc.schur((2,)))
+           tilde_b_diamond_parabolic("none", (2,), one) == SymFunc.schur((2,)))
     want = SymFunc({(2,): LaurentPoly.t(1), (1, 1): LaurentPoly.const(1)})
     _check(results, "operators.trow_s1",
-           tilde_b_row(1, SymFunc.schur((1,))) == want)
+           tilde_b_diamond_parabolic("none", (1,), s1) == want)
     _check(results, "operators.trow_annihilation",
-           tilde_b_row(-3, SymFunc.schur((1,))).is_zero())
+           tilde_b_diamond_parabolic("none", (-3,), s1).is_zero())
 
     # parabolic against the extraction oracle; s[2] - s[1,1] vanishes under
     # the first column skew but not the second
@@ -541,7 +544,7 @@ def suite_operators(max_degree=8):
             for nu in itertools.product(range(-2, 5), repeat=n):
                 for p in operands + [cancelling]:
                     total += 1
-                    if tilde_b_parabolic(nu, p, texp) != \
+                    if tilde_b_diamond_parabolic("none", nu, p, texp) != \
                             direct_extraction_oracle(nu, p, "none", texp):
                         bad += 1
     for texp in (1, 2):
@@ -549,7 +552,7 @@ def suite_operators(max_degree=8):
             nu = tuple(rng.randrange(-2, 5) for _ in range(3))
             p = rng.choice(operands)
             total += 1
-            if tilde_b_parabolic(nu, p, texp) != \
+            if tilde_b_diamond_parabolic("none", nu, p, texp) != \
                     direct_extraction_oracle(nu, p, "none", texp):
                 bad += 1
     _check(results, "operators.parabolic_oracle(%d cases)" % total, bad == 0,
@@ -621,7 +624,7 @@ def suite_operators(max_degree=8):
             continue
         if bb_r((lam,)) != SymFunc.schur(lam):
             bad += 1
-        got = tilde_b_parabolic(lam, SymFunc.one())
+        got = tilde_b_diamond_parabolic("none", lam, SymFunc.one())
         if got != SymFunc.schur(lam):
             bad += 1
     _check(results, "operators.single_factor_rigid", bad == 0, "%d bad" % bad)
@@ -779,32 +782,26 @@ def suite_kpoly(max_degree=7):
     results = _Checks()
     rng = random.Random(20240605)
 
-    # the row operators, applied one by one, against the recurrence and
-    # against the telescoped hh_r, on rectangle sequences plus
-    # non-rectangle partition factors at a smaller bound.  hh_r reads its
-    # rows from ktable_via_recurrence, so operator_vs_recurrence and
-    # telescoped_vs_rows now make the same comparison under two names.
+    # the row operators, applied one by one, against the recurrence, which
+    # is the telescoped hh_r, on rectangle sequences plus non-rectangle
+    # partition factors at a smaller bound
     seqs = rect_sequences(min(7, max_degree))
     seen = set(seqs)
     seqs += [q for q in partition_sequences(min(5, max_degree))
              if q not in seen]
-    bad_rec = bad_tel = bad_shared = bad_chain = 0
+    bad_rec = bad_shared = bad_chain = 0
     for rects in seqs:
         shared = ktables(KINDS, rects)
         for kind in KINDS:
             rows = hh_r_via_rows(kind, rects)
-            if not rows.same_rows(ktable_via_recurrence(kind, rects)):
-                bad_rec += 1
             if not rows.same_rows(hh_r(kind, rects)):
-                bad_tel += 1
+                bad_rec += 1
             if not rows.same_rows(shared[kind]):
                 bad_shared += 1
         if vdom_table_chain(rects).terms != shared["vdom"].rows:
             bad_chain += 1
     _check(results, "kpoly.operator_vs_recurrence(%d seqs x 4)" % len(seqs),
            bad_rec == 0, "%d bad" % bad_rec)
-    _check(results, "kpoly.telescoped_vs_rows(%d seqs x 4)" % len(seqs),
-           bad_tel == 0, "%d bad" % bad_tel)
     # the multi-kind tables of `univchar table`, box and hdom by sweeps
     _check(results, "kpoly.shared_tables_vs_rows(%d seqs x 4)" % len(seqs),
            bad_shared == 0, "%d bad" % bad_shared)
@@ -820,7 +817,7 @@ def suite_kpoly(max_degree=7):
             rect = (w,) * h
             for kind in KINDS:
                 a = single_rectangle_table(kind, rect)
-                b = ktable_via_recurrence(kind, (rect,))
+                b = hh_r(kind, (rect,))
                 if not a.same_rows(b):
                     bad += 1
     _check(results, "kpoly.single_rectangle_3x3", bad == 0, "%d bad" % bad)
@@ -835,7 +832,7 @@ def suite_kpoly(max_degree=7):
         for r in rects:
             prod = multiply(prod, SymFunc.schur(r))
         for kind in KINDS:
-            table = ktable_via_recurrence(kind, rects)
+            table = hh_r(kind, rects)
             rows0 = {lam: poly.eval_int(0)
                      for lam, poly in table.rows.items()}
             rows0 = {l: v for l, v in rows0.items() if v}
@@ -860,7 +857,7 @@ def suite_kpoly(max_degree=7):
     for rects in dominant_rect_sequences(min(6, max_degree)):
         w = seq_weight(rects)
         for kind in KINDS:
-            table = ktable_via_recurrence(kind, rects)
+            table = hh_r(kind, rects)
             for lam in partitions_upto(w):
                 checked += 1
                 if k_via_schur_recurrence(kind, lam, rects) != \
@@ -953,7 +950,7 @@ def suite_kpoly(max_degree=7):
     neg = []
     for rects in dominant_rect_sequences(min(7, max_degree)):
         for kind in KINDS:
-            table = ktable_via_recurrence(kind, rects)
+            table = hh_r(kind, rects)
             if table.positivity_report():
                 neg.append((kind, rects))
     _check(results, "kpoly.positivity_observation(<=%d)" % min(7, max_degree),

@@ -81,8 +81,8 @@ def test_criterion_07_cross_algorithm():
     _criterion(7, "operator route == recurrence (|R|<=7), telescoped == "
                   "row-by-row, single rectangles <=3x3, connection "
                   "decompositions",
-               "kpoly.operator_vs_recurrence", "kpoly.telescoped_vs_rows",
-               "kpoly.single_rectangle_3x3", "kpoly.hb_connection_example")
+               "kpoly.operator_vs_recurrence", "kpoly.single_rectangle_3x3",
+               "kpoly.hb_connection_example")
 
 
 def test_criterion_08_specializations():
@@ -128,11 +128,11 @@ def test_every_verify_check_passes():
               for check, ok, detail in _suite(suite) if not ok]
     assert not failed, failed
     # the single-coefficient paths keep their whole-expansion oracles, the
-    # telescoped operator route and the multi-kind tables their row-by-row
-    # one, and the vdom series skew of the tables its parabolic chain
+    # multi-kind tables their row-by-row one, and the vdom series skew of
+    # the tables its parabolic chain
     names = {check.split("(")[0] for suite in SUITES
              for check, _, _ in _suite(suite)}
     assert {"bases.series_coeff_vs_skew", "kpoly.coefficient_vs_table",
             "operators.d_polynomial_vs_expansion",
-            "kpoly.telescoped_vs_rows", "kpoly.shared_tables_vs_rows",
+            "kpoly.shared_tables_vs_rows",
             "kpoly.vdom_chain_vs_tables"} <= names

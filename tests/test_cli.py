@@ -12,6 +12,8 @@ from univchar.exprparse import (MAX_NESTING, MAX_POWER, MAX_POWER_BITS,
                                 EvalError, ParseError, eval_ast, eval_expr,
                                 format_value, parse)
 from univchar.kpoly import hh_r_via_rows
+from univchar.operators import direct_extraction_oracle
+from univchar.schur import SymFunc
 
 
 def test_parse_examples():
@@ -48,7 +50,8 @@ def test_eval_operator_expressions():
     v = eval_expr("B([3,2])")
     assert format_value(v) == "s[3,2]"
     v = eval_expr("Bt([2,2], s[1])")
-    assert v.func == eval_expr("Bt([2,2], s[1])").func
+    assert v.func == direct_extraction_oracle((2, 2), SymFunc.schur((1,)),
+                                              "none", 1)
     v = eval_expr("expand(H.vd([[2,2],[1]]), basis=vd)")
     assert v.coeff((1,)) == LaurentPoly.t(4) + LaurentPoly.t(6)
     v = eval_expr("dual(lambda=[1], kind=vd, degree=3)")
@@ -357,6 +360,15 @@ def test_table_weight_cap(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads((out / "ktable_none.json").read_text())
     assert data["K"] == [{"lambda": [cap], "poly": {"0": "1"}}]
+
+
+def test_kpoly_dpoly_caps(capsys):
+    # kpoly and dpoly read -R under the caps of table, before computing
+    for rects in (json.dumps([[1]] * (univchar.cli.MAX_TABLE_FACTORS + 1)),
+                  "[[%d]]" % (univchar.cli.MAX_TABLE_WEIGHT + 1)):
+        for command in ("kpoly", "dpoly"):
+            assert main([command, "--lambda", "[1]", "-R", rects]) == 2
+            assert "error: argument -R" in capsys.readouterr().err
 
 
 def test_table_repeated_kind(tmp_path, capsys):

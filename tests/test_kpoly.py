@@ -3,12 +3,12 @@ import pytest
 from univchar.core import LaurentPoly
 from univchar.schur import SymFunc, multiply, schur_of_vector
 from univchar.series import Expansion, from_diamond, to_diamond
-from univchar.operators import tilde_b_parabolic
+from univchar.operators import tilde_b_diamond_parabolic
 from univchar.exprparse import eval_expr
 from univchar.kpoly import (KTable, duality_check, h_row_via_expansion,
                             h_rows, hb_connection, hh_r, hh_r_via_rows,
-                            k_via_schur_recurrence, ktable_via_recurrence,
-                            single_rectangle_table, singlerow_equivalence)
+                            k_via_schur_recurrence, single_rectangle_table,
+                            singlerow_equivalence)
 
 t = LaurentPoly.t
 one = LaurentPoly.const(1)
@@ -21,7 +21,8 @@ def s(*parts):
 
 def test_h_row_none_reduces():
     p = s(2, 1)
-    assert h_rows("none", ((2,),), p) == tilde_b_parabolic((2,), p, 2)
+    assert h_rows("none", ((2,),), p) == \
+        tilde_b_diamond_parabolic("none", (2,), p, 2)
 
 
 def test_h_row_single_rows():
@@ -96,7 +97,7 @@ def test_worked_example_tables():
     }
     for kind, rows in want.items():
         assert hh_r_via_rows(kind, R_EXAMPLE).rows == rows, kind
-        assert ktable_via_recurrence(kind, R_EXAMPLE).rows == rows, kind
+        assert hh_r(kind, R_EXAMPLE).rows == rows, kind
 
 
 def test_k_via_recurrence_values():
@@ -112,7 +113,7 @@ def test_operator_vs_recurrence_sweep():
     rects = ((2,), (1, 1))
     for kind in ("none", "box", "vdom", "hdom"):
         assert hh_r_via_rows(kind, rects).same_rows(
-            ktable_via_recurrence(kind, rects)), kind
+            hh_r(kind, rects)), kind
 
 
 def test_empty_sequence():
@@ -132,7 +133,7 @@ def test_single_rectangle():
     rect = (3, 3)
     for kind in ("none", "box", "vdom", "hdom"):
         assert single_rectangle_table(kind, rect).same_rows(
-            ktable_via_recurrence(kind, (rect,))), kind
+            hh_r(kind, (rect,))), kind
 
 
 def test_duality():
@@ -207,7 +208,7 @@ def test_specializations():
         for r in rects:
             prod = multiply(prod, SymFunc.schur(r))
         for kind in ("none", "box", "vdom", "hdom"):
-            table = ktable_via_recurrence(kind, rects)
+            table = hh_r(kind, rects)
             rows0 = {lam: poly.eval_int(0)
                      for lam, poly in table.rows.items() if poly.eval_int(0)}
             st = schur_of_vector(flat)

@@ -8,14 +8,12 @@ from univchar.schur import (Expansion, SymFunc, multiply, schur_of_vector,
 from univchar.series import diamond_unit, from_diamond, to_diamond
 from univchar.operators import (InvariantViolation, _halve_exact,
                                 bb_diamond, bb_diamond_r,
-                                bb_diamond_r_via_rows, bb_r, bernstein_create,
+                                bb_diamond_r_via_rows, bb_r,
                                 bernstein_diamond_create,
-                                bernstein_diamond_row, bernstein_row,
-                                c_polynomial, d_polynomial, det_diamond,
-                                det_diamond_schur, direct_extraction_oracle,
-                                jacobi_trudi, tilde_b_diamond_parabolic,
-                                tilde_b_diamond_row, tilde_b_parabolic,
-                                tilde_b_row)
+                                bernstein_diamond_row, d_polynomial,
+                                det_diamond, det_diamond_schur,
+                                direct_extraction_oracle, jacobi_trudi,
+                                tilde_b_diamond_parabolic)
 from univchar import operators, oracles
 from univchar.verify import specialization_sequences
 
@@ -29,28 +27,30 @@ t = LaurentPoly.t
 
 
 def test_bernstein_rows():
-    assert bernstein_row(3, one) == s(3)
+    # kind none, the empty tile, is the Schur row
+    assert bernstein_diamond_row("none", 3, one) == s(3)
     # the row below an existing longer row comes from the composition order:
     # the rightmost factor acts first, so s[3,2] is row 3 applied to s[2]
-    assert bernstein_row(3, s(2)) == s(3, 2)
-    assert bernstein_create((3, 2)) == s(3, 2)
-    assert bernstein_row(2, s(3)).is_zero()   # (2,3) straightens to zero
-    assert bernstein_create((1, 3)) == s(2, 2).scaled(-1)
-    assert bernstein_row(0, one) == one
-    assert bernstein_row(-1, one).is_zero()
+    assert bernstein_diamond_row("none", 3, s(2)) == s(3, 2)
+    assert bernstein_diamond_create("none", (3, 2)) == s(3, 2)
+    # (2,3) straightens to zero
+    assert bernstein_diamond_row("none", 2, s(3)).is_zero()
+    assert bernstein_diamond_create("none", (1, 3)) == s(2, 2).scaled(-1)
+    assert bernstein_diamond_row("none", 0, one) == one
+    assert bernstein_diamond_row("none", -1, one).is_zero()
 
 
 def test_bernstein_vs_straighten():
     # one case; the sweep is the verify check operators.create_straighten
     nu = (1, -2, 4)
-    assert bernstein_create(nu) == schur_of_vector(nu)
+    assert bernstein_diamond_create("none", nu) == schur_of_vector(nu)
 
 
 def test_diamond_rows():
     assert bernstein_diamond_row("vdom", 3, one) == s(3)
     assert bernstein_diamond_row("hdom", 2, one) == s(2) - one
     assert bernstein_diamond_row("box", 2, one) == s(2) - s(1)
-    assert bernstein_diamond_row("none", 2, s(1)) == bernstein_row(2, s(1))
+    assert bernstein_diamond_row("none", 2, s(1)) == s(2, 1)
 
 
 def test_diamond_creation():
@@ -69,7 +69,8 @@ def test_bernstein_rows_in_kind_basis():
             q = from_diamond(Expansion(kind, p))
             for r in range(-3, 6):
                 got = to_diamond(bernstein_diamond_row(kind, r, q), kind)
-                assert got.func == bernstein_row(r, p), (kind, mu, r)
+                assert got.func == bernstein_diamond_row("none", r, p), \
+                    (kind, mu, r)
 
 
 def test_jacobi_trudi():
@@ -109,40 +110,46 @@ def test_halving_guard():
 
 
 def test_tilde_rows():
-    assert tilde_b_row(2, one) == s(2)
-    assert tilde_b_row(1, s(1)) == s(2).scaled(t(1)) + s(1, 1)
-    assert tilde_b_row(-3, s(1)).is_zero()
-    assert tilde_b_row(-5, s(2, 2)).is_zero()
+    # kind none is the Schur operator, and one index gives the deformed row
+    assert tilde_b_diamond_parabolic("none", (2,), one) == s(2)
+    assert tilde_b_diamond_parabolic("none", (1,), s(1)) == \
+        s(2).scaled(t(1)) + s(1, 1)
+    assert tilde_b_diamond_parabolic("none", (-3,), s(1)).is_zero()
+    assert tilde_b_diamond_parabolic("none", (-5,), s(2, 2)).is_zero()
     # squared-deformation variant
-    assert tilde_b_row(1, s(1)).subs_power(2) == s(2).scaled(t(2)) + s(1, 1)
-    assert tilde_b_parabolic((1,), s(1), 2) == s(2).scaled(t(2)) + s(1, 1)
+    assert tilde_b_diamond_parabolic("none", (1,), s(1)).subs_power(2) == \
+        s(2).scaled(t(2)) + s(1, 1)
+    assert tilde_b_diamond_parabolic("none", (1,), s(1), 2) == \
+        s(2).scaled(t(2)) + s(1, 1)
     # reduction at the undeformed point, also for the one-row parabolic at
     # the squared deformation
-    got = tilde_b_row(2, s(2, 1))
-    assert SymFunc(got.eval_t(0)) == bernstein_row(2, s(2, 1))
+    got = tilde_b_diamond_parabolic("none", (2,), s(2, 1))
+    assert SymFunc(got.eval_t(0)) == bernstein_diamond_row("none", 2, s(2, 1))
     for lam in partitions_upto(3):
         p = SymFunc.schur(lam)
         for r in range(-4, 5):
-            for got in (tilde_b_row(r, p), tilde_b_parabolic((r,), p, 2)):
-                assert SymFunc(got.eval_t(0)) == bernstein_row(r, p), (lam, r)
+            for texp in (1, 2):
+                got = tilde_b_diamond_parabolic("none", (r,), p, texp)
+                assert SymFunc(got.eval_t(0)) == \
+                    bernstein_diamond_row("none", r, p), (lam, r, texp)
 
 
 def test_tilde_diamond_rows():
-    assert tilde_b_diamond_row("vdom", 2, one) == s(2)
-    assert tilde_b_diamond_row("hdom", 2, one) == s(2) - one
-    got = tilde_b_diamond_row("vdom", 1, s(1))
+    assert tilde_b_diamond_parabolic("vdom", (2,), one) == s(2)
+    assert tilde_b_diamond_parabolic("hdom", (2,), one) == s(2) - one
+    got = tilde_b_diamond_parabolic("vdom", (1,), s(1))
     want = (s(2).scaled(t(1)) + s(1, 1)
             + one.scaled(t(1) - LaurentPoly.const(1)))
     assert got == want
-    got0 = SymFunc(tilde_b_diamond_row("box", 2, s(2)).eval_t(0))
+    got0 = SymFunc(tilde_b_diamond_parabolic("box", (2,), s(2)).eval_t(0))
     assert got0 == bernstein_diamond_row("box", 2, s(2))
     # r < -deg(p) included: every term of those rows vanishes
     for kind in ("box", "vdom", "hdom"):
         for lam in partitions_upto(3):
             p = SymFunc.schur(lam)
             for r in range(-4, 5):
-                for got in (tilde_b_diamond_row(kind, r, p),
-                            tilde_b_diamond_parabolic(kind, (r,), p, 2)):
+                for texp in (1, 2):
+                    got = tilde_b_diamond_parabolic(kind, (r,), p, texp)
                     assert SymFunc(got.eval_t(0)) == \
                         bernstein_diamond_row(kind, r, p), (kind, lam, r)
 
@@ -161,9 +168,9 @@ def test_unweighted_row_factors_cancel():
 
 
 def test_parabolic_basics():
-    assert tilde_b_parabolic((2, 2), one) == s(2, 2)
-    assert tilde_b_parabolic((2, 1), one) == s(2, 1)
-    assert tilde_b_parabolic((), s(1)) == s(1)
+    assert tilde_b_diamond_parabolic("none", (2, 2), one) == s(2, 2)
+    assert tilde_b_diamond_parabolic("none", (2, 1), one) == s(2, 1)
+    assert tilde_b_diamond_parabolic("none", (), s(1)) == s(1)
     # one-factor deformed products stay rigid
     for lam in partitions_upto(5):
         if lam:
@@ -177,8 +184,9 @@ def test_parabolic_vs_oracle():
     # second; operators.parabolic_oracle sweeps the rest
     cancelling = s(2) - s(1, 1)
     for texp in (1, 2):
-        assert tilde_b_parabolic((2, 1), cancelling, texp) == \
-            direct_extraction_oracle((2, 1), cancelling, "none", texp)
+        got = tilde_b_diamond_parabolic("none", (2, 1), cancelling, texp)
+        assert got == direct_extraction_oracle((2, 1), cancelling, "none",
+                                               texp)
 
 
 def test_diamond_parabolic_vs_oracle():
@@ -204,7 +212,7 @@ def test_bb_worked_example():
         (4, 3, 1): t(2), (5, 2, 1): t(3) + t(2), (5, 3): t(3), (6, 2): t(4),
     }
     assert dict(bb.terms) == want
-    assert c_polynomial((3, 2, 2, 1), ((3,), (2, 2), (1,))) == \
+    assert d_polynomial("none", (3, 2, 2, 1), ((3,), (2, 2), (1,))) == \
         LaurentPoly.const(1)
 
 

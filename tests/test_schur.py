@@ -159,18 +159,6 @@ def test_straighten():
     assert schur_of_vector((1, 3)) == s(2, 2).scaled(-1)
 
 
-def _straighten_by_sorting(nu):
-    """Reference straightening: sort nu + staircase, count the inversions."""
-    n = len(nu)
-    v = [nu[i] + n - 1 - i for i in range(n)]
-    if len(set(v)) != n or min(v, default=0) < 0:
-        return None
-    inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
-    w = sorted(v, reverse=True)
-    lam = tuple(p for p in (w[i] - (n - 1 - i) for i in range(n)) if p)
-    return -1 if inversions % 2 else 1, lam
-
-
 def test_bernstein_insert():
     # B_m s_lam = s_(m, lam): against sorting, and against the sum
     # sum_a (-1)^a h_(m+a) e_a^perp s_lam that defines B_m
@@ -178,7 +166,7 @@ def test_bernstein_insert():
     for lam in partitions_upto(8):
         size = sum(lam)
         for m in range(-size - 2, size + 3):
-            want = _straighten_by_sorting((m,) + lam)
+            want = oracles.straighten_by_sorting((m,) + lam)
             assert bernstein_insert(m, lam) == want, (m, lam)
             assert straighten((m,) + lam) == want, (m, lam)
             acc = {}
