@@ -14,28 +14,16 @@ import json
 import os
 import sys
 
-from .core import as_partition, canonical_kind, seq_weight, KINDS
-from .exprparse import (EvalError, ParseError, eval_expr, format_value,
-                        value_to_json)
+from .core import as_partition, canonical_kind, KINDS
+from .exprparse import (EvalError, ParseError, check_table_sequence,
+                        eval_expr, format_value, value_to_json)
+# re-exported: the -R caps are also read as cli.MAX_TABLE_WEIGHT and _FACTORS
+from .exprparse import MAX_TABLE_FACTORS, MAX_TABLE_WEIGHT  # noqa: F401
 from .operators import InvariantViolation
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
 INTERNAL_ERROR = 3
-
-# largest total size |R| and number of factors of a `table`, `kpoly` or
-# `dpoly` sequence.  The benchmark ladder tops out at 19 cells in 4
-# factors, and ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells, takes about 20 s
-# and 290 MB on a 2-vCPU machine.  Time and memory grow steeply with both:
-# thirty one-cell factors would need every partition of 30, and 22 of them
-# already cost as much as that 29-cell sequence.  Of 14 sequences measured
-# at the caps, the slowest, five factors (3,2,1), took about 100 s and
-# 790 MB.  On a diamond kind dpoly builds bb_diamond: 6.6 s and 114 MB on
-# the 29-cell sequence, 99 s and 490 MB on five (3,2,1), where table took
-# 71 s and 880 MB on the same machine; kpoly, and dpoly of kind none, read
-# bb_r: 0.4 s and 35 MB, and 5 s and 150 MB (CPU time, peak RSS).
-MAX_TABLE_WEIGHT = 30
-MAX_TABLE_FACTORS = 5
 
 
 def _parse_partition_list(text):
@@ -56,24 +44,11 @@ def _parse_sequence(text):
 
 def _parse_table_sequence(text):
     rects = _parse_sequence(text)
-    cells = seq_weight(rects)
-    if cells > MAX_TABLE_WEIGHT:
-        raise argparse.ArgumentTypeError(
-            "sequence of %d cells, above the cap of %d"
-            % (cells, MAX_TABLE_WEIGHT))
-    if len(rects) > MAX_TABLE_FACTORS:
-        raise argparse.ArgumentTypeError(
-            "sequence of %d factors, above the cap of %d"
-            % (len(rects), MAX_TABLE_FACTORS))
+    try:
+        check_table_sequence(rects)
+    except EvalError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return rects
-
-
-def _non_negative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r"
-                                         % text)
-    return value
 
 
 def _parse_kind(text):
@@ -149,7 +124,6 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    choices=["lr", "bases", "operators", "determinants",
                             "kpoly", "duality", "kernels", "all"])
-    p.add_argument("--max-degree", type=_non_negative_int, default=None)
     return top
 
 
@@ -179,9 +153,9 @@ def cmd_table(rects, kinds, out_dir, latex, as_json):
     return 0
 
 
-def cmd_verify(suite, max_degree, as_json):
+def cmd_verify(suite, as_json):
     from .verify import run_suite
-    checks = run_suite(suite, max_degree)
+    checks = run_suite(suite)
     failed = [c for c in checks if not c[1]]
     if as_json:
         print(json.dumps({
@@ -253,7 +227,7 @@ def _dispatch(args):
         return cmd_table(args.rects, args.kinds, args.out, args.latex,
                          args.json)
     if args.command == "verify":
-        return cmd_verify(args.suite, args.max_degree, args.json)
+        return cmd_verify(args.suite, args.json)
     raise ValueError("unknown command %r" % args.command)
 
 

@@ -55,6 +55,36 @@ MAX_POWER_BITS = 14000
 # evaluator, and Python stops recursion at 1000 frames by default
 MAX_NESTING = 100
 
+# largest total size |R| and number of factors of a sequence R, for the
+# command-line `table`, `kpoly` and `dpoly` and the `kpoly(...)` and
+# `dpoly(...)` calls, and largest `dual(...)` degree.  The benchmark ladder
+# tops out at 19 cells in 4 factors, and ((5,5),(4,4),(3,3),(2,2),(1,)),
+# 29 cells, takes about 20 s and 290 MB on a 2-vCPU machine.  Time and
+# memory grow steeply with both: thirty one-cell factors would need every
+# partition of 30, and 22 of them already cost as much as that 29-cell
+# sequence.  Of 14 sequences measured at the caps, the slowest, five
+# factors (3,2,1), took about 100 s and 790 MB.  On a diamond kind dpoly
+# builds bb_diamond: 6.6 s and 114 MB on the 29-cell sequence, 99 s and
+# 490 MB on five (3,2,1), where table took 71 s and 880 MB on the same
+# machine; kpoly, and dpoly of kind none, read bb_r: 0.4 s and 35 MB, and
+# 5 s and 150 MB (CPU time, peak RSS).  A dual of degree 30 took 1.7 s and
+# 60 MB, of degree 40 16 s and 394 MB.
+MAX_TABLE_WEIGHT = 30
+MAX_TABLE_FACTORS = 5
+
+
+def check_table_sequence(rects):
+    """Refuse a sequence R past MAX_TABLE_WEIGHT cells or MAX_TABLE_FACTORS
+    factors.  An index vector's cells are the absolute values of its
+    entries, which bound the degree of every operand its rows reach."""
+    cells = sum(abs(x) for r in rects for x in r)
+    if cells > MAX_TABLE_WEIGHT:
+        raise EvalError("sequence of %d cells, above the cap of %d"
+                        % (cells, MAX_TABLE_WEIGHT))
+    if len(rects) > MAX_TABLE_FACTORS:
+        raise EvalError("sequence of %d factors, above the cap of %d"
+                        % (len(rects), MAX_TABLE_FACTORS))
+
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 
@@ -530,16 +560,21 @@ def _eval_call(node):
         if deg[2] < sum(lam):
             raise EvalError("dual degree %d is below |lambda| = %d"
                             % (deg[2], sum(lam)))
+        if deg[2] > MAX_TABLE_WEIGHT:
+            raise EvalError("dual degree %d is above the cap of %d"
+                            % (deg[2], MAX_TABLE_WEIGHT))
         return Expansion("none", dual_basis_truncated(lam, kind, deg[2]))
     if name == "kpoly":
         from .kpoly import k_via_schur_recurrence
         lam = _partition(_kw_list(kwargs, "lambda"), "lambda")
         rects = tuple(_partition(r, "R") for r in _kw_listlist(kwargs, "R"))
+        check_table_sequence(rects)
         return k_via_schur_recurrence(_kw_kind(kwargs), lam, rects)
     if name == "dpoly":
         from .operators import d_polynomial
         lam = _partition(_kw_list(kwargs, "lambda"), "lambda")
         rects = _kw_listlist(kwargs, "R")
+        check_table_sequence(rects)
         return d_polynomial(_kw_kind(kwargs, "vdom"), lam, rects)
     if name == "nl":
         if len(args) != 3:

@@ -203,6 +203,8 @@ def ktables(kinds, rects):
         if "hdom" in kinds:
             funcs["hdom"] = _one_row_sweep(funcs["box"], "t", -1)
     elif "hdom" in kinds:
+        # kept: through the vdom skew and two sweeps, hdom alone took about
+        # six times as long on the hdom operands of the diamond sample
         funcs["hdom"] = skew_by_series(base, "hdom", "+", "t")
     return {kind: KTable(kind, rects, dict(funcs[kind].terms), "recurrence")
             for kind in kinds}

@@ -193,43 +193,21 @@ def _h(m):
 
 
 def _onerow_entry(kind, r):
-    """One-row basis element of a kind, expanded in the Schur basis."""
-    if kind == "vdom":
-        return _h(r)
-    if kind == "box":
-        return _h(r) - _h(r - 1)
-    if kind == "hdom":
-        return _h(r) - _h(r - 2)
-    raise ValueError(kind)
-
-
-def _tilde_entry(kind, r):
-    """One-row seeds for the second determinant family."""
-    if r < 0:
-        return SymFunc()
-    if kind == "hdom":
-        return _h(r)
+    """One-row basis element of a kind in the Schur basis: the sum of
+    h_(r-s) over the kind's Pieri shifts s, subtracted for s > 0 as in
+    _pieri_stage."""
     out = SymFunc()
-    if kind == "vdom":
-        for k in range(0, r + 1, 2):
-            out = out + _h(r - k)
-        return out
-    for k in range(r + 1):
-        out = out + _h(r - k).scaled((-1) ** k)
+    for s in _KERNELS[kind][1]:
+        out = out + _h(r - s).scaled(-1 if s else 1)
     return out
 
 
-def _bar_entry(kind, r):
-    """One-row seeds for the third determinant family."""
-    if r < 0:
-        return SymFunc()
-    if kind == "box":
-        return _h(r)
-    if kind == "hdom":
-        return _h(r) + _h(r - 1)
+def _seed(kind, r, step):
+    """The telescoped one-row seed sum_(j>=0) _onerow_entry(kind, r - step*j)
+    of determinant family C (step 2) or B (step 1)."""
     out = SymFunc()
-    for k in range(r + 1):
-        out = out + _h(r - k)
+    for m in range(r, -1, -step):
+        out = out + _onerow_entry(kind, m)
     return out
 
 
@@ -301,13 +279,13 @@ def det_diamond_schur(kind, lam, family):
         det = sym_det(matrix)
         return _halve_exact(det)
     if family == "C":
-        matrix = [[_tilde_entry(kind, lam[i - 1] - i + j)
-                   - _tilde_entry(kind, lam[i - 1] - i - j)
+        matrix = [[_seed(kind, lam[i - 1] - i + j, 2)
+                   - _seed(kind, lam[i - 1] - i - j, 2)
                    for j in range(1, n + 1)] for i in range(1, n + 1)]
         return sym_det(matrix)
     if family == "B":
-        matrix = [[_bar_entry(kind, lam[i - 1] - i + j)
-                   - _bar_entry(kind, lam[i - 1] - i - j + 1)
+        matrix = [[_seed(kind, lam[i - 1] - i + j, 1)
+                   - _seed(kind, lam[i - 1] - i - j + 1, 1)
                    for j in range(1, n + 1)] for i in range(1, n + 1)]
         return sym_det(matrix)
     raise ValueError("unknown determinant family: %r" % (family,))

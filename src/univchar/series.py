@@ -126,6 +126,8 @@ def skew_by_series(p, kind, sign, scale=1):
     its entries at nu shifted by t**(|lam| - |nu|) when scale is 't'; the
     positive box series is the vdom skew and one one-row sweep."""
     kind = canonical_kind(kind)
+    # kept: summed directly per lambda, box "+" is level with this on small
+    # operands but took 2.4 s against 1.0 s on H.box of the ladder's top rung
     if kind == "box" and sign == "+":
         return _one_row_sweep(skew_by_series(p, "vdom", "+", scale), scale)
     scaled = scale == "t"

@@ -4,9 +4,11 @@ from the command line and reused by the test suite.
 Each suite returns a list of (name, passed, detail) triples; each carries
 its duration as Check.seconds.  Checks compare the production algorithms
 against the independent oracles; exact equality is required everywhere.
-The acceptance tests (tests/test_acceptance.py) run no sweeps of their own:
-each criterion asserts that its checks here are present and pass, at the
-bounds set here.
+Every suite runs at one fixed size, its bounds written once in the sweep
+and in the check's name.  The acceptance tests (tests/test_acceptance.py)
+run no sweeps of their own: each criterion asserts that its checks here are
+present and pass.  The input enumerators and the two series sweep helpers
+keep their size argument, so the unit tests can run them at other sizes.
 """
 
 from __future__ import annotations
@@ -78,12 +80,10 @@ def rectangles_of(n):
     return out
 
 
-def _sequences(shapes_of, total_max, max_height):
-    """All ordered sequences of shapes_of(n) for n >= 1, at most max_height
-    rows each, with total size <= total_max."""
-    pool = {n: [p for p in shapes_of(n)
-                if max_height is None or len(p) <= max_height]
-            for n in range(1, total_max + 1)}
+def _sequences(shapes_of, total_max):
+    """All ordered sequences of shapes_of(n) for n >= 1, with total size
+    <= total_max."""
+    pool = {n: list(shapes_of(n)) for n in range(1, total_max + 1)}
 
     def rec(budget):
         yield ()
@@ -95,25 +95,24 @@ def _sequences(shapes_of, total_max, max_height):
     return list(rec(total_max))
 
 
-def rect_sequences(total_max, max_height=None):
+def rect_sequences(total_max):
     """All ordered sequences of rectangles with total size <= total_max."""
-    return _sequences(rectangles_of, total_max, max_height)
+    return _sequences(rectangles_of, total_max)
 
 
-def partition_sequences(total_max, max_height=None):
+def partition_sequences(total_max):
     """All ordered sequences of nonempty partitions, total size bounded."""
-    return _sequences(partitions_of, total_max, max_height)
+    return _sequences(partitions_of, total_max)
 
 
 def dominant_rect_sequences(total_max):
     return [r for r in rect_sequences(total_max) if r and is_dominant_seq(r)]
 
 
-def specialization_sequences(max_degree):
+def specialization_sequences(bound):
     """The t=0 / t=1 specialization sweep: every nonempty partition sequence
-    with |R| <= b and every rectangle sequence with |R| = b + 1, where
-    b = min(7, max_degree); 1335 sequences at b = 7."""
-    bound = min(7, max_degree)
+    with |R| <= bound and every rectangle sequence with |R| = bound + 1;
+    1335 sequences at the suites' bound 7."""
     return ([s for s in partition_sequences(bound) if s]
             + [s for s in rect_sequences(bound + 1)
                if seq_weight(s) == bound + 1])
@@ -170,13 +169,13 @@ def series_coeff_mismatches(max_degree):
 # ---------------------------------------------------------------------------
 # suite: lr
 
-def suite_lr(max_degree=12):
+def suite_lr():
     results = _Checks()
     rng = random.Random(20240601)
 
     # symmetry and transpose symmetry through skew spectra
     bad = []
-    for n in range(max_degree + 1):
+    for n in range(13):
         for lam in partitions_of(n):
             lamt = conjugate(lam)
             seen = {}
@@ -192,12 +191,11 @@ def suite_lr(max_degree=12):
             for (mu, nu), c in seen.items():
                 if seen.get((nu, mu), 0) != c:
                     bad.append((lam, mu, nu))
-    _check(results, "lr.symmetry_transpose(|lam|<=%d)" % max_degree,
-           not bad, "%d mismatches" % len(bad))
+    _check(results, "lr.symmetry_transpose(|lam|<=12)", not bad,
+           "%d mismatches" % len(bad))
 
     # monomial oracle in 6 variables, all |mu|,|nu| <= 6
-    bound = min(6, max_degree)
-    shapes = partitions_upto(bound)
+    shapes = partitions_upto(6)
     bad = 0
     for i, mu in enumerate(shapes):
         for nu in shapes[i:]:
@@ -206,7 +204,7 @@ def suite_lr(max_degree=12):
             got = {lam: c for lam, c in mine.items() if len(lam) <= 6}
             if got != want:
                 bad += 1
-    _check(results, "lr.monomial_oracle(<=%d, 6 vars)" % bound, bad == 0,
+    _check(results, "lr.monomial_oracle(<=6, 6 vars)", bad == 0,
            "%d pairs disagree" % bad)
 
     # long shapes covered through transpose symmetry of the product tables
@@ -217,15 +215,14 @@ def suite_lr(max_degree=12):
             other = _prod_spectrum(conjugate(mu), conjugate(nu))
             if {conjugate(l): c for l, c in mine.items()} != dict(other):
                 bad += 1
-    _check(results, "lr.transpose_completion(<=%d)" % bound, bad == 0,
+    _check(results, "lr.transpose_completion(<=6)", bad == 0,
            "%d pairs disagree" % bad)
 
     # signed one-row-chain oracle on random triples
-    allp = partitions_upto(bound)
     bad = 0
     for _ in range(200):
-        mu = rng.choice(allp)
-        nu = rng.choice(allp)
+        mu = rng.choice(shapes)
+        nu = rng.choice(shapes)
         lams = list(partitions_of(sum(mu) + sum(nu)))
         lam = rng.choice(lams)
         if lr_coefficient(lam, mu, nu) != \
@@ -253,7 +250,7 @@ def suite_lr(max_degree=12):
 
     # adjointness of skewing
     bad = 0
-    for lam in partitions_upto(min(10, max_degree)):
+    for lam in partitions_upto(10):
         for mu in partitions_upto(5):
             if sum(mu) > sum(lam):
                 continue
@@ -276,7 +273,7 @@ def suite_lr(max_degree=12):
 
     # the four Pieri maps against products and skews by the ballot spectra
     bad = 0
-    for lam in partitions_upto(min(10, max_degree)):
+    for lam in partitions_upto(10):
         p = SymFunc.schur(lam)
         for m in range(7):
             row, col = SymFunc.schur((m,)), SymFunc.schur((1,) * m)
@@ -286,40 +283,39 @@ def suite_lr(max_degree=12):
                               (skew_e(p, m), skew_by(p, col))):
                 if got != want:
                     bad += 1
-    _check(results, "lr.pieri_vs_lr_spectra(|lam|<=%d, m<=6)"
-           % min(10, max_degree), bad == 0, "%d mismatches" % bad)
+    _check(results, "lr.pieri_vs_lr_spectra(|lam|<=10, m<=6)", bad == 0,
+           "%d mismatches" % bad)
 
     # tableau contents against chains of brute-force horizontal strips
     bad = 0
-    for lam in partitions_upto(min(7, max_degree)):
+    for lam in partitions_upto(7):
         for nvars in range(5):
             if ssyt_contents(lam, nvars) != \
                     oracles.schur_monomials(lam, nvars):
                 bad += 1
-    _check(results, "lr.ssyt_contents_vs_kostka(|lam|<=%d, <=4 vars)"
-           % min(7, max_degree), bad == 0, "%d mismatches" % bad)
+    _check(results, "lr.ssyt_contents_vs_kostka(|lam|<=7, <=4 vars)",
+           bad == 0, "%d mismatches" % bad)
     return results
 
 
 # ---------------------------------------------------------------------------
 # suite: bases
 
-def suite_bases(max_degree=8):
+def suite_bases():
     results = _Checks()
     rng = random.Random(20240602)
 
     # series shapes and signs against polynomial expansion
-    d = min(8, max_degree)
     ok_all = True
     for kind in DIAMOND_KINDS:
         for sign in ("+", "-"):
-            brute = oracles.brute_series_schur(kind, sign, d, d)
+            brute = oracles.brute_series_schur(kind, sign, 8, 8)
             mine = {}
-            for lam, poly in series_terms(kind, sign, 1, d):
+            for lam, poly in series_terms(kind, sign, 1, 8):
                 mine[lam] = poly.c.get(0, 0)
             if brute != mine:
                 ok_all = False
-    _check(results, "bases.series_polynomial_oracle(deg<=%d)" % d, ok_all)
+    _check(results, "bases.series_polynomial_oracle(deg<=8)", ok_all)
 
     # skew_by_series (per-lambda spectra, box "+" factored through vdom)
     # against skew_by by the truncated series, and hdom "+" against the
@@ -352,7 +348,7 @@ def suite_bases(max_degree=8):
     # inverse property on single terms
     bad = 0
     for kind in KINDS:
-        for lam in partitions_upto(min(10, max_degree + 2)):
+        for lam in partitions_upto(10):
             e = Expansion(kind, SymFunc.schur(lam))
             back = to_diamond(from_diamond(e), kind)
             if back.func != e.func:
@@ -381,12 +377,11 @@ def suite_bases(max_degree=8):
     # Newell-Littlewood: symmetry and transpose invariance
     bad = 0
     triples = 0
-    lim = min(14, max_degree + 6)
-    for a in range(0, lim + 1):
+    for a in range(0, 15):
         for mu in partitions_of(a):
-            for b in range(a, lim + 1 - a):
+            for b in range(a, 15 - a):
                 for nu in partitions_of(b):
-                    for c in range(b, lim + 1 - a - b):
+                    for c in range(b, 15 - a - b):
                         for lam in partitions_of(c):
                             triples += 1
                             d0 = newell_littlewood(lam, mu, nu)
@@ -400,13 +395,13 @@ def suite_bases(max_degree=8):
                                     conjugate(lam), conjugate(mu),
                                     conjugate(nu)):
                                 bad += 1
-    _check(results, "bases.nl_symmetry_transpose(total<=%d)" % lim,
-           bad == 0, "%d of %d triples" % (bad, triples))
+    _check(results, "bases.nl_symmetry_transpose(total<=14)", bad == 0,
+           "%d of %d triples" % (bad, triples))
 
     # the kind-free product equals each kind's product through its series,
     # and its structure constants equal the cubic sum
     bad = 0
-    shapes = partitions_upto(min(6, max_degree))
+    shapes = partitions_upto(6)
     for i, mu in enumerate(shapes):
         for nu in shapes[i:]:
             for kind in DIAMOND_KINDS:
@@ -425,7 +420,7 @@ def suite_bases(max_degree=8):
     # transpose involution is multiplicative and intertwines the kinds
     bad = 0
     for kind in DIAMOND_KINDS + ("none",):
-        for lam in partitions_upto(min(8, max_degree)):
+        for lam in partitions_upto(8):
             e = Expansion(kind, SymFunc.schur(lam))
             lhs = from_diamond(omega_diamond(e))
             rhs = from_diamond(
@@ -497,7 +492,7 @@ def suite_bases(max_degree=8):
 # ---------------------------------------------------------------------------
 # suite: operators
 
-def suite_operators(max_degree=8):
+def suite_operators():
     results = _Checks()
     rng = random.Random(20240603)
 
@@ -516,13 +511,13 @@ def suite_operators(max_degree=8):
     # kind row operators create the kind bases
     bad = 0
     for kind in DIAMOND_KINDS:
-        for lam in partitions_upto(min(8, max_degree)):
+        for lam in partitions_upto(8):
             f = bernstein_diamond_create(kind, lam)
             e = to_diamond(f, kind)
             if e.func != SymFunc.schur(lam):
                 bad += 1
-    _check(results, "operators.diamond_creation(<=%d)" % min(8, max_degree),
-           bad == 0, "%d bad" % bad)
+    _check(results, "operators.diamond_creation(<=8)", bad == 0,
+           "%d bad" % bad)
 
     # deformed Schur row examples: kind none at one index
     one, s1 = SymFunc.one(), SymFunc.schur((1,))
@@ -585,7 +580,7 @@ def suite_operators(max_degree=8):
            bad == 0, "%d bad" % bad)
 
     # deformed products: specializations at 0 and 1, the empty product too
-    seqs = [()] + specialization_sequences(max_degree)
+    seqs = [()] + specialization_sequences(7)
     bad0 = bad1 = 0
     for rects in seqs:
         flat = tuple(x for r in rects for x in r)
@@ -605,7 +600,7 @@ def suite_operators(max_degree=8):
 
     # Kostka-Foulkes via the charge statistic
     bad = 0
-    for mu in partitions_upto(min(6, max_degree)):
+    for mu in partitions_upto(6):
         if not mu:
             continue
         rows = tuple((m,) for m in mu)
@@ -614,8 +609,8 @@ def suite_operators(max_degree=8):
         for lam in lams:
             if table.coeff(lam) != oracles.kostka_foulkes_charge(lam, mu):
                 bad += 1
-    _check(results, "operators.kostka_foulkes_charge(<=%d)"
-           % min(6, max_degree), bad == 0, "%d bad" % bad)
+    _check(results, "operators.kostka_foulkes_charge(<=6)", bad == 0,
+           "%d bad" % bad)
 
     # single-factor deformed products are undeformed
     bad = 0
@@ -641,14 +636,14 @@ def suite_operators(max_degree=8):
     return results
 
 
-def suite_operators_diamond(max_degree=7):
+def suite_operators_diamond():
     """Deformed kind products: constancy, positivity, specializations.
 
-    Exhaustive over all partition sequences up to the degree bound, plus all
-    rectangle sequences one size above it.
+    Exhaustive over all partition sequences with |R| <= 7, plus all
+    rectangle sequences with |R| = 8.
     """
     results = _Checks()
-    chosen = specialization_sequences(max_degree)
+    chosen = specialization_sequences(7)
 
     bad_const = bad_spec0 = bad_spec1 = 0
     neg_rows = []
@@ -715,9 +710,11 @@ def suite_operators_diamond(max_degree=7):
             ok = False
     _check(results, "operators.example_321", ok)
 
-    # one coefficient of a kind product against its whole expansion
+    # one coefficient of a kind product against its whole expansion.
+    # d_polynomial reads the whole bb_diamond(R), so on |R| <= 5 this repeats
+    # d_constancy and adds only its dispatch on the kind
     bad = checked = 0
-    for rects in partition_sequences(min(5, max_degree)):
+    for rects in partition_sequences(5):
         w = seq_weight(rects)
         for kind in DIAMOND_KINDS:
             table = to_diamond(bb_diamond_r_via_rows(kind, rects), kind)
@@ -739,15 +736,15 @@ def suite_operators_diamond(max_degree=7):
 # ---------------------------------------------------------------------------
 # suite: determinants
 
-def suite_determinants(max_degree=8, max_len=4):
+def suite_determinants():
     results = _Checks()
-    shapes = [l for l in partitions_upto(max_degree) if len(l) <= max_len]
+    shapes = partitions_upto(8, max_len=4)
 
     bad = 0
     for lam in shapes:
         if jacobi_trudi(lam) != SymFunc.schur(lam):
             bad += 1
-    _check(results, "determinants.jacobi_trudi(<=%d)" % max_degree, bad == 0,
+    _check(results, "determinants.jacobi_trudi(<=8)", bad == 0,
            "%d bad" % bad)
 
     bad = 0
@@ -778,17 +775,16 @@ def suite_determinants(max_degree=8, max_len=4):
 # ---------------------------------------------------------------------------
 # suite: kpoly
 
-def suite_kpoly(max_degree=7):
+def suite_kpoly():
     results = _Checks()
     rng = random.Random(20240605)
 
     # the row operators, applied one by one, against the recurrence, which
     # is the telescoped hh_r, on rectangle sequences plus non-rectangle
     # partition factors at a smaller bound
-    seqs = rect_sequences(min(7, max_degree))
+    seqs = rect_sequences(7)
     seen = set(seqs)
-    seqs += [q for q in partition_sequences(min(5, max_degree))
-             if q not in seen]
+    seqs += [q for q in partition_sequences(5) if q not in seen]
     bad_rec = bad_shared = bad_chain = 0
     for rects in seqs:
         shared = ktables(KINDS, rects)
@@ -823,7 +819,7 @@ def suite_kpoly(max_degree=7):
     _check(results, "kpoly.single_rectangle_3x3", bad == 0, "%d bad" % bad)
 
     # specializations at 0 and 1 for tables over partition sequences
-    seqs2 = specialization_sequences(max_degree)
+    seqs2 = specialization_sequences(7)
     bad0 = bad1 = badsupp = 0
     for rects in seqs2:
         flat = tuple(x for r in rects for x in r)
@@ -854,7 +850,7 @@ def suite_kpoly(max_degree=7):
 
     # one coefficient of the recurrence against the whole table
     bad = checked = 0
-    for rects in dominant_rect_sequences(min(6, max_degree)):
+    for rects in dominant_rect_sequences(6):
         w = seq_weight(rects)
         for kind in KINDS:
             table = hh_r(kind, rects)
@@ -891,15 +887,15 @@ def suite_kpoly(max_degree=7):
 
     # single-row equivalence
     bad = 0
-    for mu in partitions_upto(min(6, max_degree)):
+    for mu in partitions_upto(6):
         if not mu:
             continue
         for lam in partitions_upto(sum(mu)):
             ok1, lhs, rhs = singlerow_equivalence(lam, mu)
             if not ok1:
                 bad += 1
-    _check(results, "kpoly.singlerow_equivalence(<=%d)" % min(6, max_degree),
-           bad == 0, "%d bad" % bad)
+    _check(results, "kpoly.singlerow_equivalence(<=6)", bad == 0,
+           "%d bad" % bad)
 
     # the connection between the two deformed families, with the displayed
     # decompositions of the (2,2) factor
@@ -948,24 +944,24 @@ def suite_kpoly(max_degree=7):
 
     # positivity observation on dominant rectangle sequences
     neg = []
-    for rects in dominant_rect_sequences(min(7, max_degree)):
+    for rects in dominant_rect_sequences(7):
         for kind in KINDS:
             table = hh_r(kind, rects)
             if table.positivity_report():
                 neg.append((kind, rects))
-    _check(results, "kpoly.positivity_observation(<=%d)" % min(7, max_degree),
-           not neg, "%d negative tables" % len(neg))
+    _check(results, "kpoly.positivity_observation(<=7)", not neg,
+           "%d negative tables" % len(neg))
     return results
 
 
 # ---------------------------------------------------------------------------
 # suite: duality
 
-def suite_duality(max_degree=6):
+def suite_duality():
     results = _Checks()
     bad = 0
     checked = 0
-    for rects in dominant_rect_sequences(min(6, max_degree)):
+    for rects in dominant_rect_sequences(6):
         w = seq_weight(rects)
         for kind in KINDS:
             for n in range(w + 1):
@@ -989,11 +985,11 @@ def suite_duality(max_degree=6):
 # ---------------------------------------------------------------------------
 # suite: kernels
 
-def suite_kernels(max_degree=6):
+def suite_kernels():
     results = _Checks()
 
     # pairing kernel of the common structure constants, two letters each
-    degree = min(6, max_degree)
+    degree = 6
     lhs = oracles.kernel_triple_expansion(degree)
 
     def unit(i):
@@ -1061,8 +1057,7 @@ def suite_kernels(max_degree=6):
 SUITES = {
     "lr": suite_lr,
     "bases": suite_bases,
-    "operators": lambda d=8: suite_operators(d) + suite_operators_diamond(
-        min(d, 7)),
+    "operators": lambda: suite_operators() + suite_operators_diamond(),
     "determinants": suite_determinants,
     "kpoly": suite_kpoly,
     "duality": suite_duality,
@@ -1070,16 +1065,14 @@ SUITES = {
 }
 
 
-def run_suite(name, max_degree=None):
+def run_suite(name):
     """Run one named suite (or 'all'); returns list of check triples."""
     if name == "all":
         out = []
         for key in SUITES:
-            out.extend(run_suite(key, max_degree))
+            out.extend(run_suite(key))
         return out
     fn = SUITES.get(name)
     if fn is None:
         raise ValueError("unknown suite %r" % name)
-    if max_degree is None:
-        return fn()
-    return fn(max_degree)
+    return fn()

@@ -164,7 +164,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["kpoly", "--lambda", "[1"]) == 2
     capsys.readouterr()
-    assert main(["verify", "--suite", "lr", "--max-degree", "-5"]) == 2
+    # verify runs every suite at one fixed size and takes no size option
+    assert main(["verify", "--suite", "kernels", "--max-degree", "6"]) == 2
     capsys.readouterr()
     # an output directory below a regular file is an OS error, not a crash
     blocker = tmp_path / "file"
@@ -294,7 +295,7 @@ def test_cli_usage_errors_at_the_edge(tmp_path, capsys):
 
 def test_cli_verify_failure(monkeypatch, capsys):
     monkeypatch.setattr("univchar.verify.run_suite",
-                        lambda suite, deg: [("x", False, "boom")])
+                        lambda suite: [("x", False, "boom")])
     assert main(["verify", "--suite", "lr"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -369,6 +370,27 @@ def test_kpoly_dpoly_caps(capsys):
         for command in ("kpoly", "dpoly"):
             assert main([command, "--lambda", "[1]", "-R", rects]) == 2
             assert "error: argument -R" in capsys.readouterr().err
+
+
+def test_eval_caps(capsys):
+    # the eval calls obey the -R caps and refuse a dual degree above the
+    # cell cap, as usage errors before computing
+    cap = univchar.cli.MAX_TABLE_WEIGHT
+    factors = univchar.cli.MAX_TABLE_FACTORS
+    for expr in ("dpoly(lambda=[%d], R=[[%d]])" % (cap + 1, cap + 1),
+                 "kpoly(lambda=[1], R=%s)" % json.dumps([[1]] * (factors + 1)),
+                 "dpoly(lambda=[1], R=%s)" % json.dumps([[1]] * (factors + 1)),
+                 "dpoly(lambda=[], R=[[1],[-%d,%d]])" % (cap, cap),
+                 "dual(lambda=[1], kind=box, degree=%d)" % (cap + 1)):
+        assert main(["eval", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("univchar: error: ") and "cap" in err
+    # and admit inputs at the caps
+    assert main(["eval", "dpoly(lambda=[%d], R=[[%d]])" % (cap, cap)]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert main(["eval", "kpoly(lambda=%s, R=%s)"
+                 % (json.dumps([1] * factors), json.dumps([[1]] * factors))]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_table_repeated_kind(tmp_path, capsys):
