@@ -56,19 +56,19 @@ MAX_POWER_BITS = 14000
 MAX_NESTING = 100
 
 # largest total size |R| and number of factors of a sequence R, for the
-# command-line `table`, `kpoly` and `dpoly` and the `kpoly(...)` and
-# `dpoly(...)` calls, and largest `dual(...)` degree.  The benchmark ladder
-# tops out at 19 cells in 4 factors, and ((5,5),(4,4),(3,3),(2,2),(1,)),
-# 29 cells, takes about 20 s and 290 MB on a 2-vCPU machine.  Time and
-# memory grow steeply with both: thirty one-cell factors would need every
-# partition of 30, and 22 of them already cost as much as that 29-cell
-# sequence.  Of 14 sequences measured at the caps, the slowest, five
-# factors (3,2,1), took about 100 s and 790 MB.  On a diamond kind dpoly
-# builds bb_diamond: 6.6 s and 114 MB on the 29-cell sequence, 99 s and
-# 490 MB on five (3,2,1), where table took 71 s and 880 MB on the same
-# machine; kpoly, and dpoly of kind none, read bb_r: 0.4 s and 35 MB, and
-# 5 s and 150 MB (CPU time, peak RSS).  A dual of degree 30 took 1.7 s and
-# 60 MB, of degree 40 16 s and 394 MB.
+# command-line `table`, `kpoly` and `dpoly`, the `kpoly(...)` and `dpoly(...)`
+# calls and the index vectors of the operators B, Bd, Bt, Btd and H, and
+# largest `dual(...)` degree and `s[...]` literal.  The benchmark ladder tops
+# out at 19 cells in 4 factors, and ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells,
+# takes about 20 s and 290 MB on a 2-vCPU machine.  Time and memory grow
+# steeply with both: thirty one-cell factors would need every partition of 30,
+# and 22 of them already cost as much as that 29-cell sequence.  Of 14
+# sequences measured at the caps, the slowest, five factors (3,2,1), took about
+# 100 s and 790 MB.  On a diamond kind dpoly builds bb_diamond: 6.6 s and 114
+# MB on the 29-cell sequence, 99 s and 490 MB on five (3,2,1), where table took
+# 71 s and 880 MB on the same machine; kpoly, and dpoly of kind none, read
+# bb_r: 0.4 s and 35 MB, and 5 s and 150 MB (CPU time, peak RSS).  A dual of
+# degree 30 took 1.7 s and 60 MB, of degree 40 16 s and 394 MB.
 MAX_TABLE_WEIGHT = 30
 MAX_TABLE_FACTORS = 5
 
@@ -363,6 +363,9 @@ def eval_ast(node):
         lam = (k,) if kind_sym == "h" else (1,) * k
         return Expansion("none", SymFunc.schur(lam))
     if tag == "schur":
+        if sum(node[3]) > MAX_TABLE_WEIGHT:
+            raise EvalError("s[...] literal of %d cells, above the cap of %d"
+                            % (sum(node[3]), MAX_TABLE_WEIGHT))
         return Expansion(node[2], SymFunc.schur(node[3]))
     if tag in _BINARY:
         # a chain a + b - c * d ... parses into a left-deep tree as deep as
@@ -469,6 +472,7 @@ def _eval_op(node):
     from .operators import bernstein_diamond_row, tilde_b_diamond_parabolic
     from .kpoly import h_rows
     vectors = _want_vectors(shape)
+    check_table_sequence(vectors)
     if operand is None:
         f = SymFunc.one()
     else:

@@ -14,7 +14,12 @@ empty tile, the Schur case) included, takes the same route.
 
 k_via_schur_recurrence reads one coefficient without building the table:
 series.series_coeff sums the Littlewood-Richardson spectra of lam against the
-type-A product instead of skewing all of it.
+type-A product instead of skewing all of it.  It keeps no memo, and for a
+one-off coefficient on a large R it is the route to take.
+
+duality_check reads both of its coefficients from whole tables: the first
+call on R builds the four tables of R and of the rearranged transposed
+sequence R' (one ktables call each), and later calls on either are lookups.
 
 hh_r telescopes the row operators.  Each row conjugates a squared-deformation
 parabolic by the plain and t-scaled series of the kind; the positive and the
@@ -28,10 +33,10 @@ applying the rows one by one, as the independent oracle.
 
 from __future__ import annotations
 
-from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
-                   dominant_rearrangement, is_dominant_seq, is_rectangle,
-                   kind_partitions_of, partition_key, seq_overlap, seq_weight,
-                   KIND_TRANSPOSE)
+from .core import (KINDS, LaurentPoly, as_partition, canonical_kind,
+                   conjugate, dominant_rearrangement, is_dominant_seq,
+                   is_rectangle, kind_partitions_of, partition_key,
+                   seq_overlap, seq_weight, KIND_TRANSPOSE)
 from .schur import SymFunc, lr_coefficient, ssyt_contents
 from .series import (_one_row_sweep, _series_coeff, skew_by_series,
                      to_diamond)
@@ -214,16 +219,16 @@ def k_via_schur_recurrence(kind, lam, rects):
     """One coefficient of the recurrence table, without building the table.
 
     bb_r is homogeneous of degree |R|, so t -> t^2 is applied once, to the
-    coefficient, and the skew's t-scale is the shift by |R| - |lam|.
+    coefficient, and the skew's t-scale is the shift by |R| - |lam|.  It
+    writes no memo of its own: for a one-off coefficient on a large R it is
+    the cheap route (0.4 s of CPU on ((5,5),(4,4),(3,3),(2,2),(1,)), where
+    the four tables took 14 s).
     """
-    return _k_coefficient(canonical_kind(kind), as_partition(lam),
-                          tuple(as_partition(r) for r in rects))
-
-
-def _k_coefficient(kind, lam, rects):
-    """k_via_schur_recurrence for a canonical kind, partition and sequence."""
+    lam = as_partition(lam)
+    rects = tuple(as_partition(r) for r in rects)
     drop = seq_weight(rects) - sum(lam)
-    return _series_coeff(bb_r(rects), kind, lam).subs_power(2).shift(drop)
+    return _series_coeff(bb_r(rects), canonical_kind(kind),
+                         lam).subs_power(2).shift(drop)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +255,32 @@ def single_rectangle_table(kind, rect):
 # ---------------------------------------------------------------------------
 # duality
 
-def duality_check(kind, lam, rects):
-    """Exact transpose duality for a dominant sequence of rectangles.
+# duality_check's memos.  _TABLE_CACHE maps a canonical sequence R to the
+# rows of its four tables, {kind: {lam: poly}}, built by one ktables call;
+# every row polynomial is interned in _ROW_POLYS, since the rows of all the
+# tables repeat few distinct polynomials.  _DUALITY_CACHE maps the
+# canonical kind and R as given, in tuples, to (canonical R, the transposed
+# kind, R', 2 (overlap + |R|), rows, rows of the transposed kind over R').
+_TABLE_CACHE = {}
+_ROW_POLYS = {}
+_DUALITY_CACHE = {}
+_ZERO = LaurentPoly.zero()
 
-    Compares the transposed-kind coefficient at the transposed index over the
-    rearranged transposed rectangles against the degree-shifted inverse-t
-    image of the original coefficient.  Returns (equal, report).
-    """
-    kind = canonical_kind(kind)
-    lam = as_partition(lam)
+
+def _table_rows(rects):
+    """The rows of the four tables of a canonical sequence, by kind."""
+    tables = _TABLE_CACHE.get(rects)
+    if tables is None:
+        tables = {kind: {lam: _ROW_POLYS.setdefault(poly, poly)
+                         for lam, poly in table.rows.items()}
+                  for kind, table in ktables(KINDS, rects).items()}
+        _TABLE_CACHE[rects] = tables
+    return tables
+
+
+def _duality_setup(key):
+    """The per-sequence data of duality_check for a (kind, R) key."""
+    kind, rects = key
     rects = tuple(as_partition(r) for r in rects)
     if not all_rect(rects):
         raise ValueError("duality requires rectangles")
@@ -266,12 +288,34 @@ def duality_check(kind, lam, rects):
         raise ValueError("duality requires a dominant sequence")
     tkind = KIND_TRANSPOSE[kind]
     trects = dominant_rearrangement(tuple(conjugate(r) for r in rects))
-    lhs = _k_coefficient(tkind, conjugate(lam), trects)
-    base = _k_coefficient(kind, lam, rects)
-    shift = 2 * (seq_overlap(rects) + seq_weight(rects) - sum(lam))
-    rhs = base.subs_power(-1).shift(shift)
+    shift = 2 * (seq_overlap(rects) + seq_weight(rects))
+    return (rects, tkind, trects, shift, _table_rows(rects)[kind],
+            _table_rows(trects)[tkind])
+
+
+def duality_check(kind, lam, rects):
+    """Exact transpose duality for a dominant sequence of rectangles.
+
+    Compares the transposed-kind coefficient at the transposed index over the
+    rearranged transposed rectangles against the degree-shifted inverse-t
+    image of the original coefficient.  Returns (equal, report).
+
+    Both coefficients are rows of whole tables: the first call on R builds
+    the four tables of R and of R' (one ktables call each) and later calls
+    on either are lookups.  For a one-off coefficient on a large R,
+    k_via_schur_recurrence costs far less than a table.
+    """
+    key = (canonical_kind(kind), tuple(map(tuple, rects)))
+    setup = _DUALITY_CACHE.get(key)
+    if setup is None:
+        setup = _DUALITY_CACHE[key] = _duality_setup(key)
+    rects, tkind, trects, shift, rows, trows = setup
+    lam = as_partition(lam)
+    shift -= 2 * sum(lam)
+    lhs = trows.get(conjugate(lam), _ZERO)
+    rhs = rows.get(lam, _ZERO).subs_power(-1).shift(shift)
     report = {
-        "kind": kind, "lambda": list(lam), "R": [list(r) for r in rects],
+        "kind": key[0], "lambda": list(lam), "R": [list(r) for r in rects],
         "transposed_kind": tkind, "R_transposed": [list(r) for r in trects],
         "lhs": str(lhs), "rhs": str(rhs), "shift": shift,
     }

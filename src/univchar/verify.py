@@ -18,8 +18,9 @@ import random
 import time
 
 from .core import (LaurentPoly, KINDS, KIND_TRANSPOSE, as_partition,
-                   conjugate, is_dominant_seq, member_p_kind, partitions_of,
-                   partitions_upto, seq_weight, frobenius, from_frobenius)
+                   conjugate, dominant_rearrangement, is_dominant_seq,
+                   member_p_kind, partitions_of, partitions_upto,
+                   seq_overlap, seq_weight, frobenius, from_frobenius)
 from .schur import (Expansion, SymFunc, _prod_spectrum, _skew_spectrum,
                     evaluate, inner_product, lr_coefficient, multiply,
                     multiply_e, multiply_h, skew_by, skew_e, skew_h,
@@ -961,8 +962,13 @@ def suite_duality():
     results = _Checks()
     bad = 0
     checked = 0
+    # duality_check reads both sides from memoized tables; up to |R| = 5
+    # each side is also read one coefficient at a time, table-free
+    off = 0
+    compared = 0
     for rects in dominant_rect_sequences(6):
         w = seq_weight(rects)
+        trects = dominant_rearrangement(tuple(conjugate(r) for r in rects))
         for kind in KINDS:
             for n in range(w + 1):
                 for lam in partitions_of(n):
@@ -970,8 +976,20 @@ def suite_duality():
                     checked += 1
                     if not ok:
                         bad += 1
+                    if w > 5:
+                        continue
+                    compared += 1
+                    lhs = k_via_schur_recurrence(
+                        KIND_TRANSPOSE[kind], conjugate(lam), trects)
+                    shift = 2 * (seq_overlap(rects) + w - n)
+                    rhs = k_via_schur_recurrence(kind, lam, rects)
+                    rhs = rhs.subs_power(-1).shift(shift)
+                    if (rep["lhs"], rep["rhs"]) != (str(lhs), str(rhs)):
+                        off += 1
     _check(results, "duality.transpose(%d checks)" % checked, bad == 0,
            "%d bad" % bad)
+    _check(results, "duality.tables_vs_coefficients(%d checks)" % compared,
+           off == 0, "%d differ" % off)
 
     ok, rep = duality_check("vdom", (1,), ((2, 2), (1,)))
     _check(results, "duality.example_vd", ok, repr(rep))

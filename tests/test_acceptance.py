@@ -128,11 +128,13 @@ def test_every_verify_check_passes():
               for check, ok, detail in _suite(suite) if not ok]
     assert not failed, failed
     # the single-coefficient paths keep their whole-expansion oracles, the
-    # multi-kind tables their row-by-row one, and the vdom series skew of
-    # the tables its parabolic chain
+    # multi-kind tables their row-by-row one, the vdom series skew of the
+    # tables its parabolic chain, and the memoized duality tables the
+    # single-coefficient route
     names = {check.split("(")[0] for suite in SUITES
              for check, _, _ in _suite(suite)}
     assert {"bases.series_coeff_vs_skew", "kpoly.coefficient_vs_table",
             "operators.d_polynomial_vs_expansion",
             "kpoly.shared_tables_vs_rows",
-            "kpoly.vdom_chain_vs_tables"} <= names
+            "kpoly.vdom_chain_vs_tables",
+            "duality.tables_vs_coefficients"} <= names

@@ -139,9 +139,9 @@ def test_cli_eval(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data == {"type": "poly", "poly": {"2": "1"}}
     # fills deeper than Python's recursion limit still print
-    assert main(["eval", "s[1000]*s[1]"]) == 0
+    assert main(["eval", "h1000*s[1]"]) == 0
     assert capsys.readouterr().out.strip() == "s[1001] + s[1000,1]"
-    assert main(["eval", "skew(s[1000],s[1])"]) == 0
+    assert main(["eval", "skew(h1000,s[1])"]) == 0
     assert capsys.readouterr().out.strip() == "s[999]"
 
 
@@ -192,6 +192,20 @@ def test_cli_power_cap(capsys):
         assert main(["eval", expr]) == 2
         err = capsys.readouterr().err
         assert err.startswith("univchar: error: ") and err.count("\n") == 1
+
+
+def test_cli_operator_and_literal_caps(capsys):
+    # an operator's index vectors and an s[...] literal past
+    # MAX_TABLE_WEIGHT cells are usage errors, refused before any row
+    for expr in ("H.box([[6,6],[5,5],[4,4],[1]])", "B([31])", "s[31]",
+                 "B([1], s.vd[16,15])", "Bt([[1,-30]])"):
+        assert main(["eval", expr]) == 2, expr
+        err = capsys.readouterr().err
+        assert err.startswith("univchar: error: ") and err.count("\n") == 1
+    # at the cap, cheap inputs still run
+    for expr in ("B([30])", "s[30]"):
+        assert main(["eval", expr]) == 0, expr
+        assert capsys.readouterr().out.strip() == "s[30]"
 
 
 def test_cli_nesting_cap(capsys):

@@ -1,14 +1,19 @@
+import hashlib
+import json
+
 import pytest
 
-from univchar.core import LaurentPoly
+from univchar.core import KINDS, LaurentPoly, partitions_of, seq_weight
 from univchar.schur import SymFunc, multiply, schur_of_vector
 from univchar.series import Expansion, from_diamond, to_diamond
 from univchar.operators import tilde_b_diamond_parabolic
 from univchar.exprparse import eval_expr
+from univchar import kpoly
 from univchar.kpoly import (KTable, duality_check, h_row_via_expansion,
                             h_rows, hb_connection, hh_r, hh_r_via_rows,
                             k_via_schur_recurrence, single_rectangle_table,
                             singlerow_equivalence)
+from univchar.verify import dominant_rect_sequences
 
 t = LaurentPoly.t
 one = LaurentPoly.const(1)
@@ -141,10 +146,48 @@ def test_duality():
     assert ok
     ok, _ = duality_check("box", (), ((1,), (1,)))
     assert ok
-    with pytest.raises(ValueError):
-        duality_check("vdom", (1,), ((1,), (2, 2)))
-    with pytest.raises(ValueError):
-        duality_check("vdom", (1,), ((2, 1),))
+    # a rejected sequence is never memoized: it raises on every call
+    for bad in (((1,), (2, 2)), ((2, 1),)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                duality_check("vdom", (1,), bad)
+
+
+def test_duality_memo(monkeypatch):
+    want = duality_check("hdom", (2, 1), R_EXAMPLE)
+    # a caller mutating a report leaves the memo as it was
+    monkeypatch.setattr(kpoly, "_DUALITY_CACHE", {})
+    _, report = duality_check("hdom", (2, 1), R_EXAMPLE)
+    report["R"][0].append(9)
+    report["R"].append([7])
+    report["R_transposed"].clear()
+    assert duality_check("hdom", (2, 1), R_EXAMPLE) == want
+    # lists, a generator and a kind alias give the same answer as tuples,
+    # each on a first call, which reads R once
+    want = duality_check("vdom", (1,), R_EXAMPLE)
+    for kind, rects in (("vd", R_EXAMPLE), ("vdom", [[2, 2], [1]]),
+                        ("vdom", (r for r in R_EXAMPLE))):
+        monkeypatch.setattr(kpoly, "_DUALITY_CACHE", {})
+        assert duality_check(kind, [1], rects) == want, kind
+
+
+# sha256 of json.dumps([equal, report], sort_keys=True) over the
+# duality.transpose sweep (verify.dominant_rect_sequences(6), the four
+# kinds, every lambda), frozen while each coefficient was still read one at
+# a time from bb_r
+_DUALITY_DIGEST = \
+    "28456a954e771e1751cd68fabd37688f6502a7273ed312d6a797934bbd0efd16"
+
+
+def test_duality_digests_are_frozen():
+    h = hashlib.sha256()
+    for rects in dominant_rect_sequences(6):
+        for kind in KINDS:
+            for n in range(seq_weight(rects) + 1):
+                for lam in partitions_of(n):
+                    h.update(json.dumps(list(duality_check(kind, lam, rects)),
+                                        sort_keys=True).encode())
+    assert h.hexdigest() == _DUALITY_DIGEST
 
 
 def test_hb_connection_displayed():
