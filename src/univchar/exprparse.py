@@ -58,17 +58,18 @@ MAX_NESTING = 100
 # largest total size |R| and number of factors of a sequence R, for the
 # command-line `table`, `kpoly` and `dpoly`, the `kpoly(...)` and `dpoly(...)`
 # calls and the index vectors of the operators B, Bd, Bt, Btd and H, and
-# largest `dual(...)` degree and `s[...]` literal.  The benchmark ladder tops
-# out at 19 cells in 4 factors, and ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells,
-# takes about 20 s and 290 MB on a 2-vCPU machine.  Time and memory grow
-# steeply with both: thirty one-cell factors would need every partition of 30,
-# and 22 of them already cost as much as that 29-cell sequence.  Of 14
-# sequences measured at the caps, the slowest, five factors (3,2,1), took about
-# 100 s and 790 MB.  On a diamond kind dpoly builds bb_diamond: 6.6 s and 114
-# MB on the 29-cell sequence, 99 s and 490 MB on five (3,2,1), where table took
-# 71 s and 880 MB on the same machine; kpoly, and dpoly of kind none, read
-# bb_r: 0.4 s and 35 MB, and 5 s and 150 MB (CPU time, peak RSS).  A dual of
-# degree 30 took 1.7 s and 60 MB, of degree 40 16 s and 394 MB.
+# largest `dual(...)` degree and `s[...]`, `hN` and `eN` literal, where
+# H.box([[1]], h50) took 33.5 s.  The benchmark ladder tops out at 19 cells in
+# 4 factors, and ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells, takes about 20 s and
+# 290 MB on a 2-vCPU machine.  Time and memory grow steeply with both: thirty
+# one-cell factors would need every partition of 30, and 22 of them already
+# cost as much as that 29-cell sequence.  Of 14 sequences measured at the caps,
+# the slowest, five factors (3,2,1), took about 100 s and 790 MB.  On a diamond
+# kind dpoly builds bb_diamond: 6.6 s and 114 MB on the 29-cell sequence, 99 s
+# and 490 MB on five (3,2,1), where table took 71 s and 880 MB on the same
+# machine; kpoly, and dpoly of kind none, read bb_r: 0.4 s and 35 MB, and 5 s
+# and 150 MB (CPU time, peak RSS).  A dual of degree 30 took 1.7 s and 60 MB,
+# of degree 40 16 s and 394 MB.
 MAX_TABLE_WEIGHT = 30
 MAX_TABLE_FACTORS = 5
 
@@ -360,6 +361,9 @@ def eval_ast(node):
         return LaurentPoly.t(1)
     if tag == "eh":
         kind_sym, k = node[2], node[3]
+        if k > MAX_TABLE_WEIGHT:
+            raise EvalError("%s%d literal of %d cells, above the cap of %d"
+                            % (kind_sym, k, k, MAX_TABLE_WEIGHT))
         lam = (k,) if kind_sym == "h" else (1,) * k
         return Expansion("none", SymFunc.schur(lam))
     if tag == "schur":

@@ -20,6 +20,9 @@ one-off coefficient on a large R it is the route to take.
 duality_check reads both of its coefficients from whole tables: the first
 call on R builds the four tables of R and of the rearranged transposed
 sequence R' (one ktables call each), and later calls on either are lookups.
+Each row is kept with its text, formatted once per distinct polynomial, and
+each lam given as a tuple is validated and conjugated once: a repeated
+call conjugates nothing, and formats nothing unless its two sides disagree.
 
 hh_r telescopes the row operators.  Each row conjugates a squared-deformation
 parabolic by the plain and t-scaled series of the kind; the positive and the
@@ -256,22 +259,35 @@ def single_rectangle_table(kind, rect):
 # duality
 
 # duality_check's memos.  _TABLE_CACHE maps a canonical sequence R to the
-# rows of its four tables, {kind: {lam: poly}}, built by one ktables call;
-# every row polynomial is interned in _ROW_POLYS, since the rows of all the
-# tables repeat few distinct polynomials.  _DUALITY_CACHE maps the
+# rows of its four tables, {kind: {lam: (poly, text)}}, built by one ktables
+# call; every row is interned in _ROW_POLYS, which maps a polynomial to its
+# (poly, str(poly)) pair, since the rows of all the tables repeat few
+# distinct polynomials and each is formatted once.  _DUALITY_CACHE maps the
 # canonical kind and R as given, in tuples, to (canonical R, the transposed
 # kind, R', 2 (overlap + |R|), rows, rows of the transposed kind over R').
+# _LAMBDA_CACHE maps a lam given as a tuple to (canonical lam, its
+# conjugate, 2 |lam|); a rejected lam raises on every call and is never
+# stored.
 _TABLE_CACHE = {}
 _ROW_POLYS = {}
 _DUALITY_CACHE = {}
-_ZERO = LaurentPoly.zero()
+_LAMBDA_CACHE = {}
+_ZERO_ROW = (LaurentPoly.zero(), "0")
+
+
+def _interned_row(poly):
+    row = _ROW_POLYS.get(poly)
+    if row is None:
+        row = _ROW_POLYS[poly] = (poly, str(poly))
+    return row
 
 
 def _table_rows(rects):
-    """The rows of the four tables of a canonical sequence, by kind."""
+    """The rows of the four tables of a canonical sequence, by kind, as
+    interned (poly, text) pairs."""
     tables = _TABLE_CACHE.get(rects)
     if tables is None:
-        tables = {kind: {lam: _ROW_POLYS.setdefault(poly, poly)
+        tables = {kind: {lam: _interned_row(poly)
                          for lam, poly in table.rows.items()}
                   for kind, table in ktables(KINDS, rects).items()}
         _TABLE_CACHE[rects] = tables
@@ -293,6 +309,12 @@ def _duality_setup(key):
             _table_rows(trects)[tkind])
 
 
+def _lambda_data(lam):
+    """(canonical lam, its conjugate, 2 |lam|)."""
+    lam = as_partition(lam)
+    return lam, conjugate(lam), 2 * sum(lam)
+
+
 def duality_check(kind, lam, rects):
     """Exact transpose duality for a dominant sequence of rectangles.
 
@@ -302,7 +324,12 @@ def duality_check(kind, lam, rects):
 
     Both coefficients are rows of whole tables: the first call on R builds
     the four tables of R and of R' (one ktables call each) and later calls
-    on either are lookups.  For a one-off coefficient on a large R,
+    on either are lookups.  Each row carries its text, formatted once per
+    distinct polynomial, and the inverse-t image is compared as a raw
+    exponent dict; equal polynomials format identically, so when the two
+    sides agree the right-hand text is the left-hand one, and only a
+    disagreeing right-hand side is formatted.  A lam given as a tuple is
+    validated and conjugated once.  For a one-off coefficient on a large R,
     k_via_schur_recurrence costs far less than a table.
     """
     key = (canonical_kind(kind), tuple(map(tuple, rects)))
@@ -310,16 +337,24 @@ def duality_check(kind, lam, rects):
     if setup is None:
         setup = _DUALITY_CACHE[key] = _duality_setup(key)
     rects, tkind, trects, shift, rows, trows = setup
-    lam = as_partition(lam)
-    shift -= 2 * sum(lam)
-    lhs = trows.get(conjugate(lam), _ZERO)
-    rhs = rows.get(lam, _ZERO).subs_power(-1).shift(shift)
+    if type(lam) is tuple:
+        data = _LAMBDA_CACHE.get(lam)
+        if data is None:
+            data = _LAMBDA_CACHE[lam] = _lambda_data(lam)
+    else:
+        data = _lambda_data(lam)
+    lam, lamt, size2 = data
+    shift -= size2
+    lhs, lhs_text = trows.get(lamt, _ZERO_ROW)
+    rhs = {shift - e: v for e, v in rows.get(lam, _ZERO_ROW)[0].c.items()}
+    equal = rhs == lhs.c
     report = {
         "kind": key[0], "lambda": list(lam), "R": [list(r) for r in rects],
         "transposed_kind": tkind, "R_transposed": [list(r) for r in trects],
-        "lhs": str(lhs), "rhs": str(rhs), "shift": shift,
+        "lhs": lhs_text, "rhs": lhs_text if equal else str(LaurentPoly(rhs)),
+        "shift": shift,
     }
-    return lhs == rhs, report
+    return equal, report
 
 
 def all_rect(rects):

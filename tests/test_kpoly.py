@@ -171,6 +171,45 @@ def test_duality_memo(monkeypatch):
         assert duality_check(kind, [1], rects) == want, kind
 
 
+def test_duality_sides_differ(monkeypatch):
+    # a right-hand side that disagrees is formatted fresh, as the inverse-t
+    # image of its row; R_EXAMPLE is its own R', so one table serves both
+    lam, lamt = (2, 1), (2, 1)
+    tables = kpoly._table_rows(R_EXAMPLE)
+    lhs = tables["hdom"][lamt][0]
+    for row in (tables["vdom"][lam][0] + t(7), None):
+        rows = dict(tables["vdom"])
+        if row is None:
+            del rows[lam]
+        else:
+            rows[lam] = (row, str(row))
+        monkeypatch.setattr(kpoly, "_TABLE_CACHE",
+                            {R_EXAMPLE: {**tables, "vdom": rows}})
+        monkeypatch.setattr(kpoly, "_DUALITY_CACHE", {})
+        equal, report = duality_check("vdom", lam, R_EXAMPLE)
+        assert equal is False
+        assert report["lhs"] == str(lhs)
+        row = LaurentPoly.zero() if row is None else row
+        assert report["rhs"] == str(row.subs_power(-1).shift(report["shift"]))
+
+
+def test_duality_lambda_memo(monkeypatch):
+    monkeypatch.setattr(kpoly, "_LAMBDA_CACHE", {})
+    # a rejected lambda raises on every call and is never stored
+    for bad in ((1, 2), (-1,)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                duality_check("vdom", bad, R_EXAMPLE)
+    assert kpoly._LAMBDA_CACHE == {}
+    # a list, a tuple with a trailing zero and the canonical tuple agree;
+    # only tuples are stored
+    want = duality_check("vdom", (2, 1), R_EXAMPLE)
+    for lam in ([2, 1], (2, 1, 0), (2, 1)):
+        assert duality_check("vdom", lam, R_EXAMPLE) == want, lam
+    assert kpoly._LAMBDA_CACHE == {(2, 1): ((2, 1), (2, 1), 6),
+                                   (2, 1, 0): ((2, 1), (2, 1), 6)}
+
+
 # sha256 of json.dumps([equal, report], sort_keys=True) over the
 # duality.transpose sweep (verify.dominant_rect_sequences(6), the four
 # kinds, every lambda), frozen while each coefficient was still read one at
