@@ -21,8 +21,8 @@ duality_check reads both of its coefficients from whole tables: the first
 call on R builds the four tables of R and of the rearranged transposed
 sequence R' (one ktables call each), and later calls on either are lookups.
 Each row is kept with its text, formatted once per distinct polynomial, and
-each lam given as a tuple is validated and conjugated once: a repeated
-call conjugates nothing, and formats nothing unless its two sides disagree.
+each lam is validated and conjugated once: a repeated call conjugates
+nothing, and formats nothing unless its two sides disagree.
 
 hh_r telescopes the row operators.  Each row conjugates a squared-deformation
 parabolic by the plain and t-scaled series of the kind; the positive and the
@@ -265,7 +265,7 @@ def single_rectangle_table(kind, rect):
 # distinct polynomials and each is formatted once.  _DUALITY_CACHE maps the
 # canonical kind and R as given, in tuples, to (canonical R, the transposed
 # kind, R', 2 (overlap + |R|), rows, rows of the transposed kind over R').
-# _LAMBDA_CACHE maps a lam given as a tuple to (canonical lam, its
+# _LAMBDA_CACHE maps lam as given, in a tuple, to (canonical lam, its
 # conjugate, 2 |lam|); a rejected lam raises on every call and is never
 # stored.
 _TABLE_CACHE = {}
@@ -328,8 +328,8 @@ def duality_check(kind, lam, rects):
     distinct polynomial, and the inverse-t image is compared as a raw
     exponent dict; equal polynomials format identically, so when the two
     sides agree the right-hand text is the left-hand one, and only a
-    disagreeing right-hand side is formatted.  A lam given as a tuple is
-    validated and conjugated once.  For a one-off coefficient on a large R,
+    disagreeing right-hand side is formatted.  Each lam is validated and
+    conjugated once.  For a one-off coefficient on a large R,
     k_via_schur_recurrence costs far less than a table.
     """
     key = (canonical_kind(kind), tuple(map(tuple, rects)))
@@ -337,12 +337,10 @@ def duality_check(kind, lam, rects):
     if setup is None:
         setup = _DUALITY_CACHE[key] = _duality_setup(key)
     rects, tkind, trects, shift, rows, trows = setup
-    if type(lam) is tuple:
-        data = _LAMBDA_CACHE.get(lam)
-        if data is None:
-            data = _LAMBDA_CACHE[lam] = _lambda_data(lam)
-    else:
-        data = _lambda_data(lam)
+    lam = tuple(lam)
+    data = _LAMBDA_CACHE.get(lam)
+    if data is None:
+        data = _LAMBDA_CACHE[lam] = _lambda_data(lam)
     lam, lamt, size2 = data
     shift -= size2
     lhs, lhs_text = trows.get(lamt, _ZERO_ROW)

@@ -146,11 +146,14 @@ def test_duality():
     assert ok
     ok, _ = duality_check("box", (), ((1,), (1,)))
     assert ok
-    # a rejected sequence is never memoized: it raises on every call
-    for bad in (((1,), (2, 2)), ((2, 1),)):
+    # a rejected sequence or lambda is never memoized: it raises on every
+    # call
+    for lam, bad in (((1,), ((1,), (2, 2))), ((1,), ((2, 1),)),
+                     ((1, 2), R_EXAMPLE), ((-1,), R_EXAMPLE)):
         for _ in range(2):
             with pytest.raises(ValueError):
-                duality_check("vdom", (1,), bad)
+                duality_check("vdom", lam, bad)
+    assert not {(1, 2), (-1,)} & set(kpoly._LAMBDA_CACHE)
 
 
 def test_duality_memo(monkeypatch):
@@ -169,6 +172,11 @@ def test_duality_memo(monkeypatch):
                         ("vdom", (r for r in R_EXAMPLE))):
         monkeypatch.setattr(kpoly, "_DUALITY_CACHE", {})
         assert duality_check(kind, [1], rects) == want, kind
+    # so do a list, a trailing zero and a generator for lambda
+    want = duality_check("vdom", (2, 1), R_EXAMPLE)
+    for lam in ([2, 1], (2, 1, 0), (p for p in (2, 1))):
+        monkeypatch.setattr(kpoly, "_LAMBDA_CACHE", {})
+        assert duality_check("vdom", lam, R_EXAMPLE) == want, lam
 
 
 def test_duality_sides_differ(monkeypatch):
@@ -191,23 +199,6 @@ def test_duality_sides_differ(monkeypatch):
         assert report["lhs"] == str(lhs)
         row = LaurentPoly.zero() if row is None else row
         assert report["rhs"] == str(row.subs_power(-1).shift(report["shift"]))
-
-
-def test_duality_lambda_memo(monkeypatch):
-    monkeypatch.setattr(kpoly, "_LAMBDA_CACHE", {})
-    # a rejected lambda raises on every call and is never stored
-    for bad in ((1, 2), (-1,)):
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                duality_check("vdom", bad, R_EXAMPLE)
-    assert kpoly._LAMBDA_CACHE == {}
-    # a list, a tuple with a trailing zero and the canonical tuple agree;
-    # only tuples are stored
-    want = duality_check("vdom", (2, 1), R_EXAMPLE)
-    for lam in ([2, 1], (2, 1, 0), (2, 1)):
-        assert duality_check("vdom", lam, R_EXAMPLE) == want, lam
-    assert kpoly._LAMBDA_CACHE == {(2, 1): ((2, 1), (2, 1), 6),
-                                   (2, 1, 0): ((2, 1), (2, 1), 6)}
 
 
 # sha256 of json.dumps([equal, report], sort_keys=True) over the
