@@ -16,7 +16,7 @@ import sys
 
 from .core import as_partition, canonical_kind, KINDS
 from .exprparse import (EvalError, ParseError, check_table_sequence,
-                        eval_expr, format_value, value_to_json)
+                        eval_expr, expand_value, format_value, value_to_json)
 # re-exported: the -R caps are also read as cli.MAX_TABLE_WEIGHT and _FACTORS
 from .exprparse import MAX_TABLE_FACTORS, MAX_TABLE_WEIGHT  # noqa: F401
 from .operators import InvariantViolation
@@ -204,10 +204,7 @@ def _dispatch(args):
               if args.json else format_value(value))
         return 0
     if args.command == "expand":
-        from .exprparse import _as_expansion
-        from .series import change_basis
-        value = _as_expansion(eval_expr(args.expr))
-        value = change_basis(value, args.basis)
+        value = expand_value(eval_expr(args.expr), args.basis)
         print(json.dumps(value_to_json(value), sort_keys=True)
               if args.json else format_value(value))
         return 0

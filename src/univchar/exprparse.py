@@ -59,32 +59,43 @@ MAX_NESTING = 100
 # command-line `table`, `kpoly` and `dpoly`, the `kpoly(...)` and `dpoly(...)`
 # calls and the index vectors of the operators B, Bd, Bt, Btd and H, and
 # largest `dual(...)` degree and `s[...]`, `hN` and `eN` literal, where
-# H.box([[1]], h50) took 33.5 s.  The benchmark ladder tops out at 19 cells in
-# 4 factors, and ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells, takes about 20 s and
-# 290 MB on a 2-vCPU machine.  Time and memory grow steeply with both: thirty
-# one-cell factors would need every partition of 30, and 22 of them already
-# cost as much as that 29-cell sequence.  Of 14 sequences measured at the caps,
-# the slowest, five factors (3,2,1), took about 100 s and 790 MB.  On a diamond
-# kind dpoly builds bb_diamond: 6.6 s and 114 MB on the 29-cell sequence, 99 s
-# and 490 MB on five (3,2,1), where table took 71 s and 880 MB on the same
-# machine; kpoly, and dpoly of kind none, read bb_r: 0.4 s and 35 MB, and 5 s
-# and 150 MB (CPU time, peak RSS).  A dual of degree 30 took 1.7 s and 60 MB,
-# of degree 40 16 s and 394 MB.
+# H.box([[1]], h50) took 33.5 s.  The cell cap also bounds the sum of the
+# degrees of a product of two expansions, the degree of a basis change's
+# operand, an operator's operand degree plus its vectors' cells and each
+# partition of `nl(...)`: ten factors s[5] took 23.2 s, nl([1],[61],[60])
+# 9.4 s, and s[10]*s[10]*s[10] takes 0.13 s.  The benchmark ladder tops out at
+# 19 cells in 4 factors, and ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells, takes
+# about 20 s and 290 MB on a 2-vCPU machine.  Time and memory grow steeply with
+# both: thirty one-cell factors would need every partition of 30, and 22 of
+# them already cost as much as that 29-cell sequence.  Of 14 sequences measured
+# at the caps, the slowest, five factors (3,2,1), took about 100 s and
+# 790 MB.  On a diamond kind dpoly builds bb_diamond: 6.6 s and 114 MB on the
+# 29-cell sequence, 99 s and 490 MB on five (3,2,1), where table took 71 s and
+# 880 MB on the same machine; kpoly, and dpoly of kind none, read bb_r: 0.4 s
+# and 35 MB, and 5 s and 150 MB (CPU time, peak RSS).  A dual of degree 30 took
+# 1.7 s and 60 MB, of degree 40 16 s and 394 MB.
 MAX_TABLE_WEIGHT = 30
 MAX_TABLE_FACTORS = 5
 
 
+def check_cells(what, cells):
+    """Refuse what, of the given number of cells, past MAX_TABLE_WEIGHT."""
+    if cells > MAX_TABLE_WEIGHT:
+        raise EvalError("%s of %d cells, above the cap of %d"
+                        % (what, cells, MAX_TABLE_WEIGHT))
+
+
 def check_table_sequence(rects):
     """Refuse a sequence R past MAX_TABLE_WEIGHT cells or MAX_TABLE_FACTORS
-    factors.  An index vector's cells are the absolute values of its
-    entries, which bound the degree of every operand its rows reach."""
+    factors, and return its cells.  An index vector's cells are the
+    absolute values of its entries, which bound the degree of every operand
+    its rows reach."""
     cells = sum(abs(x) for r in rects for x in r)
-    if cells > MAX_TABLE_WEIGHT:
-        raise EvalError("sequence of %d cells, above the cap of %d"
-                        % (cells, MAX_TABLE_WEIGHT))
+    check_cells("sequence", cells)
     if len(rects) > MAX_TABLE_FACTORS:
         raise EvalError("sequence of %d factors, above the cap of %d"
                         % (len(rects), MAX_TABLE_FACTORS))
+    return cells
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
@@ -361,15 +372,11 @@ def eval_ast(node):
         return LaurentPoly.t(1)
     if tag == "eh":
         kind_sym, k = node[2], node[3]
-        if k > MAX_TABLE_WEIGHT:
-            raise EvalError("%s%d literal of %d cells, above the cap of %d"
-                            % (kind_sym, k, k, MAX_TABLE_WEIGHT))
+        check_cells("%s%d literal" % (kind_sym, k), k)
         lam = (k,) if kind_sym == "h" else (1,) * k
         return Expansion("none", SymFunc.schur(lam))
     if tag == "schur":
-        if sum(node[3]) > MAX_TABLE_WEIGHT:
-            raise EvalError("s[...] literal of %d cells, above the cap of %d"
-                            % (sum(node[3]), MAX_TABLE_WEIGHT))
+        check_cells("s[...] literal", sum(node[3]))
         return Expansion(node[2], SymFunc.schur(node[3]))
     if tag in _BINARY:
         # a chain a + b - c * d ... parses into a left-deep tree as deep as
@@ -455,6 +462,7 @@ def _mul(a, b):
     if a.kind != b.kind:
         raise EvalError("basis mismatch: %s vs %s (use expand)"
                         % (a.kind, b.kind))
+    check_cells("product", a.func.degree() + b.func.degree())
     return diamond_product(a, b)
 
 
@@ -476,7 +484,7 @@ def _eval_op(node):
     from .operators import bernstein_diamond_row, tilde_b_diamond_parabolic
     from .kpoly import h_rows
     vectors = _want_vectors(shape)
-    check_table_sequence(vectors)
+    cells = check_table_sequence(vectors)
     if operand is None:
         f = SymFunc.one()
     else:
@@ -485,6 +493,7 @@ def _eval_op(node):
         if val.kind != "none":
             raise EvalError("operators act on Schur-basis operands")
         f = val.func
+    check_cells("operand and index vectors", f.degree() + cells)
     # a kind tag selects the kind's operator; untagged, the diamond
     # families act as vdom and the others as the Schur kind none
     kind = kind or ("vdom" if family in ("Bd", "Btd") else "none")
@@ -545,8 +554,7 @@ def _eval_call(node):
         if len(args) != 1:
             raise EvalError("expand takes one expression")
         target = _kw_kind(kwargs, None) or _kw_basis(kwargs)
-        val = _as_expansion(eval_ast(args[0]))
-        return change_basis(val, target)
+        return expand_value(eval_ast(args[0]), target)
     if name == "skew":
         if len(args) != 2:
             raise EvalError("skew takes two expressions")
@@ -592,6 +600,7 @@ def _eval_call(node):
             if a[0] != "list":
                 raise EvalError("nl arguments are partitions")
             shapes.append(_partition(a[1], "nl argument"))
+            check_cells("nl argument", sum(shapes[-1]))
         return LaurentPoly.const(newell_littlewood(*shapes))
 
 
@@ -602,6 +611,15 @@ def _kw_basis(kwargs):
     if v[0] == "kindtag":
         return v[1]
     raise EvalError("basis must be a kind tag")
+
+
+def expand_value(value, basis):
+    """An evaluation result in the basis of a kind, for `expand(...)` and
+    the `expand` subcommand: a basis change of an operand past
+    MAX_TABLE_WEIGHT cells is refused."""
+    value = _as_expansion(value)
+    check_cells("basis change operand", value.func.degree())
+    return change_basis(value, basis)
 
 
 def eval_expr(src):

@@ -1,7 +1,8 @@
 """Deformed character tables: the conjugated row operators, the tables they
 generate, the Schur-side recurrence that serves as the fast production path,
-the single-rectangle closed form, transpose duality, and the connection
-between the two deformed-product families.
+the single-rectangle closed form and transpose duality.  The routes that
+check them (row by row, by expansion into kind parabolics, and through the
+connection between the two deformed-product families) are in oracles.
 
 A KTable stores, for one kind and one sequence of partitions, the coefficient
 polynomials of the deformed product in the basis of that kind, together with
@@ -30,8 +31,8 @@ signed series are mutually inverse and skews commute, so the series between
 neighbouring rows cancel and the chain is the t-scaled positive-series skew
 of bb_r(R) at t -> t^2, which is the recurrence table.  hh_r therefore is
 the one-kind case of ktables.  h_rows telescopes the same way along any list
-of index vectors and any operand; hh_r_via_rows calls it once per rectangle,
-applying the rows one by one, as the independent oracle.
+of index vectors and any operand; oracles.hh_r_via_rows calls it once per
+rectangle, applying the rows one by one, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ from .core import (KINDS, LaurentPoly, as_partition, canonical_kind,
                    conjugate, dominant_rearrangement, is_dominant_seq,
                    is_rectangle, kind_partitions_of, partition_key,
                    seq_overlap, seq_weight, KIND_TRANSPOSE)
-from .schur import SymFunc, lr_coefficient, ssyt_contents
-from .series import (_one_row_sweep, _series_coeff, skew_by_series,
-                     to_diamond)
+from .schur import SymFunc
+from .series import _one_row_sweep, _series_coeff, skew_by_series
 from .operators import bb_r, tilde_b_diamond_parabolic
 
 
@@ -126,8 +126,9 @@ def h_rows(kind, vectors, p):
     p, telescoped as in hh_r: S-_1^perp S+_t^perp B_(nu_1) ... B_(nu_k)
     S-_t^perp S+_1^perp p, with B the squared-deformation parabolics.  That
     is four series passes whatever the number of vectors, and two when p is
-    1, which S-_t^perp S+_1^perp fixes.  With one vector it is one row, and
-    applying it vector by vector is its oracle."""
+    1, which S-_t^perp S+_1^perp fixes.  With one vector it is one row;
+    oracles.h_row_via_expansion checks it there, and oracles.hh_r_via_rows
+    applies it vector by vector."""
     kind = canonical_kind(kind)
     f = p
     if kind != "none" and f != SymFunc.one():
@@ -139,29 +140,9 @@ def h_rows(kind, vectors, p):
     return f
 
 
-def h_row_via_expansion(kind, nu, p):
-    """Verification route for one deformed row: positive-series expansion
-    into kind parabolics with squared deformation."""
-    kind = canonical_kind(kind)
-    nu = tuple(int(x) for x in nu)
-    if kind == "none":
-        return tilde_b_diamond_parabolic("none", nu, p, 2)
-    n = len(nu)
-    size_bound = 2 * (max(p.degree(), 0) + sum(x for x in nu if x > 0)) + 4
-    out = SymFunc()
-    for m in range(size_bound + 1):
-        for lam in kind_partitions_of(m, kind, max_len=n):
-            for alpha, cnt in ssyt_contents(lam, n).items():
-                alpha = tuple(alpha) + (0,) * (n - len(alpha))
-                sub = tuple(nu[i] - alpha[i] for i in range(n))
-                g = tilde_b_diamond_parabolic(kind, sub, p, 2)
-                if g:
-                    out = out + g.scaled(LaurentPoly.t(m, cnt))
-    return out
-
-
 def hh_r(kind, rects):
-    """Table of a kind over a sequence of partitions, via row operators.
+    """The recurrence table of a kind over a sequence of partitions: the
+    row operators, telescoped.
 
     Write S+_s and S-_s for the positive and signed series of the kind at
     scale s (1 or t), and X^perp for the adjoint of multiplication by X.
@@ -173,21 +154,9 @@ def hh_r(kind, rects):
     What is left is S+_t^perp B_{R_1} ... B_{R_k} 1, the t-scaled skew of
     bb_r(R) at t -> t^2, so this is the recurrence table of ktables for
     the one kind: one series pass over the shared type-A product.
-    hh_r_via_rows keeps the row-by-row chain as the oracle.
+    oracles.hh_r_via_rows keeps the row-by-row chain as the oracle.
     """
     return ktables((kind,), rects)[canonical_kind(kind)]
-
-
-def hh_r_via_rows(kind, rects):
-    """Table of a kind over a sequence of partitions, row operator by row
-    operator: the verification route for hh_r."""
-    kind = canonical_kind(kind)
-    rects = tuple(as_partition(r) for r in rects)
-    f = SymFunc.one()
-    for r in reversed(rects):
-        f = h_rows(kind, (r,), f)
-    rows = dict(to_diamond(f, kind).func.terms)
-    return KTable(kind, rects, rows, "operator")
 
 
 # ---------------------------------------------------------------------------
@@ -357,106 +326,3 @@ def duality_check(kind, lam, rects):
 
 def all_rect(rects):
     return all(is_rectangle(r) for r in rects)
-
-
-# ---------------------------------------------------------------------------
-# connection between the two deformed-product families
-
-def hb_factor_terms(kind, rect, operand_degree):
-    """Decomposition of one conjugated row operator of a kind into deformed
-    kind parabolics: maps index vectors to coefficient polynomials.
-
-    Index vectors are weakly decreasing, bounded above by the factor width
-    and below by the annihilation radius on the given operand degree.
-    """
-    kind = canonical_kind(kind)
-    rect = as_partition(rect)
-    b = len(rect)
-    if b == 0:
-        return {(): LaurentPoly.const(1)}
-    width = rect[0]
-    size = sum(rect)
-    lower = -(2 * max(operand_degree, 0) + 2)
-    terms = {}
-
-    def vectors(i, prev, acc):
-        if i == b:
-            yield tuple(acc)
-            return
-        for v in range(prev, lower - 1, -1):
-            yield from vectors(i + 1, v, acc + [v])
-
-    for gamma in vectors(0, width, []):
-        a = gamma[-1]
-        if a > rect[-1]:
-            continue
-        gsize = sum(gamma)
-        need = size - gsize
-        if need < 0:
-            continue
-        shifted_r = as_partition(tuple(x - a for x in rect))
-        shifted_g = as_partition(tuple(x - a for x in gamma))
-        coeff = LaurentPoly.zero()
-        for nu in kind_partitions_of(need, kind, max_len=b):
-            k = lr_coefficient(shifted_r, nu, shifted_g)
-            if k:
-                coeff = coeff + LaurentPoly.t(need, k)
-        if coeff:
-            terms[gamma] = coeff
-    return terms
-
-
-# longest factor the connection enumerates: the index vectors of
-# hb_factor_terms multiply quickly with it
-_HB_MAX_FACTOR_LEN = 5
-
-
-def hb_connection(kind, rects):
-    """Cross-check of the two routes to a kind table.
-
-    Builds the table by expanding every conjugated row into deformed kind
-    parabolics with squared deformation, then compares against the row
-    operator route.  Returns (equal, report) where the report carries the
-    per-factor decompositions.
-    """
-    kind = canonical_kind(kind)
-    rects = tuple(as_partition(r) for r in rects)
-    if any(len(r) > _HB_MAX_FACTOR_LEN for r in rects):
-        raise ValueError("factor too long for the connection enumeration")
-    f = SymFunc.one()
-    factor_terms = []
-    for r in reversed(rects):
-        terms = hb_factor_terms(kind, r, max(f.degree(), 0))
-        factor_terms.append((r, terms))
-        acc = SymFunc()
-        for gamma, coeff in terms.items():
-            g = tilde_b_diamond_parabolic(kind, gamma, f, 2)
-            if g:
-                acc = acc + g.scaled(coeff)
-        f = acc
-    lhs = hh_r(kind, rects)
-    rhs_rows = dict(to_diamond(f, kind).func.terms)
-    rhs = KTable(kind, rects, rhs_rows, "hb-connection")
-    report = {
-        "kind": kind,
-        "R": [list(r) for r in rects],
-        "factor_terms": [(list(r), {g: str(c) for g, c in sorted(t.items())})
-                         for r, t in reversed(factor_terms)],
-        "match": lhs.same_rows(rhs),
-    }
-    return lhs.same_rows(rhs), report, rhs
-
-
-# ---------------------------------------------------------------------------
-# single-row specialization
-
-def singlerow_equivalence(lam, mu):
-    """For single-row factor sequences the vertical-domino table equals the
-    deformed-product coefficients at the squared deformation."""
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    rows = tuple((m,) for m in mu)
-    lhs = k_via_schur_recurrence("vdom", lam, rows)
-    from .operators import d_polynomial
-    rhs = d_polynomial("vdom", lam, rows).subs_power(2)
-    return lhs == rhs, lhs, rhs

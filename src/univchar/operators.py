@@ -57,17 +57,15 @@ builds each operand's skew stage once, runs the Pieri stage once per index
 drop and adds each weighted row in place into the accumulator of its next
 pending shifts.  vdom_table_chain runs that program on the diamond row
 stage with the type-A levels, which gives the vdom table with no
-Littlewood-Richardson spectrum.  A brute-force multivariate extraction
-oracle is provided for cross-checking.
+Littlewood-Richardson spectrum.  The brute-force multivariate extraction
+oracle that checks these operators is oracles.direct_extraction_oracle.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .core import LaurentPoly, as_partition, canonical_kind
 from .schur import (Expansion, SymFunc, add_into, bernstein_insert, multiply,
-                    multiply_h, skew_e, skew_h, straighten, to_func)
+                    skew_e, skew_h, straighten, to_func)
 from .series import diamond_unit, from_diamond, to_diamond
 
 
@@ -385,146 +383,6 @@ def tilde_b_diamond_parabolic(kind, nu, p, texp=1):
     empty tile) is the Schur operator, and one index nu = (r,) gives the
     deformed row at r."""
     return _parabolic_apply(nu, p, texp, canonical_kind(kind))
-
-
-# ---------------------------------------------------------------------------
-# brute-force extraction oracle
-
-def direct_extraction_oracle(nu, p, kind="none", texp=1):
-    """Coefficient extraction from the full multivariate generating function.
-
-    Expands the staircase determinant and, for the vertical-domino kind, the
-    signed pair product, then sums over all per-variable skew index tuples.
-    Exponential in the number of variables; guarded for cross-checks only.
-    """
-    nu = tuple(int(x) for x in nu)
-    kind = canonical_kind(kind)
-    n = len(nu)
-    if kind == "none":
-        if n > 5:
-            raise ValueError("oracle limited to 5 variables")
-        return _oracle_type_a(nu, p, texp)
-    if n > 4:
-        raise ValueError("diamond oracle limited to 4 variables")
-    if kind == "vdom":
-        return _oracle_vdom(nu, p, texp)
-    if kind == "box":
-        out = SymFunc()
-        for shift in itertools.product((0, 1), repeat=n):
-            sub = tuple(nu[i] - shift[i] for i in range(n))
-            out = out + _oracle_vdom(sub, p, texp).scaled((-1) ** sum(shift))
-        return out
-    out = SymFunc()
-    for shift in itertools.product((0, 1), repeat=n):
-        sub = tuple(nu[i] - 2 * shift[i] for i in range(n))
-        out = out + _oracle_vdom(sub, p, texp).scaled((-1) ** sum(shift))
-    return out
-
-
-def _nonneg_tuples(length, total_max):
-    if length == 0:
-        yield ()
-        return
-    for head in range(total_max + 1):
-        for tail in _nonneg_tuples(length - 1, total_max - head):
-            yield (head,) + tail
-
-
-def _oracle_type_a(nu, p, texp):
-    n = len(nu)
-    deg = p.degree()
-    if deg < 0:
-        return SymFunc()
-    out = SymFunc()
-    for w in itertools.permutations(range(1, n + 1)):
-        sign = _perm_sign(w)
-        for a in _nonneg_tuples(n, deg):
-            fa = p
-            for ai in a:
-                fa = skew_h(fa, ai)
-            if fa.is_zero():
-                continue
-            rest = deg - sum(a)
-            for b in _nonneg_tuples(n, rest):
-                fab = fa
-                for bi in b:
-                    fab = skew_e(fab, bi)
-                if fab.is_zero():
-                    continue
-                ms = [nu[i] + (w[i] - (i + 1)) + a[i] + b[i] for i in range(n)]
-                if any(m < 0 for m in ms):
-                    continue
-                g = fab
-                for m in ms:
-                    g = multiply_h(g, m)
-                weight = LaurentPoly.t(sum(a) * texp,
-                                       sign * (-1) ** sum(b))
-                out = out + g.scaled(weight)
-    return out
-
-
-def _oracle_vdom(nu, p, texp):
-    n = len(nu)
-    deg = p.degree()
-    if deg < 0:
-        return SymFunc()
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = SymFunc()
-    for w in itertools.permutations(range(1, n + 1)):
-        wsign = _perm_sign(w)
-        for chosen in itertools.chain.from_iterable(
-                itertools.combinations(pairs, k) for k in range(len(pairs) + 1)):
-            pair_shift = [0] * n
-            for i, j in chosen:
-                pair_shift[i] += 1
-                pair_shift[j] += 1
-            psign = (-1) ** len(chosen)
-            for quad in _nonneg_tuples(4 * n, deg):
-                a = quad[0:n]          # z-negative, t-weighted row skews
-                b = quad[n:2 * n]      # z-negative column skews
-                e = quad[2 * n:3 * n]  # z-positive, t-weighted row skews
-                f = quad[3 * n:]       # z-positive column skews
-                g = p
-                for i in range(n):
-                    if a[i]:
-                        g = skew_h(g, a[i])
-                    if b[i]:
-                        g = skew_e(g, b[i])
-                    if e[i]:
-                        g = skew_h(g, e[i])
-                    if f[i]:
-                        g = skew_e(g, f[i])
-                    if g.is_zero():
-                        break
-                if g.is_zero():
-                    continue
-                ok = True
-                ms = []
-                for i in range(n):
-                    m = (nu[i] - (i + 1 - w[i]) - pair_shift[i]
-                         - (e[i] + f[i]) + (a[i] + b[i]))
-                    if m < 0:
-                        ok = False
-                        break
-                    ms.append(m)
-                if not ok:
-                    continue
-                for m in ms:
-                    g = multiply_h(g, m)
-                weight = LaurentPoly.t((sum(a) + sum(e)) * texp,
-                                       wsign * psign
-                                       * (-1) ** (sum(b) + sum(f)))
-                out = out + g.scaled(weight)
-    return out
-
-
-def _perm_sign(w):
-    inv = 0
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i] > w[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,34 @@
-"""Independent brute-force oracles used only for cross-validation.
+"""Independent routes used only for cross-validation, in two groups.
 
-Nothing here shares algorithmic machinery with the production paths: index
-vectors are straightened by sorting against the staircase, Schur
-coefficients are recovered from monomial expansions by triangular solves
-against tableau counts (chains of horizontal strips, each found by
-filtering all partitions of its size), products are recomputed through signed
-one-row chains, deformed single-row coefficients are regraded by the charge
-statistic, and the generating series are re-expanded as explicit polynomial
-products in finitely many variables.
+The brute-force oracles import only core and share no algorithmic machinery
+with the production paths: index vectors are straightened by sorting against
+the staircase, Schur coefficients are recovered from monomial expansions by
+triangular solves against tableau counts (chains of horizontal strips, each
+found by filtering all partitions of its size), products are recomputed
+through signed one-row chains, deformed single-row coefficients are regraded
+by the charge statistic, and the generating series are re-expanded as
+explicit polynomial products in finitely many variables.
+
+The second routes reach the same results by another derivation, but each
+shares a production primitive, which its own check anchors:
+
+* direct_extraction_oracle extracts the coefficients of the deformed
+  parabolic operators from the full multivariate generating function.  It
+  uses schur.skew_h, skew_e and multiply_h, which lr.pieri_vs_lr_spectra
+  and lr.monomial_oracle anchor.
+* h_row_via_expansion expands one conjugated row into kind parabolics with
+  squared deformation.  It uses operators.tilde_b_diamond_parabolic, which
+  direct_extraction_oracle anchors, and schur.ssyt_contents, which
+  lr.ssyt_contents_vs_kostka anchors.
+* hh_r_via_rows applies kpoly.h_rows one rectangle at a time: the row chain
+  that kpoly.hh_r telescopes.  Its series skews are series.skew_by_series,
+  which bases.skew_by_series_vs_series_terms anchors.
+* hb_connection expands every conjugated row into kind parabolics weighted
+  by schur.lr_coefficient, which lr.monomial_oracle and lr.chain_oracle
+  anchor, and compares the table with kpoly.hh_r.
+* singlerow_equivalence compares two production routes on single-row
+  sequences: kpoly.k_via_schur_recurrence against operators.d_polynomial at
+  the squared deformation.
 """
 
 from __future__ import annotations
@@ -15,7 +36,12 @@ from __future__ import annotations
 import itertools
 
 from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
-                   contains, partitions_of)
+                   contains, kind_partitions_of, partitions_of)
+from .schur import (SymFunc, lr_coefficient, multiply_h, skew_e, skew_h,
+                    ssyt_contents)
+from .series import to_diamond
+from .operators import d_polynomial, tilde_b_diamond_parabolic
+from .kpoly import KTable, h_rows, hh_r, k_via_schur_recurrence
 
 # ---------------------------------------------------------------------------
 # truncated polynomial products in n variables
@@ -69,6 +95,13 @@ def alternating_product(monomials, degree, base=None):
 # ---------------------------------------------------------------------------
 # straightening
 
+def _sign(w):
+    """(-1) to the number of inversions of the sequence w."""
+    n = len(w)
+    inversions = sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n))
+    return -1 if inversions % 2 else 1
+
+
 def straighten_by_sorting(nu):
     """Straightening of an integer index vector by sorting: nu plus the
     staircase, sorted, with the sign of its inversions.  Returns None when
@@ -77,10 +110,10 @@ def straighten_by_sorting(nu):
     v = [nu[i] + n - 1 - i for i in range(n)]
     if len(set(v)) != n or min(v, default=0) < 0:
         return None
-    inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
     w = sorted(v, reverse=True)
     lam = tuple(p for p in (w[i] - (n - 1 - i) for i in range(n)) if p)
-    return -1 if inversions % 2 else 1, lam
+    # sorting v decreasingly is sorting -v increasingly
+    return _sign([-x for x in v]), lam
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +251,7 @@ def lr_coefficient_via_chains(lam, mu, nu):
         sizes = tuple(nu[i] - i + w[i] for i in range(n))
         if any(s < 0 for s in sizes):
             continue
-        inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                  if w[i] > w[j])
-        sign = -1 if inv % 2 else 1
-        total += sign * hstrip_chain_count(mu, lam, sizes)
+        total += _sign(w) * hstrip_chain_count(mu, lam, sizes)
     return total
 
 
@@ -386,3 +416,217 @@ def kernel_triple_expansion(degree):
         for b in zs:
             monos.append(tuple(a[k] + b[k] for k in range(6)))
     return geometric_product(monos, degree)
+
+
+# ---------------------------------------------------------------------------
+# second routes: the multivariate extraction of the deformed parabolics
+
+def direct_extraction_oracle(nu, p, kind="none", texp=1):
+    """Coefficient extraction from the full multivariate generating function.
+
+    Expands the staircase determinant and, for the vertical-domino kind, the
+    signed pair product, then sums over all per-variable skew index tuples.
+    Box and hdom multiply the vertical-domino function by the product of
+    1 - z_i^step over the variables, step 1 for box and 2 for hdom.
+    Exponential in the number of variables; guarded for cross-checks only.
+    """
+    nu = tuple(int(x) for x in nu)
+    kind = canonical_kind(kind)
+    n = len(nu)
+    if kind == "none":
+        if n > 5:
+            raise ValueError("oracle limited to 5 variables")
+        return _extraction(nu, p, texp, False)
+    if n > 4:
+        raise ValueError("diamond oracle limited to 4 variables")
+    if kind == "vdom":
+        return _extraction(nu, p, texp, True)
+    step = 1 if kind == "box" else 2
+    out = SymFunc()
+    for shift in itertools.product((0, 1), repeat=n):
+        sub = tuple(nu[i] - step * shift[i] for i in range(n))
+        out = out + _extraction(sub, p, texp, True).scaled((-1) ** sum(shift))
+    return out
+
+
+def _tuples_upto(length, total_max):
+    """Tuples of length nonnegative integers with sum at most total_max."""
+    return itertools.chain.from_iterable(
+        _weak_compositions(s, length) for s in range(total_max + 1))
+
+
+def _extraction(nu, p, texp, mirrored):
+    """The type-A extraction, or the vertical-domino one when mirrored.
+
+    Variable i skews by t-weighted one-row functions (a) and by one-column
+    functions (b) at z_i^-1; mirrored, it skews by both at z_i too (e, f),
+    and the signed pair product over i < j lowers both indices.
+    """
+    n = len(nu)
+    pairs = ([(i, j) for i in range(n) for j in range(i + 1, n)]
+             if mirrored else [])
+    out = SymFunc()
+    for w in itertools.permutations(range(1, n + 1)):
+        wsign = _sign(w)
+        for chosen in itertools.chain.from_iterable(
+                itertools.combinations(pairs, k)
+                for k in range(len(pairs) + 1)):
+            pair_shift = [0] * n
+            for i, j in chosen:
+                pair_shift[i] += 1
+                pair_shift[j] += 1
+            sign = wsign * (-1) ** len(chosen)
+            for quad in _tuples_upto((4 if mirrored else 2) * n, p.degree()):
+                quad += (0,) * (4 * n - len(quad))
+                a, b = quad[0:n], quad[n:2 * n]
+                e, f = quad[2 * n:3 * n], quad[3 * n:]
+                ms = [nu[i] + w[i] - (i + 1) - pair_shift[i]
+                      - (e[i] + f[i]) + (a[i] + b[i]) for i in range(n)]
+                if any(m < 0 for m in ms):
+                    continue
+                # skews commute: the one-row ones first, then the columns
+                g = p
+                for skew, sizes in ((skew_h, a + e), (skew_e, b + f)):
+                    for k in sizes:
+                        if k and g:
+                            g = skew(g, k)
+                if not g:
+                    continue
+                for m in ms:
+                    g = multiply_h(g, m)
+                weight = LaurentPoly.t((sum(a) + sum(e)) * texp,
+                                       sign * (-1) ** (sum(b) + sum(f)))
+                out = out + g.scaled(weight)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# second routes: the deformed rows and tables of kpoly
+
+def h_row_via_expansion(kind, nu, p):
+    """Verification route for one deformed row: positive-series expansion
+    into kind parabolics with squared deformation."""
+    kind = canonical_kind(kind)
+    nu = tuple(int(x) for x in nu)
+    if kind == "none":
+        return tilde_b_diamond_parabolic("none", nu, p, 2)
+    n = len(nu)
+    size_bound = 2 * (max(p.degree(), 0) + sum(x for x in nu if x > 0)) + 4
+    out = SymFunc()
+    for m in range(size_bound + 1):
+        for lam in kind_partitions_of(m, kind, max_len=n):
+            for alpha, cnt in ssyt_contents(lam, n).items():
+                alpha = tuple(alpha) + (0,) * (n - len(alpha))
+                sub = tuple(nu[i] - alpha[i] for i in range(n))
+                g = tilde_b_diamond_parabolic(kind, sub, p, 2)
+                if g:
+                    out = out + g.scaled(LaurentPoly.t(m, cnt))
+    return out
+
+
+def hh_r_via_rows(kind, rects):
+    """Table of a kind over a sequence of partitions, row operator by row
+    operator: the verification route for kpoly.hh_r."""
+    kind = canonical_kind(kind)
+    rects = tuple(as_partition(r) for r in rects)
+    f = SymFunc.one()
+    for r in reversed(rects):
+        f = h_rows(kind, (r,), f)
+    rows = dict(to_diamond(f, kind).func.terms)
+    return KTable(kind, rects, rows, "operator")
+
+
+def hb_factor_terms(kind, rect, operand_degree):
+    """Decomposition of one conjugated row operator of a kind into deformed
+    kind parabolics: maps index vectors to coefficient polynomials.
+
+    Index vectors are weakly decreasing, bounded above by the factor width
+    and below by the annihilation radius on the given operand degree.
+    """
+    kind = canonical_kind(kind)
+    rect = as_partition(rect)
+    b = len(rect)
+    if b == 0:
+        return {(): LaurentPoly.const(1)}
+    width = rect[0]
+    size = sum(rect)
+    lower = -(2 * max(operand_degree, 0) + 2)
+    terms = {}
+
+    def vectors(i, prev, acc):
+        if i == b:
+            yield tuple(acc)
+            return
+        for v in range(prev, lower - 1, -1):
+            yield from vectors(i + 1, v, acc + [v])
+
+    for gamma in vectors(0, width, []):
+        a = gamma[-1]
+        if a > rect[-1]:
+            continue
+        gsize = sum(gamma)
+        need = size - gsize
+        if need < 0:
+            continue
+        shifted_r = as_partition(tuple(x - a for x in rect))
+        shifted_g = as_partition(tuple(x - a for x in gamma))
+        coeff = LaurentPoly.zero()
+        for nu in kind_partitions_of(need, kind, max_len=b):
+            k = lr_coefficient(shifted_r, nu, shifted_g)
+            if k:
+                coeff = coeff + LaurentPoly.t(need, k)
+        if coeff:
+            terms[gamma] = coeff
+    return terms
+
+
+# longest factor the connection enumerates: the index vectors of
+# hb_factor_terms multiply quickly with it
+_HB_MAX_FACTOR_LEN = 5
+
+
+def hb_connection(kind, rects):
+    """Cross-check of the two routes to a kind table.
+
+    Builds the table by expanding every conjugated row into deformed kind
+    parabolics with squared deformation, then compares against the row
+    operator route.  Returns (equal, report, table), where the report
+    carries the per-factor decompositions.
+    """
+    kind = canonical_kind(kind)
+    rects = tuple(as_partition(r) for r in rects)
+    if any(len(r) > _HB_MAX_FACTOR_LEN for r in rects):
+        raise ValueError("factor too long for the connection enumeration")
+    f = SymFunc.one()
+    factor_terms = []
+    for r in reversed(rects):
+        terms = hb_factor_terms(kind, r, max(f.degree(), 0))
+        factor_terms.append((r, terms))
+        acc = SymFunc()
+        for gamma, coeff in terms.items():
+            g = tilde_b_diamond_parabolic(kind, gamma, f, 2)
+            if g:
+                acc = acc + g.scaled(coeff)
+        f = acc
+    lhs = hh_r(kind, rects)
+    rhs_rows = dict(to_diamond(f, kind).func.terms)
+    rhs = KTable(kind, rects, rhs_rows, "hb-connection")
+    report = {
+        "kind": kind,
+        "R": [list(r) for r in rects],
+        "factor_terms": [(list(r), {g: str(c) for g, c in sorted(t.items())})
+                         for r, t in reversed(factor_terms)],
+        "match": lhs.same_rows(rhs),
+    }
+    return lhs.same_rows(rhs), report, rhs
+
+
+def singlerow_equivalence(lam, mu):
+    """For single-row factor sequences the vertical-domino table equals the
+    deformed-product coefficients at the squared deformation."""
+    lam = as_partition(lam)
+    mu = as_partition(mu)
+    rows = tuple((m,) for m in mu)
+    lhs = k_via_schur_recurrence("vdom", lam, rows)
+    rhs = d_polynomial("vdom", lam, rows).subs_power(2)
+    return lhs == rhs, lhs, rhs

@@ -10,10 +10,9 @@ from univchar.cli import main
 from univchar.core import LaurentPoly
 from univchar.exprparse import (MAX_NESTING, MAX_POWER, MAX_POWER_BITS,
                                 EvalError, ParseError, eval_ast, eval_expr,
-                                format_value, parse)
-from univchar.kpoly import hh_r_via_rows
-from univchar.operators import direct_extraction_oracle
-from univchar.schur import SymFunc
+                                expand_value, format_value, parse)
+from univchar.oracles import direct_extraction_oracle, hh_r_via_rows
+from univchar.schur import Expansion, SymFunc
 
 
 def test_parse_examples():
@@ -408,6 +407,39 @@ def test_eval_caps(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_eval_size_caps(capsys):
+    # a product of two expansions, an operator's operand degree plus its
+    # vectors' cells and each partition of nl(...) past MAX_TABLE_WEIGHT
+    # cells are usage errors, refused before that step is computed; ten
+    # factors s[5] took 23.2 s and nl([1],[61],[60]) 9.4 s before the cap
+    over = ("*".join(["s[5]"] * 7), "*".join(["s[5]"] * 10),
+            "Bt([[1]], s[30])", "Bt([[6,6],[6,6],[6]], s[10,10,10])",
+            "nl([31],[1],[30])", "nl([1],[61],[60])", "nl([1],[81],[80])",
+            "expand(s[16]*s[15], basis=vdom)",
+            "expand(s[10]*s[10]*s[10]*s[10], basis=vdom)")
+    argvs = [["eval", expr] for expr in over]
+    argvs += [["expand", "--basis", "vdom", expr]
+              for expr in ("s[16]*s[15]", "s[15]*s[15]*s[15]*s[15]")]
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("univchar: error: ") and err.count("\n") == 1
+        assert "above the cap of %d" % univchar.cli.MAX_TABLE_WEIGHT in err
+    # the one basis change that expand(...) and `univchar expand` share
+    with pytest.raises(EvalError):
+        expand_value(Expansion("none", SymFunc.schur((31,))), "vdom")
+    # at the caps, cheap inputs still run
+    for argv in (["eval", "s[10]*s[10]*s[10]"],
+                 ["eval", "*".join(["s[5]"] * 6)],
+                 ["eval", "expand(s[10]*s[10]*s[10], basis=vdom)"],
+                 ["expand", "--basis", "vdom", "s[10]*s[10]*s[10]"],
+                 ["eval", "Bt([[1]], s[29])"]):
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert main(["eval", "nl([1],[30],[29])"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
 def test_table_repeated_kind(tmp_path, capsys):
     # cell is an alias of box: the table is written and listed once
     assert main(["table", "-R", "[[2,2],[1]]", "--kinds", "box,cell",
@@ -425,14 +457,27 @@ def test_table_empty_sequence(tmp_path, capsys):
     assert data["K"] == [{"lambda": [], "poly": {"0": "1"}}]
 
 
-def test_console_entrypoint():
+def _run_child(*args):
     # the child imports the same univchar, installed or not
     src = os.path.dirname(os.path.dirname(univchar.__file__))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "univchar.cli", "eval", "nl([2],[1],[1])"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable] + list(args),
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_entrypoint():
+    proc = _run_child("-m", "univchar.cli", "eval", "nl([2],[1],[1])")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def test_production_imports_leave_out_the_oracles():
+    # the check-only modules are reached from verify and the tests only
+    proc = _run_child("-c", "import sys, univchar.cli, univchar.kpoly, "
+                      "univchar.operators, univchar.series; "
+                      "print(sorted(m for m in ('univchar.oracles', "
+                      "'univchar.verify') if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,10 +9,10 @@ from univchar.series import Expansion, from_diamond, to_diamond
 from univchar.operators import tilde_b_diamond_parabolic
 from univchar.exprparse import eval_expr
 from univchar import kpoly
-from univchar.kpoly import (KTable, duality_check, h_row_via_expansion,
-                            h_rows, hb_connection, hh_r, hh_r_via_rows,
-                            k_via_schur_recurrence, single_rectangle_table,
-                            singlerow_equivalence)
+from univchar.kpoly import (KTable, duality_check, h_rows, hh_r,
+                            k_via_schur_recurrence, single_rectangle_table)
+from univchar.oracles import (h_row_via_expansion, hb_connection,
+                              hh_r_via_rows, singlerow_equivalence)
 from univchar.verify import dominant_rect_sequences
 
 t = LaurentPoly.t

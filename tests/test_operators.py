@@ -12,9 +12,9 @@ from univchar.operators import (InvariantViolation, _halve_exact,
                                 bernstein_diamond_create,
                                 bernstein_diamond_row, d_polynomial,
                                 det_diamond, det_diamond_schur,
-                                direct_extraction_oracle, jacobi_trudi,
-                                tilde_b_diamond_parabolic)
+                                jacobi_trudi, tilde_b_diamond_parabolic)
 from univchar import operators, oracles
+from univchar.oracles import direct_extraction_oracle
 from univchar.verify import specialization_sequences
 
 
