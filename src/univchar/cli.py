@@ -132,17 +132,17 @@ def cmd_table(rects, kinds, out_dir, latex, as_json):
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for kind, table in ktables(kinds, rects).items():
+        text, tex, negative = table.render(latex)
         path = os.path.join(out_dir, "ktable_%s.json" % kind)
         with open(path, "w") as fh:
-            json.dump(table.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         written.append(path)
         if latex:
             tex_path = os.path.join(out_dir, "ktable_%s.tex" % kind)
             with open(tex_path, "w") as fh:
-                fh.write(table.to_latex())
+                fh.write(tex)
             written.append(tex_path)
-        for lam, poly in table.positivity_report():
+        for lam, poly in negative:
             print("univchar: note: negative data at %s (%s) in kind %s"
                   % (list(lam), poly, kind), file=sys.stderr)
     if as_json:

@@ -317,18 +317,20 @@ class LaurentPoly:
         if not self.c:
             return "0"
         bits = []
-        for e in sorted(self.c, reverse=True):
-            v = self.c[e]
+        for e, v in sorted(self.c.items(), reverse=True):
+            if v < 0:
+                bits.append(" - ")
+                v = -v
+            else:
+                bits.append(" + ")
             if e == 0:
-                term = str(abs(v))
+                bits.append(str(v))
             else:
-                mag = "" if abs(v) == 1 else "%d%s" % (abs(v), times)
-                term = mag + ("t" if e == 1 else power % e)
-            if not bits:
-                bits.append(("-" if v < 0 else "") + term)
-            else:
-                bits.append((" - " if v < 0 else " + ") + term)
-        return "".join(bits)
+                if v != 1:
+                    bits.append("%d%s" % (v, times))
+                bits.append("t" if e == 1 else power % e)
+        # every term opens with its sign; the first drops the spaces
+        return ("-" if bits[0] == " - " else "") + "".join(bits[1:])
 
     __str__ = format
 

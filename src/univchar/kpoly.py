@@ -37,6 +37,8 @@ rectangle, applying the rows one by one, as the independent oracle.
 
 from __future__ import annotations
 
+import json
+
 from .core import (KINDS, LaurentPoly, as_partition, canonical_kind,
                    conjugate, dominant_rearrangement, is_dominant_seq,
                    is_rectangle, kind_partitions_of, partition_key,
@@ -72,13 +74,8 @@ class KTable:
         Nonnegativity is an observed property for dominant rectangle
         sequences; violations are reported, never silently accepted.
         """
-        bad = []
-        for lam in self.support():
-            poly = self.rows[lam]
-            if any(v < 0 for v in poly.c.values()) or \
-               any(e < 0 for e in poly.c):
-                bad.append((lam, poly))
-        return bad
+        return [(lam, self.rows[lam]) for lam in self.support()
+                if _negative(self.rows[lam])]
 
     def to_json(self):
         return {
@@ -96,15 +93,46 @@ class KTable:
         return cls(obj["kind"], [as_partition(r) for r in obj["R"]], rows,
                    obj.get("provenance", ""))
 
-    def to_latex(self):
+    def render(self, latex=True):
+        """The files of `univchar table` from one walk of the support:
+        (JSON text, LaTeX text or None, positivity_report()).
+
+        The JSON text is json.dumps(self.to_json(), indent=1,
+        sort_keys=True) and a newline, byte for byte: exponent keys sort as
+        strings, so "10" precedes "2".  The LaTeX text is a tabular with one
+        row per partition, each polynomial highest power first.
+        """
+        records = []
         lines = [r"\begin{tabular}{ll}",
                  r"$\lambda$ & $K^{\mathrm{%s}}_{\lambda;R}(t)$ \\\hline"
-                 % self.kind]
+                 % self.kind] if latex else None
+        negative = []
         for lam in self.support():
-            poly = self.rows[lam].format("", "t^{%d}")
-            lines.append(r"$%s$ & $%s$ \\" % (_latex_partition(lam), poly))
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines) + "\n"
+            poly = self.rows[lam]
+            parts = [str(p) for p in lam]
+            # a closing quote sorts before any digit or sign, so sorting the
+            # entries sorts their keys
+            entries = ',\n    '.join(sorted(['"%d": "%d"' % ev
+                                             for ev in poly.c.items()]))
+            lam_text = ("[\n    %s\n   ]" % ",\n    ".join(parts)
+                        if parts else "[]")
+            records.append('  {\n   "lambda": %s,\n   "poly": {\n    %s\n'
+                           '   }\n  }' % (lam_text, entries))
+            if latex:
+                lines.append(r"$(%s)$ & $%s$ \\"
+                             % (",".join(parts), poly.format("", "t^{%d}")))
+            if _negative(poly):
+                negative.append((lam, poly))
+        # the keys after "K" sort as R, kind, provenance; the stdlib writes
+        # them at the same indent once its opening brace is cut off
+        tail = json.dumps({"R": [list(r) for r in self.rects],
+                           "kind": self.kind, "provenance": self.provenance},
+                          indent=1, sort_keys=True)
+        text = '{\n "K": %s,\n%s\n' % (
+            "[\n%s\n ]" % ",\n".join(records) if records else "[]",
+            tail[2:])
+        tex = "\n".join(lines) + "\n\\end{tabular}\n" if latex else None
+        return text, tex, negative
 
     def __repr__(self):
         bits = ", ".join("%r: %s" % (list(l), p) for l, p in
@@ -114,8 +142,10 @@ class KTable:
             self.kind, [list(r) for r in self.rects], bits)
 
 
-def _latex_partition(lam):
-    return "(" + ",".join(str(p) for p in lam) + ")"
+def _negative(poly):
+    """The row test of positivity_report and render: a negative coefficient
+    or a negative exponent."""
+    return min(poly.c) < 0 or min(poly.c.values()) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from univchar.core import LaurentPoly
 from univchar.exprparse import (MAX_NESTING, MAX_POWER, MAX_POWER_BITS,
                                 EvalError, ParseError, eval_ast, eval_expr,
                                 expand_value, format_value, parse)
+from univchar.kpoly import KTable
 from univchar.oracles import direct_extraction_oracle, hh_r_via_rows
 from univchar.schur import Expansion, SymFunc
 
@@ -330,6 +332,28 @@ def test_cli_verify_json_seconds(capsys):
         assert isinstance(seconds, (int, float)) and seconds >= 0, check
 
 
+# sha256 of the files of `univchar table -R [[2,2],[1]] --kinds all --latex`,
+# frozen from the writer that ran json.dump and KTable.to_latex
+TABLE_FILE_DIGESTS = {
+    "ktable_none.json":
+        "1f7349043f4a6bf7ac3c49860178b398b7c02e7c95ce81a776042feff50f0446",
+    "ktable_none.tex":
+        "e0ed2c105e1f1066ceaa7f554c758c60e1e8fe9262f8ec5b523feb35d34ae658",
+    "ktable_box.json":
+        "6587fbc9004635a0b59baf3cb7d0a8ffcc3d1fdda0703f657a49fd4953edb85f",
+    "ktable_box.tex":
+        "956c07396c164e96b2f4aded387eb0ea58bf73a8874a926fd7ed81a19f359ed6",
+    "ktable_vdom.json":
+        "15fd3cd85a381288548e57f84423c69d457e33b55b7f8ef197d376f2237cd61c",
+    "ktable_vdom.tex":
+        "0a0732371305662c3ca2304cda85f6d5b1a5c32a8cff2354b960c625fbbf4dcd",
+    "ktable_hdom.json":
+        "d1b53675477bf6be053fc50cf9b744506998baf3e89702dbb702f29c1ab1a85f",
+    "ktable_hdom.tex":
+        "94e32f800125218d2f982f604633929dbe75e11270f59c5c0aa08df7d0fb5e6e",
+}
+
+
 def test_table_command(tmp_path, capsys):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -337,10 +361,11 @@ def test_table_command(tmp_path, capsys):
         assert main(["table", "-R", "[[2,2],[1]]", "--kinds", "all",
                      "--out", str(out), "--latex"]) == 0
         capsys.readouterr()
-    for kind in ("none", "box", "vdom", "hdom"):
-        for ext in ("json", "tex"):
-            name = "ktable_%s.%s" % (kind, ext)
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert sorted(os.listdir(out1)) == sorted(TABLE_FILE_DIGESTS)
+    for name, digest in TABLE_FILE_DIGESTS.items():
+        data = (out1 / name).read_bytes()
+        assert data == (out2 / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
     data = json.loads((out1 / "ktable_vdom.json").read_text())
     assert data["kind"] == "vdom"
     assert {"lambda": [1], "poly": {"4": "1", "6": "1"}} in data["K"]
@@ -350,6 +375,26 @@ def test_table_command(tmp_path, capsys):
         rows = {tuple(rec["lambda"]): LaurentPoly.from_json(rec["poly"])
                 for rec in data["K"]}
         assert rows == hh_r_via_rows(kind, ((2, 2), (1,))).rows, kind
+
+
+def test_table_negative_note(tmp_path, capsys, monkeypatch):
+    # a negative row is reported on stderr, once per row, and still written
+    rows = {(1,): LaurentPoly({1: -1}), (2,): LaurentPoly({0: 1}),
+            (1, 1): LaurentPoly({-2: 3})}
+    table = KTable("vdom", ((1,), (1,)), rows, "test")
+    monkeypatch.setattr("univchar.kpoly.ktables",
+                        lambda kinds, rects: {"vdom": table})
+    assert main(["table", "-R", "[[1],[1]]", "--kinds", "vdom",
+                 "--out", str(tmp_path), "--latex"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "univchar: note: negative data at [1] (-t) in kind vdom",
+        "univchar: note: negative data at [1, 1] (3*t^-2) in kind vdom"]
+    assert captured.out.splitlines() == [
+        str(tmp_path / "ktable_vdom.json"), str(tmp_path / "ktable_vdom.tex")]
+    data = json.loads((tmp_path / "ktable_vdom.json").read_text())
+    assert KTable.from_json(data).same_rows(table)
+    assert "$(1)$ & $-t$" in (tmp_path / "ktable_vdom.tex").read_text()
 
 
 def test_table_weight_cap(tmp_path, capsys):

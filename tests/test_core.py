@@ -110,6 +110,24 @@ def test_laurent_arith():
         t(-1).eval_int(0)
 
 
+def test_laurent_format():
+    # highest power first, in both renderings; the texts were frozen from
+    # the writer that looked each coefficient up after sorting the exponents
+    cases = [
+        ({}, "0", "0"),
+        ({0: -1}, "-1", "-1"),
+        ({1: 2}, "2*t", "2t"),
+        ({5: -1}, "-t^5", "-t^{5}"),
+        ({-3: -2, 0: 1, 1: -1}, "-t + 1 - 2*t^-3", "-t + 1 - 2t^{-3}"),
+        ({10: 3, 2: 1, 0: -7}, "3*t^10 + t^2 - 7", "3t^{10} + t^{2} - 7"),
+        ({-1: 1}, "t^-1", "t^{-1}"),
+    ]
+    for coeffs, text, tex in cases:
+        p = LaurentPoly(coeffs)
+        assert str(p) == p.format() == text
+        assert p.format("", "t^{%d}") == tex
+
+
 def test_laurent_ring_axioms_random():
     rng = random.Random(3)
     for _ in range(50):

@@ -294,13 +294,83 @@ def test_specializations():
 
 def test_ktable_json_latex():
     table = hh_r("vdom", R_EXAMPLE)
-    again = KTable.from_json(table.to_json())
+    text, tex, negative = table.render()
+    again = KTable.from_json(json.loads(text))
     assert again.same_rows(table)
     assert again.kind == table.kind and again.rects == table.rects
-    tex = table.to_latex()
     assert tex.startswith(r"\begin{tabular}")
     assert "t^{6}" in tex and "(2,2,1)" in tex
-    assert table.positivity_report() == []
+    assert negative == [] == table.positivity_report()
+    assert table.render(latex=False) == (text, None, [])
+
+
+# Edge tables with the LaTeX the stdlib-era writer (KTable.to_latex, since
+# replaced by render) gave them: exponents whose string order differs from
+# their numeric order, negative exponents and coefficients, the empty
+# partition, no rows, and kind none.
+_EDGE_TABLES = [
+    (KTable("box", ((1,),), {(2,): LaurentPoly({2: 1, 10: 3})}, "test"),
+     "\\begin{tabular}{ll}\n"
+     "$\\lambda$ & $K^{\\mathrm{box}}_{\\lambda;R}(t)$ \\\\\\hline\n"
+     "$(2)$ & $3t^{10} + t^{2}$ \\\\\n"
+     "\\end{tabular}\n"),
+    (KTable("vdom", ((1,),),
+            {(1,): LaurentPoly({-3: -2, 0: 1, 1: -1}),
+             (2, 1): LaurentPoly({0: -1, 5: -1, 11: 12})}, "test"),
+     "\\begin{tabular}{ll}\n"
+     "$\\lambda$ & $K^{\\mathrm{vdom}}_{\\lambda;R}(t)$ \\\\\\hline\n"
+     "$(1)$ & $-t + 1 - 2t^{-3}$ \\\\\n"
+     "$(2,1)$ & $12t^{11} - t^{5} - 1$ \\\\\n"
+     "\\end{tabular}\n"),
+    (KTable("none", (), {(): LaurentPoly({0: 1})}, "test"),
+     "\\begin{tabular}{ll}\n"
+     "$\\lambda$ & $K^{\\mathrm{none}}_{\\lambda;R}(t)$ \\\\\\hline\n"
+     "$()$ & $1$ \\\\\n"
+     "\\end{tabular}\n"),
+    (KTable("hdom", ((2,),), {}, "test"),
+     "\\begin{tabular}{ll}\n"
+     "$\\lambda$ & $K^{\\mathrm{hdom}}_{\\lambda;R}(t)$ \\\\\\hline\n"
+     "\\end{tabular}\n"),
+    (KTable("none", ((1,), (1,)),
+            {(2,): LaurentPoly({0: 1, 1: 1}), (1, 1): LaurentPoly({1: 2}),
+             (3,): LaurentPoly()}, "recurrence"),
+     "\\begin{tabular}{ll}\n"
+     "$\\lambda$ & $K^{\\mathrm{none}}_{\\lambda;R}(t)$ \\\\\\hline\n"
+     "$(2)$ & $t + 1$ \\\\\n"
+     "$(1,1)$ & $2t$ \\\\\n"
+     "\\end{tabular}\n"),
+]
+
+# sha256 of the stdlib-era LaTeX of the four tables of ((3,3),(2,2),(1,))
+_RENDER_TEX_DIGESTS = {
+    "none": "c589023475b19e626acd3186fb4e5bbe9f4bf315f655e6789f1aa6ec2f2ffd1d",
+    "box": "c7b0e0474b7bb46809b588fbd17586d089d6fe665f380e4d85c7430f5bc9a52a",
+    "vdom": "b3fafd7ddb5cb68d5f255c71b33a8967f4c274b761ec91efc798680bc6e30f3f",
+    "hdom": "3c0b5730e3a766ad6f0ed0319e5cc9f9d3bdc96175baab905b441063ce68f3f5",
+}
+
+
+def _stdlib_json(table):
+    return json.dumps(table.to_json(), indent=1, sort_keys=True) + "\n"
+
+
+def test_render_matches_the_stdlib_encoder():
+    for table, tex in _EDGE_TABLES:
+        text, got, negative = table.render()
+        assert text == _stdlib_json(table), table
+        assert got == tex, table
+        assert negative == table.positivity_report(), table
+    assert '"K": []' in _EDGE_TABLES[3][0].render()[0]
+    assert '"lambda": []' in _EDGE_TABLES[2][0].render()[0]
+    assert [lam for lam, _ in _EDGE_TABLES[1][0].render()[2]] == \
+        [(1,), (2, 1)]
+    tables = kpoly.ktables(KINDS, ((3, 3), (2, 2), (1,)))
+    for kind, table in tables.items():
+        text, tex, negative = table.render()
+        assert text == _stdlib_json(table), kind
+        assert hashlib.sha256(tex.encode()).hexdigest() == \
+            _RENDER_TEX_DIGESTS[kind], kind
+        assert negative == [], kind
 
 
 def test_positivity_report_flags_negative():
