@@ -140,6 +140,11 @@ def tokenize(src):
     return out
 
 
+def _shown(tok):
+    """A token as an error message names it."""
+    return "end of input" if tok[0] == "end" else repr(tok[1])
+
+
 # AST nodes: tuples (tag, span, *payload)
 
 OP_FAMILIES = ("B", "Bd", "Bt", "Btd", "H")
@@ -176,7 +181,7 @@ class Parser:
     def expect(self, tag):
         t = self.next()
         if t[0] != tag:
-            raise ParseError("expected %r, found %r" % (tag, t[1]), t[2])
+            raise ParseError("expected %r, found %s" % (tag, _shown(t)), t[2])
         return t
 
     def nest(self, delta):
@@ -240,7 +245,7 @@ class Parser:
             return node
         if t[0] == "name":
             return self.named()
-        raise ParseError("unexpected token %r" % (t[1],), t[2])
+        raise ParseError("unexpected token %s" % _shown(t), t[2])
 
     def named(self):
         t = self.next()

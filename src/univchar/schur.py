@@ -22,7 +22,8 @@ mu_{r+1}, so the shapes one move reaches are the tuples of a box of
 intervals with a fixed sum (_interlacing).  A vertical strip is the
 conjugate of a horizontal one (omega, Macdonald I.5), so column moves
 conjugate the row moves of the conjugate shape.  All four moves share one
-memo, _STRIP_CACHE, and tableau contents read the same boxes.
+memo, _STRIP_CACHE.  Tableau contents come from the same removal pass: the
+cells of a filling's last letter form a horizontal strip (ssyt_contents).
 
 Products, skews, Pieri moves and evaluations share one accumulator: a dict
 key -> raw {exponent: int} dict, into which add_into adds mult * t^shift * c
@@ -529,42 +530,28 @@ def schur_of_vector(nu):
 # evaluation on finite alphabets of monomials
 
 def ssyt_contents(lam, nvars):
-    """dict content-composition -> number of semistandard fillings of lam."""
+    """dict content-composition -> number of semistandard fillings of lam in
+    nvars letters.
+
+    The cells of the last letter form a horizontal strip lam/nu, so the
+    contents of lam are those of each nu that one removal pass reaches in
+    one letter fewer, with the strip size appended."""
     key = (lam, nvars)
     got = _CONTENT_CACHE.get(key)
     if got is not None:
         return got
     out = {}
-    if len(lam) > nvars:
-        _CONTENT_CACHE[key] = out
-        return out
-
-    total = sum(lam)
-
-    def rec(letter, shape, placed, content):
-        if letter == nvars:
-            if placed == total:
-                out[content] = out.get(content, 0) + 1
-            return
-        if total - placed > (nvars - letter) * (lam[0] if lam else 0):
-            return
-        for target in _shapes_between(shape, lam):
-            rec(letter + 1, target, placed + sum(target) - sum(shape),
-                content + (sum(target) - sum(shape),))
-
-    rec(0, (), 0, ())
+    if not nvars:
+        if not lam:
+            out[()] = 1
+    elif len(lam) <= nvars:
+        for m in range((lam[0] if lam else 0) + 1):
+            for nu in _strips(lam, m, False, False):
+                for content, cnt in ssyt_contents(nu, nvars - 1).items():
+                    content += (m,)
+                    out[content] = out.get(content, 0) + cnt
     _CONTENT_CACHE[key] = out
     return out
-
-
-def _shapes_between(shape, lam):
-    """Shapes target with shape <= target <= lam and target/shape horizontal."""
-    n = len(lam)
-    lo = shape + (0,) * (n - len(shape))
-    hi = tuple(min(lam[r], lo[r - 1]) if r else lam[0] for r in range(n))
-    return [tuple(p for p in v if p)
-            for total in range(sum(lo), sum(hi) + 1)
-            for v in _interlacing(lo, hi, total)]
 
 
 def evaluate(p, alphabet, nvars):

@@ -3,11 +3,14 @@ Schur basis, basis changes, Newell-Littlewood coefficients, the transpose
 involution on each basis, and truncated dual bases.
 
 Each kind has a positive generating series (all partitions in its tileable
-family, coefficient one) and a signed inverse series supported on special
-Frobenius or self-conjugate shapes.  The series only ever act through the
-skewing operator, so they are generated on demand per degree and memoized.
-The signed shapes and signs are validated against brute-force polynomial
-expansion in the verification suite.
+family, coefficient one) and a signed inverse series.  The signed series of
+the three kinds are one Frobenius family (Koike-Terada, J. Algebra 107,
+1987; Macdonald, I.5 Ex. 9): each strict partition alpha gives the shape
+(alpha - 1 | alpha - 1) for box, (alpha - 1 | alpha) for vdom and
+(alpha | alpha - 1) for hdom, with sign (-1)^|alpha|.  The series only ever
+act through the skewing operator, so they are generated on demand per
+degree and memoized.  The signed shapes and signs are validated against
+brute-force polynomial expansion in the verification suite.
 
 The positive box series is the vdom seed plus one cell (Macdonald, I.5
 Ex. 5): S_box = S_vdom * sum_k h_k, t-scaled termwise, so skewing by it is the
@@ -32,9 +35,9 @@ well and its skew is already paid for.
 
 from __future__ import annotations
 
-from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
-                   diagonal_size, from_frobenius, kind_partitions_of,
-                   partition_key, partitions_upto)
+from .core import (LaurentPoly, as_partition, canonical_kind, contains,
+                   from_frobenius, intersect, kind_partitions_of,
+                   partition_key, partitions_of, partitions_upto)
 from .schur import (Expansion, SymFunc, _prod_spectrum, _skew_spectrum,
                     add_into, multiply, skew_by, skew_h, to_func)
 
@@ -42,44 +45,36 @@ _SERIES_CACHE = {}   # (kind, sign) -> list per degree of [(partition, +-1)]
 _SPECTRUM_CACHE = {}  # (lam, kind, sign) -> tuple of (nu, int)
 
 
+# Frobenius offsets (da, db) of the arms and legs of each kind's signed
+# shapes over alpha - 1
+_FROBENIUS_OFFSETS = {"box": (0, 0), "vdom": (0, 1), "hdom": (1, 0)}
+
+
+def _strict_partitions(total, largest):
+    """Strictly decreasing tuples of positive parts at most largest, summing
+    to total."""
+    if total == 0:
+        yield ()
+        return
+    for head in range(min(total, largest), 0, -1):
+        for tail in _strict_partitions(total - head, head - 1):
+            yield (head,) + tail
+
+
 def _signed_shapes(kind, n):
-    """Signed-series shapes of size n with their integer signs."""
+    """Signed-series shapes of size n with their integer signs: over strict
+    alpha, (alpha - 1 + da | alpha - 1 + db) with sign (-1)^|alpha|, whose
+    size is 2|alpha| - (1 - da - db) l(alpha)."""
     if kind == "none":
         return [((), 1)] if n == 0 else []
-    if n == 0:
-        return [((), 1)]
-    out = []
-    if kind == "box":
-        # self-conjugate shapes
-        for lam in kind_partitions_of(n, "box"):
-            if lam == conjugate(lam):
-                sign = -1 if ((n + diagonal_size(lam)) // 2) % 2 else 1
-                out.append((lam, sign))
-        return out
-    if n % 2:
-        return []
-    half = n // 2
-    # hook parameters: strictly decreasing alpha with sum(alpha) = n/2
-    sign = -1 if half % 2 else 1
-
-    def arms(total, maxv):
-        if total == 0:
-            yield ()
-            return
-        for head in range(min(total, maxv), 0, -1):
-            for tail in arms(total - head, head - 1):
-                yield (head,) + tail
-
-    if kind == "vdom":
-        # legs exceed arms by one: shape (a_1,..|a_1+1,..)
-        for alpha in arms(half, half):
-            a = tuple(x - 1 for x in alpha)
-            out.append((from_frobenius(a, alpha), sign))
-    else:  # hdom: arms exceed legs by one
-        for alpha in arms(half, half):
-            b = tuple(x - 1 for x in alpha)
-            out.append((from_frobenius(alpha, b), sign))
-    return out
+    da, db = _FROBENIUS_OFFSETS[kind]
+    # the size is at least |alpha| and at most 2|alpha|
+    return [(from_frobenius(tuple(a - 1 + da for a in alpha),
+                            tuple(a - 1 + db for a in alpha)),
+             -1 if total % 2 else 1)
+            for total in range((n + 1) // 2, n + 1)
+            for alpha in _strict_partitions(total, total)
+            if 2 * total - (1 - da - db) * len(alpha) == n]
 
 
 def _series_rows(kind, sign, degree):
@@ -262,26 +257,17 @@ def newell_littlewood(lam, mu, nu):
     excess = sum(mu) + sum(nu) - sum(lam)
     if excess < 0 or excess % 2:
         return 0
-    tsize = excess // 2
-    total = 0
-    from .core import intersect, partitions_of, contains
+    # tau inside mu and nu leaves both skews nonempty, and every rho, sigma
+    # they reach has |rho| + |sigma| = |mu| + |nu| - 2|tau| = |lam|
     cap = intersect(mu, nu)
-    for tau in partitions_of(tsize):
+    total = 0
+    for tau in partitions_of(excess // 2):
         if not contains(cap, tau):
             continue
-        left = dict(_skew_spectrum(mu, tau))
-        if not left:
-            continue
-        right = dict(_skew_spectrum(nu, tau))
-        if not right:
-            continue
-        for rho, a in left.items():
-            for sigma, b in right.items():
-                if sum(rho) + sum(sigma) != sum(lam):
-                    continue
-                c = _prod_spectrum(rho, sigma).get(lam, 0)
-                if c:
-                    total += a * b * c
+        right = _skew_spectrum(nu, tau)
+        for rho, a in _skew_spectrum(mu, tau):
+            for sigma, b in right:
+                total += a * b * _prod_spectrum(rho, sigma).get(lam, 0)
     return total
 
 

@@ -115,6 +115,9 @@ EVAL_CORPUS = [
     ('dpoly(lambda=[1], R=[[2],[1]], kind=none)', '0'),
     ('dpoly(lambda=[1], R=[[2],[1]], kind=hd)', 't'),
     ('dpoly.hd(lambda=[1,1], R=[[3],[2,2],[1]])', 't^5 - t^4 + t^3'),
+    # a single factor straightens to zero, or to a sign and a shape
+    ('dpoly(lambda=[1], R=[[1,2]])', '0'),
+    ('dpoly(lambda=[1,1], R=[[0,2]], kind=none)', '-1'),
     ('nl([2],[1],[1])', '1'),
     ('nl([2,1],[1],[1,1])', '1'),
     ('s.vd[1]*s.vd[1]', 's.vdom[] + s.vdom[2] + s.vdom[1,1]'),
@@ -143,6 +146,55 @@ def test_cli_eval(capsys):
     for expr in ("h1000*s[1]", "skew(h1000,s[1])"):
         assert main(["eval", expr]) == 2, expr
         capsys.readouterr()
+
+
+def test_cli_output_forms(tmp_path, capsys):
+    assert main(["--json", "table", "-R", "[[1]]", "--kinds", "vdom,none",
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"written": [
+        str(tmp_path / "ktable_vdom.json"), str(tmp_path / "ktable_none.json")]}
+    assert main(["--json", "eval", "s.vd[2,1] - t*s.vd[1]"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "type": "expansion", "basis": "vdom",
+        "terms": [{"coeff": {"1": "-1"}, "lambda": [1]},
+                  {"coeff": {"0": "1"}, "lambda": [2, 1]}]}
+    assert main(["eval", "s[1]-s[1]"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    for argv in (["kpoly", "--lambda", "[1]", "-R", "[[2,2"],
+                 ["kpoly", "--kind", "bogus", "--lambda", "[1]", "-R", "[[1]]"]):
+        assert main(argv) == 2, argv
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and \
+            errors[0].startswith("univchar kpoly: error: argument "), argv
+
+
+# eval usage errors: arity, argument types, bases, powers and syntax
+@pytest.mark.parametrize("expr, message", [
+    ("skew(s[1])", "skew takes two expressions"),
+    ("omega(s[1], s[2])", "omega takes one expression"),
+    ("expand(s[1], s[2], basis=vd)", "expand takes one expression"),
+    ("nl([1],[1])", "nl takes three partitions"),
+    ("nl(s[1],[1],[1])", "nl arguments are partitions"),
+    ("dual(lambda=[1])", "dual requires degree=<int>"),
+    ("expand(s[1], basis=[1])", "basis must be a kind tag"),
+    ("kpoly(lambda=[1], R=[[1]], kind=[1])", "kind must be a tag"),
+    ("kpoly(R=[[1]])", "missing argument 'lambda'"),
+    ("kpoly(lambda=[[1],[2]], R=[[1]])", "'lambda' must be a flat list"),
+    ("dpoly(lambda=[1], R=1)", "'R' must be a list of lists"),
+    ("skew(s.vd[1], s[1])", "skew acts in the Schur basis"),
+    ("s.vd[1]*s[1]", "basis mismatch: vdom vs none (use expand)"),
+    ("B([1], s.vd[1])", "operators act on Schur-basis operands"),
+    ("s[1]^2", "only scalar powers are supported"),
+    ("(1+t)^-1", "negative power of a non-monomial"),
+    ("s[1] )", "trailing input ')' (at 5..6)"),
+    ("s[1] $", "unexpected character '$' (at 5..6)"),
+    ("(s[1]", "expected ')', found end of input (at 5..5)"),
+    ("s[1]+", "unexpected token end of input (at 5..5)"),
+])
+def test_cli_eval_usage_errors(expr, message, capsys):
+    assert main(["eval", expr]) == 2
+    assert capsys.readouterr().err == "univchar: error: %s\n" % message
 
 
 def test_cli_expand(capsys):

@@ -203,6 +203,9 @@ def test_ssyt_contents_kostka():
     assert contents[(2, 1, 0)] == 1
     assert contents[(1, 1, 1)] == 2
     assert sum(contents.values()) == 8
+    # past the |lam| <= 7 verify sweep
+    for lam in partitions_of(8):
+        assert ssyt_contents(lam, 5) == oracles.schur_monomials(lam, 5), lam
 
 
 def test_symfunc_api():

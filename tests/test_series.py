@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from univchar.core import KINDS, LaurentPoly, conjugate, partitions_upto
+from univchar.core import (KINDS, LaurentPoly, conjugate, diagonal_size,
+                           frobenius, partitions_of, partitions_upto)
+from univchar.operators import bb_diamond_r
 from univchar.schur import (Expansion, SymFunc, inner_product, multiply,
                             skew_by)
-from univchar.series import (_series_spectrum, change_basis,
+from univchar.series import (_series_spectrum, _signed_shapes, change_basis,
                              diamond_product, diamond_unit,
                              dual_basis_truncated, from_diamond,
                              newell_littlewood, omega_diamond, series_terms,
@@ -42,6 +44,42 @@ def test_series_against_polynomial_expansion():
     mine = {lam: poly.c.get(0, 0)
             for lam, poly in series_terms("box", "-", 1, 4)}
     assert brute == mine
+
+
+def test_signed_shapes_vs_frobenius_filter():
+    # past the degree-8 verify sweep: every partition of n filtered by its
+    # Frobenius coordinates, signed (-1)^((n + d)/2) for box, d the diagonal
+    # size, and (-1)^(n/2) for vdom and hdom
+    legs_minus_arms = {"box": 0, "vdom": 1, "hdom": -1}
+    for n in range(17):
+        for kind, gap in legs_minus_arms.items():
+            want = []
+            for lam in partitions_of(n):
+                arms, legs = frobenius(lam)
+                if legs != tuple(a + gap for a in arms):
+                    continue
+                half = (n + diagonal_size(lam)) // 2 if gap == 0 else n // 2
+                want.append((lam, -1 if half % 2 else 1))
+            assert sorted(_signed_shapes(kind, n)) == sorted(want), (kind, n)
+
+
+def test_expansion_text():
+    # the diamond benchmark goldens hash this text
+    assert str(SymFunc()) == "0"
+    assert repr(Expansion("vdom", SymFunc())) == "Expansion(vdom, 0)"
+    assert repr(Expansion("hdom", s(2, 1))) == "Expansion(hdom, s[2, 1])"
+    f = SymFunc({(1,): LaurentPoly({2: -3, 1: -1, 0: 1}),
+                 (): LaurentPoly.const(-2), (2, 2): LaurentPoly({-1: 1})})
+    assert repr(Expansion("box", f)) == (
+        "Expansion(box, (-2)*s[] + (-3*t^2 - t + 1)*s[1]"
+        " + (t^-1)*s[2, 2])")
+    got = to_diamond(bb_diamond_r("box", ((3,), (2,), (1,))), "box")
+    assert str(got) == (
+        "Expansion(box, (t^4)*s[] + (t^4 + t^3 + t^2)*s[2]"
+        " + (t^3 + t^2)*s[1, 1] + (t^4 + t^3 + t^2)*s[4]"
+        " + (t^3 + 2*t^2 + t)*s[3, 1] + (t^2 + t)*s[2, 2] + (t)*s[2, 1, 1]"
+        " + (t^4)*s[6] + (t^3 + t^2)*s[5, 1] + (t^2 + t)*s[4, 2]"
+        " + (t)*s[4, 1, 1] + (t)*s[3, 3] + s[3, 2, 1])")
 
 
 def test_to_diamond_one_row():
