@@ -223,8 +223,8 @@ def k_via_schur_recurrence(kind, lam, rects):
     bb_r is homogeneous of degree |R|, so t -> t^2 is applied once, to the
     coefficient, and the skew's t-scale is the shift by |R| - |lam|.  It
     writes no memo of its own: for a one-off coefficient on a large R it is
-    the cheap route (0.4 s of CPU on ((5,5),(4,4),(3,3),(2,2),(1,)), where
-    the four tables took 14 s).
+    the cheap route (0.2-0.4 s of CPU on ((5,5),(4,4),(3,3),(2,2),(1,)),
+    where the four tables took 7 s, on one 2-vCPU machine).
     """
     lam = as_partition(lam)
     rects = tuple(as_partition(r) for r in rects)

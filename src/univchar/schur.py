@@ -7,8 +7,11 @@ tag).  Products and skews reduce to Littlewood-Richardson numbers, and one
 ballot fill of a skew diagram counts them all (_skew_spectrum).  A
 product s_mu s_nu is the skew Schur function of the disconnected diagram
 with one factor set above and to the right of the other (Macdonald, I.5),
-so its spectrum is a skew spectrum too.  The fill keeps no memo: skews are
-mostly one-shot, and the series skews memoize per operand term instead
+so its spectrum is a skew spectrum too.  Fills serve products, skew_by,
+the Newell-Littlewood sums and the series spectra of every kind and sign
+but vdom "+", which series builds by Bernstein insertion and removal
+strips instead.  The fill keeps no memo: skews are mostly one-shot, and
+the series skews memoize per operand term instead
 (series._SPECTRUM_CACHE).  Product spectra are memoized in a module cache
 that acts as a pure memo (results never depend on hits).
 
@@ -21,9 +24,12 @@ mu/nu is a horizontal strip exactly when nu interlaces mu, mu_r >= nu_r >=
 mu_{r+1}, so the shapes one move reaches are the tuples of a box of
 intervals with a fixed sum (_interlacing).  A vertical strip is the
 conjugate of a horizontal one (omega, Macdonald I.5), so column moves
-conjugate the row moves of the conjugate shape.  All four moves share one
-memo, _STRIP_CACHE.  Tableau contents come from the same removal pass: the
-cells of a filling's last letter form a horizontal strip (ssyt_contents).
+conjugate the row moves of the conjugate shape.  Additions are memoized
+per size in _STRIP_CACHE; one removal pass yields every size at once, and
+_REMOVAL_CACHE keeps them as one tuple by size (_removals), which the
+one-row sweeps and the vdom series spectra loop over.  Tableau contents
+come from the same removal pass: the cells of a filling's last letter form
+a horizontal strip (ssyt_contents).
 
 Products, skews, Pieri moves and evaluations share one accumulator: a dict
 key -> raw {exponent: int} dict, into which add_into adds mult * t^shift * c
@@ -43,7 +49,8 @@ from .core import (LaurentPoly, P_ONE, as_partition, canonical_kind,
 # caches (read-mostly; insertion is plain dict assignment, entries are frozen)
 
 _PROD_CACHE = {}    # (mu, nu) -> dict lam -> int
-_STRIP_CACHE = {}   # (lam, m, column, add) -> tuple of shapes
+_STRIP_CACHE = {}   # (lam, m, column) -> tuple of added shapes
+_REMOVAL_CACHE = {}  # (lam, column) -> tuple by size of removed shapes
 _CONTENT_CACHE = {}  # (lam, nvars) -> dict content-composition -> count
 
 
@@ -84,40 +91,52 @@ def _strips(lam, m, column, add):
     The strip is horizontal, or vertical when column is set (the row strips
     of the conjugate, conjugated back).  Added rows lie in
     lam_{r-1} >= mu_r >= lam_r, with the first row unbounded but for the m
-    cells, and are enumerated for the one size m.  Kept rows lie in
-    lam_r >= nu_r >= lam_{r+1}, and every caller of a removal asks for all
-    sizes, so one product pass over those intervals stores the entry of
-    every size from 0 to lam_1 (l(lam) for a column) at once; larger sizes
-    are empty.  Each interval runs downwards, so the pass yields each size
-    in decreasing lexicographic order, which is partition_key order: only
-    column removals are sorted, after the conjugation.
+    cells, and are enumerated for the one size m.  A removal reads the
+    entry of size m of _removals.
     """
-    key = (lam, m, column, add)
+    if not add:
+        by_size = _removals(lam, column)
+        return by_size[m] if 0 <= m < len(by_size) else ()
+    key = (lam, m, column)
     got = _STRIP_CACHE.get(key)
     if got is not None:
         return got
     base = conjugate(lam) if column else lam
-    top = base[0] if base else 0
-    if add:
-        shapes = (tuple(p for p in v if p) for v in
-                  _interlacing(base + (0,), (top + m,) + base,
-                               sum(base) + m))
-        if column:
-            shapes = map(conjugate, shapes)
-        got = _STRIP_CACHE[key] = tuple(sorted(shapes, key=partition_key))
+    shapes = (tuple(p for p in v if p) for v in
+              _interlacing(base + (0,), ((base[0] if base else 0) + m,) + base,
+                           sum(base) + m))
+    if column:
+        shapes = map(conjugate, shapes)
+    got = _STRIP_CACHE[key] = tuple(sorted(shapes, key=partition_key))
+    return got
+
+
+def _removals(lam, column):
+    """The shapes lam loses by a horizontal strip (a vertical one when
+    column is set), as a tuple by strip size from 0 to lam_1 (l(lam) for a
+    column), each size sorted by partition_key.
+
+    Kept rows lie in lam_r >= nu_r >= lam_{r+1}, so one product pass over
+    those intervals yields every size at once.  Each interval runs
+    downwards, so the pass yields each size in decreasing lexicographic
+    order, which is partition_key order: only column removals are sorted,
+    after the conjugation.
+    """
+    key = (lam, column)
+    got = _REMOVAL_CACHE.get(key)
+    if got is not None:
         return got
-    if m > top:
-        return ()
+    base = conjugate(lam) if column else lam
     full = sum(base)
-    by_size = [[] for _ in range(top + 1)]
+    by_size = [[] for _ in range((base[0] if base else 0) + 1)]
     for v in product(*(range(a, b - 1, -1)
                        for a, b in zip(base, base[1:] + (0,)))):
         by_size[full - sum(v)].append(tuple(filter(None, v)))
-    for size, shapes in enumerate(by_size):
-        if column:
-            shapes = sorted(map(conjugate, shapes), key=partition_key)
-        _STRIP_CACHE[lam, size, column, False] = tuple(shapes)
-    return _STRIP_CACHE[key]
+    if column:
+        by_size = [sorted(map(conjugate, shapes), key=partition_key)
+                   for shapes in by_size]
+    got = _REMOVAL_CACHE[key] = tuple(map(tuple, by_size))
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +564,8 @@ def ssyt_contents(lam, nvars):
         if not lam:
             out[()] = 1
     elif len(lam) <= nvars:
-        for m in range((lam[0] if lam else 0) + 1):
-            for nu in _strips(lam, m, False, False):
+        for m, shapes in enumerate(_removals(lam, False)):
+            for nu in shapes:
                 for content, cnt in ssyt_contents(nu, nvars - 1).items():
                     content += (m,)
                     out[content] = out.get(content, 0) + cnt

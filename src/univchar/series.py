@@ -20,9 +20,21 @@ other series skew sums one integer spectrum per Schur term s_lam of the
 operand: nu -> sum_mu sign_mu c^lam_{mu,nu} over the series terms mu
 contained in lam, memoized per (lam, kind, sign), with the t-scale the shift
 t^(|lam| - |nu|).  Basis changes over many small operands (to_diamond,
-from_diamond) meet the same lam again and again and read that memo back;
-a single table skews each lam once.  The Littlewood-Richardson fills behind
-a spectrum are not memoized one by one.
+from_diamond) meet the same lam again and again and read that memo back.
+
+The vdom "+" spectrum is built from that of lam's tail.  With S =
+prod_{i<j} (1 - x_i x_j)^-1, the coproduct of S (Koike-Terada 1987;
+Macdonald I.5 Ex. 29) gives S^perp (h_n g) = sum_k h_(n-k) S^perp h_k^perp g,
+since S has no one-row term but 1 and so fixes every h_j; Bernstein's
+operator B_m = sum_a (-1)^a h_(m+a) e_a^perp then gives S^perp B_m =
+sum_k B_(m-k) h_k^perp S^perp.  As s_lam = B_(lam_1) s_tail, the spectrum
+of lam is one Bernstein insertion per removal strip of each term of the
+tail's spectrum, and tails shared across lam (the rows of one table) come
+from the memo.  Only vdom "+" goes this way: the box and hdom series of
+either sign hold a one-row term past 1, so they do not fix h_j, and the
+signed vdom series turns h_k^perp into (-1)^k e_k^perp, a second recursion
+that no table needs.  Every other spectrum sums the Littlewood-Richardson
+fills of its terms mu, which are not memoized one by one.
 
 The positive hdom series factors too: S_hdom = S_vdom * prod_i (1 - x_i^2)^-1
 = S_box * sum_k (-1)^k h_k (the same exercise), so the hdom skew is the box
@@ -31,6 +43,13 @@ route: a caller that wants hdom alone would pay the vdom skew and two sweeps
 for one direct skew, which was slower on the diamond benchmark workload.
 Only the multi-kind tables (kpoly.ktables) use it, when box is built as
 well and its skew is already paid for.
+
+A one-row sweep (_one_row_sweep) packs each coefficient polynomial into one
+int, t^e in a slot of w bits at e - e_min, so each strip is one integer
+addition.  Each monomial of the operand reaches each output term at most
+once, so no output coefficient exceeds the sum A of the operand's absolute
+coefficients, and w = bitlength(A) + 1 holds every output coefficient as a
+balanced digit: the packing is exact, with no overflow to guard.
 """
 
 from __future__ import annotations
@@ -38,8 +57,9 @@ from __future__ import annotations
 from .core import (LaurentPoly, as_partition, canonical_kind, contains,
                    from_frobenius, intersect, kind_partitions_of,
                    partition_key, partitions_of, partitions_upto)
-from .schur import (Expansion, SymFunc, _prod_spectrum, _skew_spectrum,
-                    add_into, multiply, skew_by, skew_h, to_func)
+from .schur import (Expansion, SymFunc, _prod_spectrum, _removals,
+                    _skew_spectrum, add_into, bernstein_insert, multiply,
+                    skew_by, to_func)
 
 _SERIES_CACHE = {}   # (kind, sign) -> list per degree of [(partition, +-1)]
 _SPECTRUM_CACHE = {}  # (lam, kind, sign) -> tuple of (nu, int)
@@ -137,11 +157,25 @@ def skew_by_series(p, kind, sign, scale=1):
 def _series_spectrum(lam, kind, sign):
     """tuple of (nu, sum over the series terms mu of sign_mu c^lam_{mu,nu}),
     nu with a nonzero sum: the skew of s_lam by the unscaled series of a
-    canonical kind.  Memoized per (lam, kind, sign); the fills of the
-    terms mu contained in lam are not."""
+    canonical kind.  Memoized per (lam, kind, sign).  The vdom "+" spectrum
+    is built from that of lam's tail (module docstring), the others from
+    the Littlewood-Richardson fills of the terms mu contained in lam, which
+    are not memoized."""
     key = (lam, kind, sign)
     got = _SPECTRUM_CACHE.get(key)
     if got is not None:
+        return got
+    if kind == "vdom" and sign == "+" and lam:
+        # each proper tail of lam, shortest first, from the one below it
+        # (S^perp 1 = 1), so a long lam needs no recursion
+        got = (((), 1),)
+        for i in range(len(lam) - 1, 0, -1):
+            tail = (lam[i:], kind, sign)
+            spec = _SPECTRUM_CACHE.get(tail)
+            if spec is None:
+                spec = _SPECTRUM_CACHE[tail] = _created(lam[i], got)
+            got = spec
+        got = _SPECTRUM_CACHE[key] = _created(lam[0], got)
         return got
     size = sum(lam)
     acc = {}
@@ -151,6 +185,20 @@ def _series_spectrum(lam, kind, sign):
                 acc[nu] = acc.get(nu, 0) + sgn * k
     got = _SPECTRUM_CACHE[key] = tuple(kv for kv in acc.items() if kv[1])
     return got
+
+
+def _created(m, spectrum):
+    """The spectrum of S^perp B_m g from that of S^perp g, S the positive
+    vdom series: sum_k B_(m-k) h_k^perp S^perp g."""
+    acc = {}
+    for nu, c in spectrum:
+        for k, shapes in enumerate(_removals(nu, False)):
+            for rho in shapes:
+                got = bernstein_insert(m - k, rho)
+                if got is not None:
+                    sgn, shape = got
+                    acc[shape] = acc.get(shape, 0) + sgn * c
+    return tuple(kv for kv in acc.items() if kv[1])
 
 
 def series_coeff(p, kind, lam):
@@ -185,11 +233,41 @@ def _series_coeff(p, kind, lam):
 
 def _one_row_sweep(p, scale, sign=1):
     """Skew p by sum_k sign**k h_k, with h_k weighted by t**k when scale is
-    't'."""
+    't'.  Each coefficient is one packed int (module docstring), and each
+    strip of k cells adds it, shifted k slots when scaled."""
+    terms = p.terms
+    if not terms:
+        return SymFunc()
+    low = min(min(c.c) for c in terms.values())
+    w = sum(abs(v) for c in terms.values() for v in c.c.values()) \
+        .bit_length() + 1
+    step = w if scale == "t" else 0
     acc = {}
-    for k in range(p.degree() + 1):
-        skew_h(p, k, acc, k if scale == "t" else 0, sign ** k)
-    return to_func(acc)
+    for lam, c in terms.items():
+        n = 0
+        for e, v in c.c.items():
+            n += v << w * (e - low)
+        for k, shapes in enumerate(_removals(lam, False)):
+            m = (-n if sign < 0 and k % 2 else n) << step * k
+            for nu in shapes:
+                acc[nu] = acc.get(nu, 0) + m
+    out = SymFunc()
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    for nu, n in acc.items():
+        if not n:
+            continue
+        d, e = {}, low
+        while n:
+            v = n & mask
+            if v >= half:
+                v -= mask + 1
+            if v:
+                d[e] = v
+            n = (n - v) >> w
+            e += 1
+        c = out.terms[nu] = LaurentPoly.__new__(LaurentPoly)
+        c.c = d
+    return out
 
 
 # ---------------------------------------------------------------------------

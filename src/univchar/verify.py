@@ -116,20 +116,28 @@ def specialization_sequences(bound):
                if seq_weight(s) == bound + 1])
 
 
+# s[3,1] (2^70 t^-2 - 3) - s[2,2] 2^69 t^5
+WIDE_OPERAND = (SymFunc.schur((3, 1), LaurentPoly({-2: 2 ** 70, 0: -3}))
+                - SymFunc.schur((2, 2), LaurentPoly.t(5, 2 ** 69)))
+
+
 def skew_by_series_mismatches(max_degree):
     """(kind, sign, scale, operand) where skew_by_series differs from the
     direct sum over series_terms, for s_lambda with |lambda| <= max_degree,
-    s[2] - s[1,1] and t*s[3,1] + s[2]; and ('hdom', 'box sweep', scale,
-    operand) where the signed one-row sweep of the box '+' skew differs
-    from the hdom '+' skew.
+    s[2] - s[1,1], t*s[3,1] + s[2] and WIDE_OPERAND; and ('hdom', 'box
+    sweep', scale, operand) where the signed one-row sweep of the box '+'
+    skew differs from the hdom '+' skew.
 
-    It guards the per-lambda series spectra that skew_by_series sums, the
-    box '+' factorisation (the vdom skew, then one one-row Pieri sweep) and
-    the hdom one of the multi-kind tables (the box skew, then one signed
-    sweep)."""
+    It guards the per-lambda series spectra that skew_by_series sums (the
+    vdom '+' one built from lambda's tail), the box '+' factorisation (the
+    vdom skew, then one one-row Pieri sweep) and the hdom one of the
+    multi-kind tables (the box skew, then one signed sweep).  WIDE_OPERAND
+    gives the packed sweeps coefficients past 2^64 and negative exponents.
+    """
     s = SymFunc.schur
     operands = [s(lam) for lam in partitions_upto(max_degree)] + [
-        s((2,)) - s((1, 1)), s((3, 1), LaurentPoly.t(1)) + s((2,))]
+        s((2,)) - s((1, 1)), s((3, 1), LaurentPoly.t(1)) + s((2,)),
+        WIDE_OPERAND]
     bad = []
     for kind, sign, scale in itertools.product(KINDS, "+-", (1, "t")):
         for p in operands:

@@ -570,6 +570,14 @@ def test_console_entrypoint():
     assert proc.stdout.strip() == "1"
 
 
+def test_module_entrypoint():
+    proc = _run_child("-m", "univchar", "verify", "--suite", "kernels",
+                      "--json")
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert checks and all(c["pass"] for c in checks)
+
+
 def test_production_imports_leave_out_the_oracles():
     # the check-only modules are reached from verify and the tests only
     proc = _run_child("-c", "import sys, univchar.cli, univchar.kpoly, "

@@ -6,14 +6,15 @@ import pytest
 from univchar.core import (KINDS, LaurentPoly, conjugate, diagonal_size,
                            frobenius, partitions_of, partitions_upto)
 from univchar.operators import bb_diamond_r
-from univchar.schur import (Expansion, SymFunc, inner_product, multiply,
-                            skew_by)
-from univchar.series import (_series_spectrum, _signed_shapes, change_basis,
-                             diamond_product, diamond_unit,
-                             dual_basis_truncated, from_diamond,
+from univchar.schur import (Expansion, SymFunc, _skew_spectrum,
+                            inner_product, multiply, skew_by, skew_h, to_func)
+from univchar.series import (_one_row_sweep, _series_rows, _series_spectrum,
+                             _signed_shapes, change_basis, diamond_product,
+                             diamond_unit, dual_basis_truncated, from_diamond,
                              newell_littlewood, omega_diamond, series_terms,
                              skew_by_series, to_diamond)
-from univchar.verify import series_coeff_mismatches, skew_by_series_mismatches
+from univchar.verify import (WIDE_OPERAND, series_coeff_mismatches,
+                             skew_by_series_mismatches)
 from univchar import oracles
 
 
@@ -222,6 +223,40 @@ def test_series_spectrum_vs_skew_by():
             assert got == want, (kind, sign, scale, lam)
             assert skew_by_series(p, kind, sign, scale) == want, \
                 (kind, sign, scale, lam)
+
+
+def test_vdom_spectrum_vs_lr_fills():
+    # the vdom "+" spectrum, built from lam's tail, against the sum of the
+    # Littlewood-Richardson fills of the series terms mu inside lam
+    lams = partitions_upto(12)
+    assert len(lams) == 272
+    for lam in lams:
+        size = sum(lam)
+        want = {}
+        for row in _series_rows("vdom", "+", size)[:size + 1]:
+            for mu, sgn in row:
+                for nu, k in _skew_spectrum(lam, mu):
+                    want[nu] = want.get(nu, 0) + sgn * k
+        want = {nu: k for nu, k in want.items() if k}
+        got = _series_spectrum(lam, "vdom", "+")
+        assert dict(got) == want and len(got) == len(want), lam
+
+
+def test_one_row_sweep_vs_pieri():
+    # the packed sweep against one skew_h per strip size, on coefficients
+    # past 2^64 with negative exponents, on zero, and on a sum that cancels
+    def by_pieri(p, scale, sign):
+        acc = {}
+        for k in range(p.degree() + 1):
+            skew_h(p, k, acc, k if scale == "t" else 0, sign ** k)
+        return to_func(acc)
+
+    for p in (WIDE_OPERAND, SymFunc(), s(1) + s()):
+        for scale, sign in itertools.product((1, "t"), (1, -1)):
+            assert _one_row_sweep(p, scale, sign) == by_pieri(p, scale, sign)
+    assert _one_row_sweep(SymFunc(), "t").terms == {}
+    assert _one_row_sweep(s(1) + s(), 1, -1).terms == \
+        {(1,): LaurentPoly.const(1)}
 
 
 def test_skew_by_series_vs_series_terms():
