@@ -26,19 +26,27 @@ VERIFY_FAIL = 1
 INTERNAL_ERROR = 3
 
 
+def _json_partition(data):
+    """A partition read from JSON: an array of integers, not of bools."""
+    if not isinstance(data, list) or any(type(x) is not int for x in data):
+        raise ValueError("a partition is a JSON array of integers")
+    return as_partition(data)
+
+
 def _parse_partition_list(text):
     try:
-        data = json.loads(text)
-        return as_partition(data)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+        return _json_partition(json.loads(text))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError("bad partition %r: %s" % (text, exc))
 
 
 def _parse_sequence(text):
     try:
         data = json.loads(text)
-        return tuple(as_partition(r) for r in data)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+        if not isinstance(data, list):
+            raise ValueError("a sequence is a JSON array of partitions")
+        return tuple(map(_json_partition, data))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError("bad sequence %r: %s" % (text, exc))
 
 

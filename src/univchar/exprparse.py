@@ -45,9 +45,9 @@ class EvalError(ValueError):
 MAX_POWER = 256
 
 # largest bit length of an integer literal, of a coefficient a power may
-# produce (bounded before any multiplication) and of a printed coefficient;
-# below the 4300-digit limit on int <-> str, so that every literal parses and
-# every accepted result prints
+# produce (bounded before any multiplication) and of a printed coefficient
+# or exponent of t; below the 4300-digit limit on int <-> str, so that every
+# literal parses and every accepted result prints
 MAX_POWER_BITS = 14000
 
 # deepest nesting of parentheses, operands, call arguments and negations;
@@ -633,13 +633,16 @@ def eval_expr(src):
 
 
 def _check_printable(v):
-    """Refuse a result with a coefficient of more than MAX_POWER_BITS bits."""
+    """Refuse a result with a coefficient or an exponent of t of more than
+    MAX_POWER_BITS bits."""
     polys = [v] if isinstance(v, LaurentPoly) else v.func.terms.values()
     for poly in polys:
-        for c in poly.c.values():
-            if c.bit_length() > MAX_POWER_BITS:
-                raise EvalError("result has a %d-bit coefficient, more than "
-                                "%d" % (c.bit_length(), MAX_POWER_BITS))
+        for what, ints in (("coefficient", poly.c.values()),
+                           ("exponent", poly.c)):
+            for c in ints:
+                if c.bit_length() > MAX_POWER_BITS:
+                    raise EvalError("result has a %d-bit %s, more than %d"
+                                    % (c.bit_length(), what, MAX_POWER_BITS))
 
 
 def format_value(v):

@@ -6,9 +6,11 @@ Every row operator, plain or deformed and of any kind, is one kernel in two
 stages.  The skew stage applies the factors of a generating series to the
 operand: each factor skews by the one-column or one-row function of every
 degree a, weighs the result by (-1)^a or by t^(a*texp), and moves a net
-index shift j up or down by a.  Operands that reach the same shift are
-summed before the next factor skews them, so the stage is a map j -> operand
-that does not depend on the row index r.  Its factors are the t-weighted
+index shift j up or down by a, in one walk of each Schur term's removal
+strips of every size (schur._removals) rather than one skew per degree.
+Operands that reach the same shift are summed before the next factor skews
+them, so the stage is a map j -> operand that does not depend on the row
+index r.  Its factors are the t-weighted
 one-row skews ("ht") and, for the mirrored kinds, the one-column skews with
 step -1 ("e", -1).  The Pieri stage then sums B_(r-s+j) stage[j] over the
 shifts s of the kind, with B_m = sum_a (-1)^a h_(m+a) e_a^perp Bernstein's
@@ -64,8 +66,8 @@ oracle that checks these operators is oracles.direct_extraction_oracle.
 from __future__ import annotations
 
 from .core import LaurentPoly, as_partition, canonical_kind
-from .schur import (Expansion, SymFunc, add_into, bernstein_insert, multiply,
-                    skew_e, skew_h, straighten, to_func)
+from .schur import (Expansion, SymFunc, _removals, add_into, bernstein_insert,
+                    multiply, straighten, to_func)
 from .series import diamond_unit, from_diamond, to_diamond
 
 
@@ -106,24 +108,24 @@ def _row_stage(p, kind, texp):
     """Map net shift j -> skewed operand; texp None is the undeformed kernel.
 
     The stage holds the kind's skew factors but the one-column skews with
-    step +1, which the Bernstein insertion of _pieri_stage applies.  Skews
-    run over every degree up to the operand's: a sum of Schur terms can
-    vanish under one skew and not under a higher one (s[2] - s[1,1] under
-    the one-column skews of degree 1 and 2).  Each factor adds its weighted
-    skews straight into one accumulator per net shift.
+    step +1, which the Bernstein insertion of _pieri_stage applies.  A
+    factor walks the removal strips of each Schur term once, every size a
+    at once (schur._removals), and adds each strip, weighed by (-1)^a or
+    t^(a*texp), straight into the accumulator of net shift j + step * a.
     """
     stage = {0: p}
     for skew, step in _KERNELS[kind][0]:
         if skew == "ht" and texp is None:
             continue
+        column = skew == "e"
+        e, sign = (0, -1) if column else (texp, 1)
         nxt = {}
         for j, f in stage.items():
-            for a in range(f.degree() + 1):
-                acc = nxt.setdefault(j + step * a, {})
-                if skew == "e":
-                    skew_e(f, a, acc, 0, -1 if a % 2 else 1)
-                else:
-                    skew_h(f, a, acc, a * texp)
+            for lam, c in f.terms.items():
+                for a, shapes in enumerate(_removals(lam, column)):
+                    acc = nxt.setdefault(j + step * a, {})
+                    for nu in shapes:
+                        add_into(acc, nu, c, a * e, sign ** a)
         stage = _nonzero_funcs(nxt)
     return stage
 

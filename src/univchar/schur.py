@@ -25,17 +25,17 @@ mu_{r+1}, so the shapes one move reaches are the tuples of a box of
 intervals with a fixed sum (_interlacing).  A vertical strip is the
 conjugate of a horizontal one (omega, Macdonald I.5), so column moves
 conjugate the row moves of the conjugate shape.  Additions are memoized
-per size in _STRIP_CACHE; one removal pass yields every size at once, and
-_REMOVAL_CACHE keeps them as one tuple by size (_removals), which the
-one-row sweeps and the vdom series spectra loop over.  Tableau contents
-come from the same removal pass: the cells of a filling's last letter form
-a horizontal strip (ssyt_contents).
+per size (_added, _STRIP_CACHE).  One removal pass yields every size at
+once, kept as one tuple by size (_removals, _REMOVAL_CACHE): a skew indexes
+it, and the row kernel, the one-row sweeps and the vdom series spectra walk
+it once per Schur term for the skews of every degree.  Tableau contents
+come from the same pass: the cells of a filling's last letter form a
+horizontal strip (ssyt_contents).
 
 Products, skews, Pieri moves and evaluations share one accumulator: a dict
 key -> raw {exponent: int} dict, into which add_into adds mult * t^shift * c
 in place, and which to_func turns into a SymFunc once, dropping the terms
-that cancelled.  The Pieri moves take an accumulator as their target, so a
-caller sums weighted moves without building the moves themselves.
+that cancelled.
 """
 
 from __future__ import annotations
@@ -84,19 +84,14 @@ def _interlacing(lo, hi, total):
         yield from rec(0, total)
 
 
-def _strips(lam, m, column, add):
-    """Shapes that lam gains (add) or loses by a strip of m cells, sorted
-    by partition_key.
+def _added(lam, m, column):
+    """Shapes that lam gains by a strip of m cells, sorted by partition_key.
 
     The strip is horizontal, or vertical when column is set (the row strips
     of the conjugate, conjugated back).  Added rows lie in
     lam_{r-1} >= mu_r >= lam_r, with the first row unbounded but for the m
-    cells, and are enumerated for the one size m.  A removal reads the
-    entry of size m of _removals.
+    cells, and are enumerated for the one size m.
     """
-    if not add:
-        by_size = _removals(lam, column)
-        return by_size[m] if 0 <= m < len(by_size) else ()
     key = (lam, m, column)
     got = _STRIP_CACHE.get(key)
     if got is not None:
@@ -411,41 +406,30 @@ def multiply(p, q):
     return to_func(acc)
 
 
-def _pieri(p, m, column, add, into, shift, mult):
+def _pieri(p, m, column, add):
     """Multiply (add) or skew by the one-row function of degree m, or by
-    the one-column one when column is set; zero for m < 0.  A skew by more
-    cells than lam's first row (than its rows, for a column) is zero and
-    leaves no memo.
-
-    With an accumulator into, mult * t^shift times the result is added to
-    it and None is returned; without one, the result is returned."""
-    if into is None:
-        if m == 0:
-            return p
-        into = {}
-        _pieri(p, m, column, add, into, 0, 1)
-        return to_func(into)
-    if m < 0:
-        return
-    for lam, c in p.terms.items():
-        if not m:
-            shapes = (lam,)
-        elif not add and m > (len(lam) if column else lam[0] if lam else 0):
-            continue
+    the one-column one when column is set; zero for m < 0.  A skew reads
+    the removals of size m (none past lam_1, or l(lam) for a column)."""
+    acc = {}
+    for lam, c in p.terms.items() if m >= 0 else ():
+        if add:
+            shapes = _added(lam, m, column)
         else:
-            shapes = _strips(lam, m, column, add)
+            by_size = _removals(lam, column)
+            shapes = by_size[m] if m < len(by_size) else ()
         for shape in shapes:
-            add_into(into, shape, c, shift, mult)
+            add_into(acc, shape, c)
+    return to_func(acc)
 
 
-def multiply_h(p, m, into=None, shift=0, mult=1):
+def multiply_h(p, m):
     """Multiply by the one-row Schur function of degree m (zero for m < 0)."""
-    return _pieri(p, m, False, True, into, shift, mult)
+    return _pieri(p, m, False, True)
 
 
 def multiply_e(p, m):
     """Multiply by the one-column Schur function of degree m (zero for m < 0)."""
-    return _pieri(p, m, True, True, None, 0, 1)
+    return _pieri(p, m, True, True)
 
 
 def skew_by(p, q):
@@ -466,14 +450,14 @@ def skew_by(p, q):
     return to_func(acc)
 
 
-def skew_h(p, m, into=None, shift=0, mult=1):
+def skew_h(p, m):
     """Adjoint of multiplication by the one-row function of degree m."""
-    return _pieri(p, m, False, False, into, shift, mult)
+    return _pieri(p, m, False, False)
 
 
-def skew_e(p, m, into=None, shift=0, mult=1):
+def skew_e(p, m):
     """Adjoint of multiplication by the one-column function of degree m."""
-    return _pieri(p, m, True, False, into, shift, mult)
+    return _pieri(p, m, True, False)
 
 
 def inner_product(p, q):

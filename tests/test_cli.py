@@ -244,6 +244,14 @@ def test_cli_power_cap(capsys):
         assert main(["eval", expr]) == 2
         err = capsys.readouterr().err
         assert err.startswith("univchar: error: ") and err.count("\n") == 1
+    # so is the exponent of t: a literal exponent under the bit cap, raised
+    # to a 14433-bit exponent by nested powers, is refused before printing
+    expr = "(" * 60 + "t^" + "9" * 4200 + ")^256" * 60
+    for argv in (["eval", expr], ["--json", "eval", expr]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("univchar: error: ") and err.count("\n") == 1
+        assert "exponent" in err
 
 
 def test_cli_operator_and_literal_caps(capsys):
@@ -348,6 +356,26 @@ def test_cli_usage_errors_at_the_edge(tmp_path, capsys):
         assert main(["table", "-R", "[[1]]", "--kinds", kinds,
                      "--out", str(tmp_path / "out")]) == 2
         assert "error: argument --kinds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a partition is a JSON array of JSON integers and a sequence an array
+    # of such arrays: floats, bools, strings and objects are not read by
+    # int() into some other partition
+    for rects in ("[[2.9,2],[1]]", "[[true],[1]]", '"21"', '{"1": [1]}',
+                  '[[1],"2"]', "[[1],2]", "[[[1]]]"):
+        for command in ("table", "kpoly", "dpoly"):
+            argv = [command, "-R", rects] + (
+                ["--kinds", "none", "--out", str(tmp_path / "out")]
+                if command == "table" else ["--lambda", "[1]"])
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and \
+                "error: argument -R: bad sequence" in err, argv
+    for lam in ("[true]", '{"1": 0}', '"21"', "[1.0]", "[2,[1]]", "1"):
+        for command in ("kpoly", "dpoly"):
+            assert main([command, "--lambda", lam, "-R", "[[2,2],[1]]"]) == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and \
+                "error: argument --lambda: bad partition" in err, lam
     assert not (tmp_path / "out").exists()
     # literals and printed coefficients up to the bound are accepted;
     # leading zeros do not count

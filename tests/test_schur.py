@@ -2,8 +2,8 @@ import random
 
 from univchar.core import (LaurentPoly, conjugate, contains, partition_key,
                            partitions_of, partitions_upto)
-from univchar.schur import (Expansion, SymFunc, _prod_spectrum,
-                            _skew_spectrum, _strips, add_into,
+from univchar.schur import (Expansion, SymFunc, _prod_spectrum, _removals,
+                            _skew_spectrum, add_into,
                             bernstein_insert, evaluate, inner_product,
                             lr_coefficient, multiply,
                             multiply_e, multiply_h, schur_of_vector, skew_by,
@@ -45,15 +45,17 @@ def test_removal_strips_against_brute_force():
         return all(x - y <= 1 for x, y in zip(a, b))
 
     for lam in partitions_upto(8):
-        for m in range(sum(lam) + 1):
-            for column in (False, True):
+        for column in (False, True):
+            by_size = _removals(lam, column)
+            # no size past lam_1 (l(lam) for a column) is present
+            assert len(by_size) == \
+                (len(lam) if column else lam[0] if lam else 0) + 1, lam
+            for m in range(sum(lam) + 1):
                 want = sorted((mu for mu in partitions_of(sum(lam) - m)
                                if contains(lam, mu) and
                                strip(lam, mu, column)), key=partition_key)
-                assert list(_strips(lam, m, column, False)) == want, \
-                    (lam, m, column)
-                if m > (len(lam) if column else lam[0] if lam else 0):
-                    assert not want
+                got = list(by_size[m]) if m < len(by_size) else []
+                assert got == want, (lam, m, column)
 
 
 def test_product_example():
@@ -169,11 +171,12 @@ def test_bernstein_insert():
             want = oracles.straighten_by_sorting((m,) + lam)
             assert bernstein_insert(m, lam) == want, (m, lam)
             assert straighten((m,) + lam) == want, (m, lam)
-            acc = {}
+            got = SymFunc()
             for a in range(size + 1):
-                multiply_h(skew_e(s(*lam), a), m + a, acc, 0, (-1) ** a)
-            assert to_func(acc) == (SymFunc() if want is None else
-                                    SymFunc.schur(want[1], want[0])), (m, lam)
+                got = got + multiply_h(skew_e(s(*lam), a),
+                                       m + a).scaled((-1) ** a)
+            assert got == (SymFunc() if want is None else
+                           SymFunc.schur(want[1], want[0])), (m, lam)
 
 
 def test_associativity_random():
@@ -244,22 +247,10 @@ def test_accumulator_matches_plain_arithmetic():
     assert to_func({(1,): {0: 0}}).is_zero()
 
 
-def test_pieri_into_an_accumulator():
-    # mult * t^shift times each Pieri move, added in place, is the scaled
-    # move; a skew of s[2] - s[1,1] by one cell cancels to zero
-    t = LaurentPoly.t
-    p = s(2, 1).scaled(t(1) + t(-2, 3)) + s(3) - s(1, 1, 1) + s(2)
-    for pieri in (multiply_h, skew_h, skew_e):
-        for m in range(-1, 4):
-            for shift, mult in ((0, 1), (2, 1), (0, -1), (-3, 4)):
-                acc = {}
-                pieri(p, m, acc, shift, mult)
-                want = pieri(p, m).scaled(t(shift, mult))
-                assert to_func(acc) == want, (pieri, m, shift, mult)
+def test_pieri_skews_cancel():
+    # a skew of s[2] - s[1,1] by one cell cancels to zero
     for skew in (skew_h, skew_e):
-        acc = {}
-        skew(s(2) - s(1, 1), 1, acc, 1, -1)
-        assert acc and to_func(acc).is_zero()
+        assert skew(s(2) - s(1, 1), 1).is_zero()
 
 
 def test_skew_by_monomial_and_polynomial_coefficients():

@@ -7,7 +7,7 @@ from univchar.core import (KINDS, LaurentPoly, conjugate, diagonal_size,
                            frobenius, partitions_of, partitions_upto)
 from univchar.operators import bb_diamond_r
 from univchar.schur import (Expansion, SymFunc, _skew_spectrum,
-                            inner_product, multiply, skew_by, skew_h, to_func)
+                            inner_product, multiply, skew_by, skew_h)
 from univchar.series import (_one_row_sweep, _series_rows, _series_spectrum,
                              _signed_shapes, change_basis, diamond_product,
                              diamond_unit, dual_basis_truncated, from_diamond,
@@ -246,10 +246,11 @@ def test_one_row_sweep_vs_pieri():
     # the packed sweep against one skew_h per strip size, on coefficients
     # past 2^64 with negative exponents, on zero, and on a sum that cancels
     def by_pieri(p, scale, sign):
-        acc = {}
+        out = SymFunc()
         for k in range(p.degree() + 1):
-            skew_h(p, k, acc, k if scale == "t" else 0, sign ** k)
-        return to_func(acc)
+            out = out + skew_h(p, k).scaled(
+                LaurentPoly.t(k if scale == "t" else 0, sign ** k))
+        return out
 
     for p in (WIDE_OPERAND, SymFunc(), s(1) + s()):
         for scale, sign in itertools.product((1, "t"), (1, -1)):
