@@ -348,6 +348,41 @@ class LaurentPoly:
 P_ONE = LaurentPoly.const(1)
 
 
+def pack(c, w, low, step=1):
+    """c at t = 2^w, with t^e in the slot (e - low) * step of w bits: the
+    ring map Z[t] -> Z of a Kronecker substitution, so sums, negation and
+    products by t^k (shifts by w*k*step) commute with it."""
+    n = 0
+    for e, v in c.c.items():
+        n += v << w * ((e - low) * step)
+    return n
+
+
+def unpack(n, w, low, step=1):
+    """The LaurentPoly whose packed image is n (pack), read as balanced
+    digits in [-2^(w-1), 2^(w-1)): exact whenever every coefficient of the
+    packed polynomial has absolute value below 2^(w-1)."""
+    if w < 2:
+        # digits in [-1, 0] cannot spell a positive n: the loop would not end
+        raise ValueError("balanced digits need a width of 2 bits or more")
+    # the empty low slots at once: n & -n is n's lowest set bit
+    skip = ((n & -n).bit_length() - 1) // w if n else 0
+    d, e = {}, low + skip * step
+    n >>= w * skip
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    while n:
+        v = n & mask
+        if v >= half:
+            v -= mask + 1
+        if v:
+            d[e] = v
+        n = (n - v) >> w
+        e += step
+    c = LaurentPoly.__new__(LaurentPoly)
+    c.c = d
+    return c
+
+
 # ---------------------------------------------------------------------------
 # sequences of partitions
 

@@ -17,8 +17,9 @@ shifts s of the kind, with B_m = sum_a (-1)^a h_(m+a) e_a^perp Bernstein's
 operator: it is the one-column factor with step +1 that every kind's series
 carries, followed by the product with h_(r-s+j), and it sends s_lam to the
 straightened s_(m, lam) (Macdonald, I.5 Ex. 29), so each Schur term of the
-stage takes one insertion (schur.bernstein_insert) instead of a skew per
-degree and a Pieri product whose terms cancel.
+stage takes one insertion (schur.bernstein_insert, memoized in
+_INSERT_CACHE) instead of a skew per degree and a Pieri product whose
+terms cancel.
 
 The kernel table is keyed by kind: skew factors, Pieri shifts and the level
 weights of the parabolic operators.  The Schur kind is one-sided; box, vdom
@@ -52,6 +53,33 @@ bb_diamond runs it from the straightened s_lambda, with no series anywhere;
 bb_diamond_r_via_rows keeps each kind's own row chain, seeded by the kind's
 basis element, as its oracle.
 
+The kernel carries each Schur term's coefficient as one Python int: the
+polynomial at t = 2^w (a Kronecker substitution, core.pack), with t^e in
+the slot e - low of w bits, low the operand's lowest exponent, or in the
+slot low - e, low its highest, for a negative texp.  Every weight is then
+a left shift: a strip weight t^(a*texp) shifts by w*a*|texp| bits, a sign
+is a negation, a level option is a shift times +-count, and every sum is
+one int addition.  A call packs its operand once and decodes balanced
+digits once where it returns (core.unpack), with nothing decoded between
+stages (_packed).  The one-row sweeps of series pack the same way;
+skew_by_series does not, since packing its accumulation was slower.
+
+One width w per call is sound.  The packed int is the image of the ring
+map Z[t] -> Z, t -> 2^w, and every step is Z[t]-linear, so the output's
+image is right whatever slot overflows midway: only the output must fit,
+and balanced digits read it exactly once each of its coefficients is
+below 2^(w-1) in absolute value.  An L1 bound B bounds them all.  B starts
+at the L1 norm of the operand.  Each skew factor multiplies it by the
+largest strip count among that stage's partitions, since a term reaches
+each shape of its strips once; the Pieri stage by the number of Pieri
+shifts, since it sends a term to at most one shape per shift; and each
+parabolic position by its summed level counts.  B only grows, so if it is
+below 2^(w-1) at the end it was below at every stage.  There, an image of
+0 is a true 0, so the terms the stages skip as 0 are the truly vanishing
+ones, the partitions B was taken over are the true ones, and the bound
+holds by induction.  A call picks w from its operand and reruns at
+w = bitlength(B) + 1 whenever B >= 2^(w-1) at the end.
+
 Parabolic operators compose single rows and correct with the pairwise index
 shifts that come from commuting deformed rows past each other; the correction
 bookkeeping runs as a small dynamic program over pending index shifts, which
@@ -65,9 +93,9 @@ oracle that checks these operators is oracles.direct_extraction_oracle.
 
 from __future__ import annotations
 
-from .core import LaurentPoly, as_partition, canonical_kind
-from .schur import (Expansion, SymFunc, _removals, add_into, bernstein_insert,
-                    multiply, straighten, to_func)
+from .core import LaurentPoly, as_partition, canonical_kind, pack, unpack
+from .schur import (Expansion, SymFunc, _removals, bernstein_insert, multiply,
+                    straighten)
 from .series import diamond_unit, from_diamond, to_diamond
 
 
@@ -104,45 +132,55 @@ _KERNELS = {"none": (_A, (0,), _A_LEVELS),
             VDOM_TABLE: (_A + (("ht", -1),), (0,), _A_LEVELS)}
 
 
-def _row_stage(p, kind, texp):
-    """Map net shift j -> skewed operand; texp None is the undeformed kernel.
+def _row_stage(p, kind, texp, w):
+    """Map net shift j -> skewed packed operand (lam -> int), and the factor
+    by which the stage can grow an L1 norm; texp None is the undeformed
+    kernel.
 
     The stage holds the kind's skew factors but the one-column skews with
     step +1, which the Bernstein insertion of _pieri_stage applies.  A
     factor walks the removal strips of each Schur term once, every size a
-    at once (schur._removals), and adds each strip, weighed by (-1)^a or
-    t^(a*texp), straight into the accumulator of net shift j + step * a.
+    at once (schur._removals), and adds each strip, negated for odd a or
+    shifted by w * a * |texp| bits, straight into the accumulator of net
+    shift j + step * a.  Its growth factor is the largest strip count of
+    the factor's partitions.  Terms that cancel stay in the maps as 0, and
+    every reader skips them.
     """
     stage = {0: p}
+    growth = 1
     for skew, step in _KERNELS[kind][0]:
         if skew == "ht" and texp is None:
             continue
         column = skew == "e"
-        e, sign = (0, -1) if column else (texp, 1)
+        unit = 0 if column else w * abs(texp)
         nxt = {}
+        most = 1
         for j, f in stage.items():
-            for lam, c in f.terms.items():
+            for lam, n in f.items():
+                if not n:
+                    continue
+                count = 0
                 for a, shapes in enumerate(_removals(lam, column)):
                     acc = nxt.setdefault(j + step * a, {})
+                    m = -n if column and a % 2 else n << unit * a
                     for nu in shapes:
-                        add_into(acc, nu, c, a * e, sign ** a)
-        stage = _nonzero_funcs(nxt)
-    return stage
+                        acc[nu] = acc.get(nu, 0) + m
+                    count += len(shapes)
+                if count > most:
+                    most = count
+        growth *= most
+        stage = nxt
+    return stage, growth
 
 
-def _nonzero_funcs(accs):
-    """key -> SymFunc of every accumulator of accs whose sum is not zero."""
-    out = {}
-    for k, acc in accs.items():
-        f = to_func(acc)
-        if f:
-            out[k] = f
-    return out
+_INSERT_CACHE = {}   # (m, lam) -> bernstein_insert(m, lam), () if it vanishes
 
 
 def _pieri_stage(stage, kind, r):
-    """The row at index r from a skew stage: the signed sum, over the
-    kind's Pieri shifts s, of Bernstein's operator B_(r-s+j) on stage[j].
+    """The packed row at index r from a skew stage: the signed sum, over
+    the kind's Pieri shifts s, of Bernstein's operator B_(r-s+j) on
+    stage[j].  It sends each Schur term to at most one shape per shift, so
+    it grows an L1 norm by the number of shifts.
 
     B_m = sum_a (-1)^a h_(m+a) e_a^perp, so B_(r-s+j) applies the one-column
     skews with step +1 and the Pieri product in one move, each Schur term
@@ -152,15 +190,89 @@ def _pieri_stage(stage, kind, r):
     for s in _KERNELS[kind][1]:
         for j, f in stage.items():
             m = r - s + j
-            for lam, c in f.terms.items():
-                got = bernstein_insert(m, lam)
-                if got is not None:
-                    add_into(acc, got[1], c, 0, -got[0] if s else got[0])
-    return to_func(acc)
+            for lam, n in f.items():
+                if not n:
+                    continue
+                key = (m, lam)
+                got = _INSERT_CACHE.get(key)
+                if got is None:
+                    got = _INSERT_CACHE[key] = bernstein_insert(m, lam) or ()
+                if got:
+                    sign, nu = got
+                    acc[nu] = acc.get(nu, 0) + (-n if (sign < 0) != (s > 0)
+                                                else n)
+    return acc
+
+
+_MOST_STRIPS = [1]   # d -> largest strip count of a partition of <= d cells
+
+
+def _most_strips(d):
+    """The largest strip count, prod_r (lam_r - lam_(r+1) + 1), of a
+    partition of at most d cells: a knapsack over the gaps g_r =
+    lam_r - lam_(r+1), each worth g_r + 1 and costing r * g_r cells.  It
+    bounds the removal strips of a column too, a conjugate having as many
+    cells."""
+    while len(_MOST_STRIPS) <= d:
+        n = len(_MOST_STRIPS)
+        best = [1] * (n + 1)
+        for r in range(1, n + 1):
+            best = [max(best[c - r * g] * (g + 1) for g in range(c // r + 1))
+                    for c in range(n + 1)]
+        _MOST_STRIPS.append(best[n])
+    return _MOST_STRIPS[d]
+
+
+def _packed(p, texp, kind, nu, kernel):
+    """Run kernel(terms, w) -> (lam -> int, growth) on p packed in slots of
+    w bits, and decode its output once (module docstring).
+
+    w starts one bit past A * G, with A the operand's L1 norm and G the
+    growth of the positions nu if every stage had the most strips its
+    degree allows, the degree growing by each index met; when the bound
+    A * growth reaches 2^(w-1), the kernel runs again at
+    w = bitlength(A * growth) + 1.
+    """
+    if not p.terms:
+        return SymFunc()
+    factors, shifts, levels = _KERNELS[kind]
+    step = -1 if texp is not None and texp < 0 else 1
+    low, norm, degree = None, 0, 0
+    for lam, c in p.terms.items():
+        for e, v in c.c.items():
+            if low is None or e * step < low * step:
+                low = e
+            norm += abs(v)
+        degree = max(degree, sum(lam))
+    guess = norm
+    for pos in range(len(nu) - 1, -1, -1):
+        most = _most_strips(degree)
+        for skew, _ in factors:
+            if skew == "e" or texp is not None:
+                guess *= most
+        guess *= len(shifts) * len(levels) ** pos
+        degree += max(nu[pos], 0)
+    w = guess.bit_length() + 1
+    while True:
+        terms = {lam: pack(c, w, low, step) for lam, c in p.terms.items()}
+        out, growth = kernel(terms, w)
+        bound = norm * growth
+        if bound < 1 << (w - 1):
+            break
+        w = bound.bit_length() + 1
+    f = SymFunc()
+    for lam, n in out.items():
+        if n:
+            f.terms[lam] = unpack(n, w, low, step)
+    return f
 
 
 def _row(r, p, kind, texp):
-    return _pieri_stage(_row_stage(p, kind, texp), kind, r)
+    def kernel(terms, w):
+        stage, growth = _row_stage(terms, kind, texp, w)
+        return (_pieri_stage(stage, kind, r),
+                growth * len(_KERNELS[kind][1]))
+    return _packed(p, texp, kind, (r,), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +457,10 @@ def _parabolic_apply(nu, p, texp, kind):
 
     Processes index positions right to left; the state maps vectors of
     pending index shifts for the unprocessed positions to accumulated
-    operands.
+    packed operands.  A level option of drop d and count c adds c times the
+    row at the index less d, negated for odd d and shifted by w * d * |texp|
+    bits, so a position grows an L1 norm by its stage and Pieri factors
+    times its summed level counts, len(levels) ** pos.
     """
     nu = tuple(int(x) for x in nu)
     n = len(nu)
@@ -353,31 +468,41 @@ def _parabolic_apply(nu, p, texp, kind):
         return p
     if n == 1:
         return _row(nu[0], p, kind, texp)
-    states = {(0,) * n: p}
-    for pos in range(n - 1, -1, -1):
-        grouped = _level_weights(pos, _KERNELS[kind][2])
-        new_states = {}
-        for pending, f in states.items():
-            stage = _row_stage(f, kind, texp)
-            base = nu[pos] + pending[pos]
-            rows = {}
-            for ds, drops in grouped.items():
-                acc = new_states.setdefault(
-                    tuple(pending[i] + ds[i] for i in range(pos)), {})
-                for drop, cnt in drops:
-                    row = rows.get(drop)
-                    if row is None:
-                        row = rows[drop] = (
-                            _pieri_stage(stage, kind, base - drop).terms,
-                            texp * drop)
-                    terms, e = row
-                    mult = -cnt if drop % 2 else cnt
-                    for lam, c in terms.items():
-                        add_into(acc, lam, c, e, mult)
-        states = _nonzero_funcs(new_states)
-        if not states:
-            return SymFunc()
-    return states[()]
+    levels = _KERNELS[kind][2]
+    shifts = len(_KERNELS[kind][1])
+
+    def kernel(terms, w):
+        unit = w * abs(texp)
+        states = {(0,) * n: terms}
+        growth = 1
+        for pos in range(n - 1, -1, -1):
+            grouped = _level_weights(pos, levels)
+            new_states = {}
+            most = 1
+            for pending, f in states.items():
+                stage, g = _row_stage(f, kind, texp, w)
+                if g > most:
+                    most = g
+                base = nu[pos] + pending[pos]
+                rows = {}
+                for ds, drops in grouped.items():
+                    acc = new_states.setdefault(
+                        tuple(pending[i] + ds[i] for i in range(pos)), {})
+                    for drop, cnt in drops:
+                        row = rows.get(drop)
+                        if row is None:
+                            row = rows[drop] = {
+                                lam: c << unit * drop for lam, c in
+                                _pieri_stage(stage, kind, base - drop).items()
+                                if c}
+                        mult = -cnt if drop % 2 else cnt
+                        for lam, c in row.items():
+                            acc[lam] = acc.get(lam, 0) + c * mult
+            growth *= most * shifts * len(levels) ** pos
+            states = new_states
+        return states[()], growth
+
+    return _packed(p, texp, kind, nu, kernel)
 
 
 def tilde_b_diamond_parabolic(kind, nu, p, texp=1):

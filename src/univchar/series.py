@@ -55,8 +55,8 @@ balanced digit: the packing is exact, with no overflow to guard.
 from __future__ import annotations
 
 from .core import (LaurentPoly, as_partition, canonical_kind, contains,
-                   from_frobenius, intersect, kind_partitions_of,
-                   partition_key, partitions_of, partitions_upto)
+                   from_frobenius, intersect, kind_partitions_of, pack,
+                   partition_key, partitions_of, partitions_upto, unpack)
 from .schur import (Expansion, SymFunc, _prod_spectrum, _removals,
                     _skew_spectrum, add_into, bernstein_insert, multiply,
                     skew_by, to_func)
@@ -244,29 +244,15 @@ def _one_row_sweep(p, scale, sign=1):
     step = w if scale == "t" else 0
     acc = {}
     for lam, c in terms.items():
-        n = 0
-        for e, v in c.c.items():
-            n += v << w * (e - low)
+        n = pack(c, w, low)
         for k, shapes in enumerate(_removals(lam, False)):
             m = (-n if sign < 0 and k % 2 else n) << step * k
             for nu in shapes:
                 acc[nu] = acc.get(nu, 0) + m
     out = SymFunc()
-    half, mask = 1 << (w - 1), (1 << w) - 1
     for nu, n in acc.items():
-        if not n:
-            continue
-        d, e = {}, low
-        while n:
-            v = n & mask
-            if v >= half:
-                v -= mask + 1
-            if v:
-                d[e] = v
-            n = (n - v) >> w
-            e += 1
-        c = out.terms[nu] = LaurentPoly.__new__(LaurentPoly)
-        c.c = d
+        if n:
+            out.terms[nu] = unpack(n, w, low)
     return out
 
 

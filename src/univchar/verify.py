@@ -1087,7 +1087,12 @@ SUITES = {
 
 
 def run_suite(name):
-    """Run one named suite (or 'all'); returns list of check triples."""
+    """Run one named suite (or 'all'); returns list of check triples.
+
+    A suite that raises yields one failed check, '<suite>.raised', with
+    'TypeName: message' as its detail, in place of its own checks, and the
+    remaining suites still run.
+    """
     if name == "all":
         out = []
         for key in SUITES:
@@ -1096,4 +1101,10 @@ def run_suite(name):
     fn = SUITES.get(name)
     if fn is None:
         raise ValueError("unknown suite %r" % name)
-    return fn()
+    start = time.perf_counter()
+    try:
+        return fn()
+    except Exception as exc:
+        return [Check(name + ".raised", False,
+                      "%s: %s" % (type(exc).__name__, exc),
+                      time.perf_counter() - start)]

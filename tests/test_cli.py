@@ -397,6 +397,30 @@ def test_cli_verify_failure(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_cli_verify_goes_on_past_a_raising_suite(monkeypatch, capsys):
+    # a suite that raises is one FAIL with the exception as its detail, the
+    # suites after it still run, and verify exits 1, not 3
+    from univchar import verify
+
+    def raising():
+        raise ValueError("t=0 undefined")
+
+    monkeypatch.setattr(verify, "SUITES", {
+        "lr": lambda: [verify.Check("lr.first", True, "", 0.0)],
+        "bases": raising,
+        "operators": lambda: [verify.Check("operators.last", True, "", 0.0)],
+    })
+    checks = verify.run_suite("all")
+    assert [c[:2] for c in checks] == [("lr.first", True),
+                                       ("bases.raised", False),
+                                       ("operators.last", True)]
+    assert checks[1][2] == "ValueError: t=0 undefined"
+    assert main(["verify", "--suite", "all"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL bases.raised  [ValueError: t=0 undefined]" in out
+    assert "PASS lr.first" in out and "PASS operators.last" in out
+
+
 def test_cli_verify_pass(capsys):
     assert main(["--json", "verify", "--suite", "kernels"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from univchar.core import LaurentPoly, partitions_of, partitions_upto
+from univchar.core import LaurentPoly, pack, partitions_of, partitions_upto
 from univchar.schur import (Expansion, SymFunc, multiply, schur_of_vector,
                             skew_e, skew_h)
 from univchar.series import diamond_unit, from_diamond, to_diamond
@@ -15,7 +15,7 @@ from univchar.operators import (InvariantViolation, _halve_exact,
                                 jacobi_trudi, tilde_b_diamond_parabolic)
 from univchar import operators, oracles
 from univchar.oracles import direct_extraction_oracle
-from univchar.verify import specialization_sequences
+from univchar.verify import WIDE_OPERAND, specialization_sequences
 
 
 def s(*parts):
@@ -195,6 +195,47 @@ def test_diamond_parabolic_vs_oracle():
     for kind in ("box", "vdom", "hdom"):
         assert tilde_b_diamond_parabolic(kind, (2, 1), cancelling) == \
             direct_extraction_oracle((2, 1), cancelling, kind), kind
+
+
+# 2^70 t^-2 - 3: a coefficient past 2^64 with a negative exponent, whose
+# products with small coefficients fill the packed slots to the bound
+WIDE = LaurentPoly({-2: 2 ** 70, 0: -3})
+
+
+def test_wide_coefficients_fill_the_packed_width():
+    # every step is Z[t]-linear, so the kernel on 1 scaled by WIDE is the
+    # kernel on WIDE; at kind none the L1 bound is 2^70 + 3 itself, so a
+    # slot one bit narrower reads 2^70 as -2^70
+    wide = one.scaled(WIDE)
+    for kind in ("none", "box", "vdom", "hdom"):
+        for r in (0, 2, 3):
+            assert bernstein_diamond_row(kind, r, wide) == \
+                bernstein_diamond_row(kind, r, one).scaled(WIDE), (kind, r)
+        for nu in ((3,), (2, 1), (1, 0, 2)):
+            for texp in (1, 2, -1):
+                got = tilde_b_diamond_parabolic(kind, nu, wide, texp)
+                want = tilde_b_diamond_parabolic(kind, nu, one, texp)
+                assert got == want.scaled(WIDE), (kind, nu, texp)
+
+
+def test_wide_operand_vs_oracle():
+    for kind in ("none", "vdom"):
+        for texp in (1, -1):
+            got = tilde_b_diamond_parabolic(kind, (2, 1), WIDE_OPERAND, texp)
+            assert got == direct_extraction_oracle(
+                (2, 1), WIDE_OPERAND, kind, texp), (kind, texp)
+
+
+def test_short_first_width_reruns(monkeypatch):
+    # a first width of 1 bit cannot hold the output: the kernel runs again
+    # at the width of its L1 bound and gives the same result
+    want = tilde_b_diamond_parabolic("box", (2, 1), WIDE_OPERAND)
+    packs = []
+    monkeypatch.setattr(operators, "_most_strips", lambda d: 0)
+    monkeypatch.setattr(operators, "pack",
+                        lambda *args: packs.append(args[1]) or pack(*args))
+    assert tilde_b_diamond_parabolic("box", (2, 1), WIDE_OPERAND) == want
+    assert packs[0] == 1 and len(set(packs)) == 2
 
 
 def test_oracle_guards():
