@@ -10,6 +10,7 @@ error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -83,7 +84,9 @@ def _global_flags(parser, suppress):
                         help="machine-readable output", **extra)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    # built once per process: parse_args leaves the parser as it was
     common = argparse.ArgumentParser(add_help=False)
     _global_flags(common, suppress=True)
     top = argparse.ArgumentParser(

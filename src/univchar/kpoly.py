@@ -213,7 +213,7 @@ def ktables(kinds, rects):
         # kept: through the vdom skew and two sweeps, hdom alone took about
         # six times as long on the hdom operands of the diamond sample
         funcs["hdom"] = skew_by_series(base, "hdom", "+", "t")
-    return {kind: KTable(kind, rects, dict(funcs[kind].terms), "recurrence")
+    return {kind: KTable(kind, rects, funcs[kind].terms, "recurrence")
             for kind in kinds}
 
 

@@ -17,9 +17,9 @@ shifts s of the kind, with B_m = sum_a (-1)^a h_(m+a) e_a^perp Bernstein's
 operator: it is the one-column factor with step +1 that every kind's series
 carries, followed by the product with h_(r-s+j), and it sends s_lam to the
 straightened s_(m, lam) (Macdonald, I.5 Ex. 29), so each Schur term of the
-stage takes one insertion (schur.bernstein_insert, memoized in
-_INSERT_CACHE) instead of a skew per degree and a Pieri product whose
-terms cancel.
+stage takes one insertion (schur._inserted, the memo of
+schur.bernstein_insert) instead of a skew per degree and a Pieri product
+whose terms cancel.
 
 The kernel table is keyed by kind: skew factors, Pieri shifts and the level
 weights of the parabolic operators.  The Schur kind is one-sided; box, vdom
@@ -94,7 +94,7 @@ oracle that checks these operators is oracles.direct_extraction_oracle.
 from __future__ import annotations
 
 from .core import LaurentPoly, as_partition, canonical_kind, pack, unpack
-from .schur import (Expansion, SymFunc, _removals, bernstein_insert, multiply,
+from .schur import (Expansion, SymFunc, _inserted, _removals, multiply,
                     straighten)
 from .series import diamond_unit, from_diamond, to_diamond
 
@@ -173,9 +173,6 @@ def _row_stage(p, kind, texp, w):
     return stage, growth
 
 
-_INSERT_CACHE = {}   # (m, lam) -> bernstein_insert(m, lam), () if it vanishes
-
-
 def _pieri_stage(stage, kind, r):
     """The packed row at index r from a skew stage: the signed sum, over
     the kind's Pieri shifts s, of Bernstein's operator B_(r-s+j) on
@@ -184,7 +181,7 @@ def _pieri_stage(stage, kind, r):
 
     B_m = sum_a (-1)^a h_(m+a) e_a^perp, so B_(r-s+j) applies the one-column
     skews with step +1 and the Pieri product in one move, each Schur term
-    s_lam going to the straightened s_(m, lam) (schur.bernstein_insert).
+    s_lam going to the straightened s_(m, lam) (schur._inserted).
     """
     acc = {}
     for s in _KERNELS[kind][1]:
@@ -193,10 +190,7 @@ def _pieri_stage(stage, kind, r):
             for lam, n in f.items():
                 if not n:
                     continue
-                key = (m, lam)
-                got = _INSERT_CACHE.get(key)
-                if got is None:
-                    got = _INSERT_CACHE[key] = bernstein_insert(m, lam) or ()
+                got = _inserted(m, lam)
                 if got:
                     sign, nu = got
                     acc[nu] = acc.get(nu, 0) + (-n if (sign < 0) != (s > 0)

@@ -32,6 +32,13 @@ it once per Schur term for the skews of every degree.  Tableau contents
 come from the same pass: the cells of a filling's last letter form a
 horizontal strip (ssyt_contents).
 
+The removal memo, the insertion memo and series._SPECTRUM_CACHE hold few
+distinct shapes many times over, so each shape they store, and each
+(nu, k) entry of a series spectrum, is the one object for its value in
+_INTERN (_interned).  The insertion memo (_inserted, _INSERT_CACHE) is the
+one that the row kernel, the vdom series spectra and straighten all read.
+An interned tuple equals the one it replaces, so no result depends on it.
+
 Products, skews, Pieri moves and evaluations share one accumulator: a dict
 key -> raw {exponent: int} dict, into which add_into adds mult * t^shift * c
 in place, and which to_func turns into a SymFunc once, dropping the terms
@@ -52,6 +59,13 @@ _PROD_CACHE = {}    # (mu, nu) -> dict lam -> int
 _STRIP_CACHE = {}   # (lam, m, column) -> tuple of added shapes
 _REMOVAL_CACHE = {}  # (lam, column) -> tuple by size of removed shapes
 _CONTENT_CACHE = {}  # (lam, nvars) -> dict content-composition -> count
+_INSERT_CACHE = {}   # (m, lam) -> bernstein_insert(m, lam), () if it vanishes
+_INTERN = {}         # tuple -> the one stored object equal to it
+
+
+def _interned(key):
+    """The one stored tuple equal to key (key itself the first time)."""
+    return _INTERN.setdefault(key, key)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +144,8 @@ def _removals(lam, column):
     if column:
         by_size = [sorted(map(conjugate, shapes), key=partition_key)
                    for shapes in by_size]
-    got = _REMOVAL_CACHE[key] = tuple(map(tuple, by_size))
+    got = _REMOVAL_CACHE[key] = tuple(tuple(map(_interned, shapes))
+                                      for shapes in by_size)
     return got
 
 
@@ -503,6 +518,17 @@ def bernstein_insert(m, lam):
     return -1 if k % 2 else 1, shape
 
 
+def _inserted(m, lam):
+    """bernstein_insert(m, lam) with an interned shape, or () when it
+    vanishes; memoized per (m, lam)."""
+    key = (m, lam)
+    got = _INSERT_CACHE.get(key)
+    if got is None:
+        got = bernstein_insert(m, lam)
+        got = _INSERT_CACHE[key] = (got[0], _interned(got[1])) if got else ()
+    return got
+
+
 def straighten(nu):
     """Normalize an integer index vector for the Schur family: the right
     fold of bernstein_insert, s_nu = B_(nu_1) ... B_(nu_n) 1.
@@ -512,8 +538,8 @@ def straighten(nu):
     """
     sign, lam = 1, ()
     for m in reversed(nu):
-        got = bernstein_insert(m, lam)
-        if got is None:
+        got = _inserted(m, lam)
+        if not got:
             return None
         s, lam = got
         sign *= s

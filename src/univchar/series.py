@@ -57,12 +57,12 @@ from __future__ import annotations
 from .core import (LaurentPoly, as_partition, canonical_kind, contains,
                    from_frobenius, intersect, kind_partitions_of, pack,
                    partition_key, partitions_of, partitions_upto, unpack)
-from .schur import (Expansion, SymFunc, _prod_spectrum, _removals,
-                    _skew_spectrum, add_into, bernstein_insert, multiply,
-                    skew_by, to_func)
+from .schur import (Expansion, SymFunc, _inserted, _interned, _prod_spectrum,
+                    _removals, _skew_spectrum, add_into, multiply, skew_by,
+                    to_func)
 
 _SERIES_CACHE = {}   # (kind, sign) -> list per degree of [(partition, +-1)]
-_SPECTRUM_CACHE = {}  # (lam, kind, sign) -> tuple of (nu, int)
+_SPECTRUM_CACHE = {}  # (lam, kind, sign) -> tuple of interned (nu, int)
 
 
 # Frobenius offsets (da, db) of the arms and legs of each kind's signed
@@ -157,10 +157,10 @@ def skew_by_series(p, kind, sign, scale=1):
 def _series_spectrum(lam, kind, sign):
     """tuple of (nu, sum over the series terms mu of sign_mu c^lam_{mu,nu}),
     nu with a nonzero sum: the skew of s_lam by the unscaled series of a
-    canonical kind.  Memoized per (lam, kind, sign).  The vdom "+" spectrum
-    is built from that of lam's tail (module docstring), the others from
-    the Littlewood-Richardson fills of the terms mu contained in lam, which
-    are not memoized."""
+    canonical kind.  Memoized per (lam, kind, sign), each entry interned
+    (schur._interned).  The vdom "+" spectrum is built from that of lam's
+    tail (module docstring), the others from the Littlewood-Richardson
+    fills of the terms mu contained in lam, which are not memoized."""
     key = (lam, kind, sign)
     got = _SPECTRUM_CACHE.get(key)
     if got is not None:
@@ -170,7 +170,7 @@ def _series_spectrum(lam, kind, sign):
         # (S^perp 1 = 1), so a long lam needs no recursion
         got = (((), 1),)
         for i in range(len(lam) - 1, 0, -1):
-            tail = (lam[i:], kind, sign)
+            tail = (_interned(lam[i:]), kind, sign)
             spec = _SPECTRUM_CACHE.get(tail)
             if spec is None:
                 spec = _SPECTRUM_CACHE[tail] = _created(lam[i], got)
@@ -183,7 +183,8 @@ def _series_spectrum(lam, kind, sign):
         for mu, sgn in row:
             for nu, k in _skew_spectrum(lam, mu):
                 acc[nu] = acc.get(nu, 0) + sgn * k
-    got = _SPECTRUM_CACHE[key] = tuple(kv for kv in acc.items() if kv[1])
+    got = _SPECTRUM_CACHE[key] = tuple(_interned((_interned(nu), k))
+                                       for nu, k in acc.items() if k)
     return got
 
 
@@ -194,11 +195,11 @@ def _created(m, spectrum):
     for nu, c in spectrum:
         for k, shapes in enumerate(_removals(nu, False)):
             for rho in shapes:
-                got = bernstein_insert(m - k, rho)
-                if got is not None:
+                got = _inserted(m - k, rho)
+                if got:
                     sgn, shape = got
                     acc[shape] = acc.get(shape, 0) + sgn * c
-    return tuple(kv for kv in acc.items() if kv[1])
+    return tuple(_interned(kv) for kv in acc.items() if kv[1])
 
 
 def series_coeff(p, kind, lam):

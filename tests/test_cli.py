@@ -598,6 +598,26 @@ def test_table_repeated_kind(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["ktable_box.json"]
 
 
+def test_table_after_a_usage_error_matches_a_fresh_run(tmp_path, capsys):
+    # the parser is built once per process, so a refused call must leave it
+    # as a fresh process has it
+    argv = ["table", "-R", "[[2,2],[1]]", "--kinds", "all", "--latex",
+            "--out"]
+    assert main(["table", "-R", "[[2,2],[1]]", "--kinds", "bogus",
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert main(argv + [str(tmp_path / "here")]) == 0
+    capsys.readouterr()
+    proc = _run_child("-m", "univchar", *argv, str(tmp_path / "fresh"))
+    assert proc.returncode == 0, proc.stderr
+    assert not (tmp_path / "bad").exists()
+    names = sorted(os.listdir(tmp_path / "fresh"))
+    assert names == sorted(TABLE_FILE_DIGESTS)
+    assert sorted(os.listdir(tmp_path / "here")) == names
+    for name in names:
+        assert (tmp_path / "here" / name).read_bytes() == \
+            (tmp_path / "fresh" / name).read_bytes(), name
+
+
 def test_table_empty_sequence(tmp_path, capsys):
     assert main(["table", "-R", "[]", "--kinds", "vdom",
                  "--out", str(tmp_path)]) == 0

@@ -5,9 +5,11 @@ import pytest
 
 from univchar.core import (KINDS, LaurentPoly, conjugate, diagonal_size,
                            frobenius, partitions_of, partitions_upto)
-from univchar.operators import bb_diamond_r
+from univchar.kpoly import ktables
+from univchar.operators import bb_diamond, bb_diamond_r
 from univchar.schur import (Expansion, SymFunc, _skew_spectrum,
-                            inner_product, multiply, skew_by, skew_h)
+                            bernstein_insert, inner_product, multiply,
+                            skew_by, skew_h)
 from univchar.series import (_one_row_sweep, _series_rows, _series_spectrum,
                              _signed_shapes, change_basis, diamond_product,
                              diamond_unit, dual_basis_truncated, from_diamond,
@@ -15,7 +17,7 @@ from univchar.series import (_one_row_sweep, _series_rows, _series_spectrum,
                              skew_by_series, to_diamond)
 from univchar.verify import (WIDE_OPERAND, series_coeff_mismatches,
                              skew_by_series_mismatches)
-from univchar import oracles
+from univchar import operators, oracles, schur, series
 
 
 def s(*parts):
@@ -240,6 +242,30 @@ def test_vdom_spectrum_vs_lr_fills():
         want = {nu: k for nu, k in want.items() if k}
         got = _series_spectrum(lam, "vdom", "+")
         assert dict(got) == want and len(got) == len(want), lam
+
+
+def test_memos_share_interned_shapes():
+    # every strip, inserted shape and spectrum entry that a memo stores is
+    # the intern table's one object for its value, and the one insertion
+    # memo, read by the row kernel, the vdom spectra and straighten, holds
+    # true insertions
+    rects = ((3, 3), (2, 2), (1,))
+    ktables(KINDS, rects)
+    bb_diamond(rects)
+
+    def shared(key):
+        return schur._INTERN.get(key) is key
+
+    assert schur._REMOVAL_CACHE and schur._INSERT_CACHE
+    assert series._SPECTRUM_CACHE
+    for by_size in schur._REMOVAL_CACHE.values():
+        assert all(shared(nu) for shapes in by_size for nu in shapes)
+    for (m, lam), got in schur._INSERT_CACHE.items():
+        assert got == (bernstein_insert(m, lam) or ()), (m, lam)
+        assert not got or shared(got[1]), (m, lam)
+    for spectrum in series._SPECTRUM_CACHE.values():
+        assert all(shared(entry) and shared(entry[0]) for entry in spectrum)
+    assert not hasattr(operators, "_INSERT_CACHE")
 
 
 def test_one_row_sweep_vs_pieri():
