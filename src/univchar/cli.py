@@ -10,6 +10,7 @@ error).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -143,16 +144,10 @@ def cmd_table(rects, kinds, out_dir, latex, as_json):
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for kind, table in ktables(kinds, rects).items():
-        text, tex, negative = table.render(latex)
-        path = os.path.join(out_dir, "ktable_%s.json" % kind)
-        with open(path, "w") as fh:
-            fh.write(text)
-        written.append(path)
-        if latex:
-            tex_path = os.path.join(out_dir, "ktable_%s.tex" % kind)
-            with open(tex_path, "w") as fh:
-                fh.write(tex)
-            written.append(tex_path)
+        paths = [os.path.join(out_dir, "ktable_%s.%s" % (kind, ext))
+                 for ext in (("json", "tex") if latex else ("json",))]
+        negative = _write_table(table, paths)
+        written += paths
         for lam, poly in negative:
             print("univchar: note: negative data at %s (%s) in kind %s"
                   % (list(lam), poly, kind), file=sys.stderr)
@@ -162,6 +157,26 @@ def cmd_table(rects, kinds, out_dir, latex, as_json):
         for path in written:
             print(path)
     return 0
+
+
+def _write_table(table, paths):
+    """KTable.write into paths (the JSON file, then the LaTeX one if any),
+    each streamed to a temporary name beside it and renamed only after the
+    last row, so a table that stops midway leaves no file of its own behind:
+    on any exception the temporary files are removed."""
+    temps = [path + ".tmp" for path in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            negative = table.write(*[stack.enter_context(open(temp, "w"))
+                                     for temp in temps])
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
+    return negative
 
 
 def cmd_verify(suite, as_json):

@@ -65,13 +65,13 @@ MAX_NESTING = 100
 # partition of `nl(...)`: ten factors s[5] took 23.2 s, nl([1],[61],[60])
 # 9.4 s, and s[10]*s[10]*s[10] takes 0.13 s.  The benchmark ladder tops out at
 # 19 cells in 4 factors, and on ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells,
-# `table --kinds all` takes about 6 s and 90 MB on a 2-vCPU machine.  Time and
+# `table --kinds all` takes about 6 s and 78 MB on a 2-vCPU machine.  Time and
 # memory grow steeply with both: thirty one-cell factors would need every
 # partition of 30, and 22 of them already cost as much as that 29-cell
 # sequence.  Of 14 sequences measured at the caps, the slowest is five factors
-# (3,2,1), where `table --kinds all` took 35 s and 267 MB.  On a diamond kind
-# dpoly builds bb_diamond: 1.0 s and 42 MB on the 29-cell sequence, 15 s and
-# 192 MB on five (3,2,1); kpoly, and dpoly of kind none, read bb_r: about
+# (3,2,1), where `table --kinds all` took 25-29 s and 216 MB.  On a diamond
+# kind dpoly builds bb_diamond: 1.0 s and 42 MB on the 29-cell sequence, 15 s
+# and 192 MB on five (3,2,1); kpoly, and dpoly of kind none, read bb_r: about
 # 1.5 s and 57 MB on five (3,2,1) (wall time, peak RSS).  A dual of degree 30
 # took 1.7 s and 60 MB, of degree 40 16 s and 394 MB.
 MAX_TABLE_WEIGHT = 30

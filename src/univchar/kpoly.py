@@ -63,7 +63,9 @@ class KTable:
         return self.rows.get(as_partition(lam), LaurentPoly.zero())
 
     def support(self):
-        return sorted(self.rows, key=partition_key)
+        # partition_key order, by size and then by descending tuple, with
+        # no key tuple per row: the second sort is stable
+        return sorted(sorted(self.rows, reverse=True), key=sum)
 
     def same_rows(self, other):
         return self.rows == other.rows
@@ -93,19 +95,22 @@ class KTable:
         return cls(obj["kind"], [as_partition(r) for r in obj["R"]], rows,
                    obj.get("provenance", ""))
 
-    def render(self, latex=True):
-        """The files of `univchar table` from one walk of the support:
-        (JSON text, LaTeX text or None, positivity_report()).
+    def write(self, json_fh, tex_fh=None):
+        """Write the files of `univchar table` to open text files, row by
+        row in one walk of the support, and return positivity_report().
 
-        The JSON text is json.dumps(self.to_json(), indent=1,
-        sort_keys=True) and a newline, byte for byte: exponent keys sort as
-        strings, so "10" precedes "2".  The LaTeX text is a tabular with one
-        row per partition, each polynomial highest power first.
+        The JSON is json.dumps(self.to_json(), indent=1, sort_keys=True)
+        and a newline, byte for byte: exponent keys sort as strings, so
+        "10" precedes "2".  The LaTeX, written when tex_fh is given, is a
+        tabular with one row per partition, each polynomial highest power
+        first.
         """
-        records = []
-        lines = [r"\begin{tabular}{ll}",
-                 r"$\lambda$ & $K^{\mathrm{%s}}_{\lambda;R}(t)$ \\\hline"
-                 % self.kind] if latex else None
+        if tex_fh is not None:
+            tex_fh.write(r"\begin{tabular}{ll}" "\n" r"$\lambda$ & "
+                         r"$K^{\mathrm{%s}}_{\lambda;R}(t)$ \\\hline" "\n"
+                         % self.kind)
+        json_fh.write('{\n "K": ')
+        sep = "[\n"
         negative = []
         for lam in self.support():
             poly = self.rows[lam]
@@ -116,10 +121,11 @@ class KTable:
                                              for ev in poly.c.items()]))
             lam_text = ("[\n    %s\n   ]" % ",\n    ".join(parts)
                         if parts else "[]")
-            records.append('  {\n   "lambda": %s,\n   "poly": {\n    %s\n'
-                           '   }\n  }' % (lam_text, entries))
-            if latex:
-                lines.append(r"$(%s)$ & $%s$ \\"
+            json_fh.write('%s  {\n   "lambda": %s,\n   "poly": {\n    %s\n'
+                          '   }\n  }' % (sep, lam_text, entries))
+            sep = ",\n"
+            if tex_fh is not None:
+                tex_fh.write(r"$(%s)$ & $%s$ \\" "\n"
                              % (",".join(parts), poly.format("", "t^{%d}")))
             if _negative(poly):
                 negative.append((lam, poly))
@@ -128,11 +134,11 @@ class KTable:
         tail = json.dumps({"R": [list(r) for r in self.rects],
                            "kind": self.kind, "provenance": self.provenance},
                           indent=1, sort_keys=True)
-        text = '{\n "K": %s,\n%s\n' % (
-            "[\n%s\n ]" % ",\n".join(records) if records else "[]",
-            tail[2:])
-        tex = "\n".join(lines) + "\n\\end{tabular}\n" if latex else None
-        return text, tex, negative
+        json_fh.write("%s,\n%s\n" % ("[]" if sep == "[\n" else "\n ]",
+                                      tail[2:]))
+        if tex_fh is not None:
+            tex_fh.write("\\end{tabular}\n")
+        return negative
 
     def __repr__(self):
         bits = ", ".join("%r: %s" % (list(l), p) for l, p in
@@ -143,7 +149,7 @@ class KTable:
 
 
 def _negative(poly):
-    """The row test of positivity_report and render: a negative coefficient
+    """The row test of positivity_report and write: a negative coefficient
     or a negative exponent."""
     return min(poly.c) < 0 or min(poly.c.values()) < 0
 

@@ -126,26 +126,31 @@ def _removals(lam, column):
     column), each size sorted by partition_key.
 
     Kept rows lie in lam_r >= nu_r >= lam_{r+1}, so one product pass over
-    those intervals yields every size at once.  Each interval runs
-    downwards, so the pass yields each size in decreasing lexicographic
-    order, which is partition_key order: only column removals are sorted,
-    after the conjugation.
+    those intervals yields every size at once.  The last row runs
+    innermost, and it is the only kept row that can be empty, so each
+    shape is the prefix of the rows above, extended by the last row when
+    that is not empty.  Each interval runs downwards, so the pass yields
+    each size in decreasing lexicographic order, which is partition_key
+    order: only column removals are sorted, after the conjugation.
     """
     key = (lam, column)
     got = _REMOVAL_CACHE.get(key)
     if got is not None:
         return got
     base = conjugate(lam) if column else lam
-    full = sum(base)
+    full, last = sum(base), (base[-1] if base else 0)
     by_size = [[] for _ in range((base[0] if base else 0) + 1)]
     for v in product(*(range(a, b - 1, -1)
-                       for a, b in zip(base, base[1:] + (0,)))):
-        by_size[full - sum(v)].append(tuple(filter(None, v)))
+                       for a, b in zip(base, base[1:]))):
+        rest = full - sum(v)
+        for x in range(last, 0, -1):
+            by_size[rest - x].append(v + (x,))
+        by_size[rest].append(v)
     if column:
         by_size = [sorted(map(conjugate, shapes), key=partition_key)
                    for shapes in by_size]
-    got = _REMOVAL_CACHE[key] = tuple(tuple(map(_interned, shapes))
-                                      for shapes in by_size)
+    got = _REMOVAL_CACHE[key] = tuple(
+        tuple(map(_INTERN.setdefault, shapes, shapes)) for shapes in by_size)
     return got
 
 

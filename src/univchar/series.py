@@ -57,9 +57,9 @@ from __future__ import annotations
 from .core import (LaurentPoly, as_partition, canonical_kind, contains,
                    from_frobenius, intersect, kind_partitions_of, pack,
                    partition_key, partitions_of, partitions_upto, unpack)
-from .schur import (Expansion, SymFunc, _inserted, _interned, _prod_spectrum,
-                    _removals, _skew_spectrum, add_into, multiply, skew_by,
-                    to_func)
+from .schur import (_INSERT_CACHE, _INTERN, Expansion, SymFunc, _inserted,
+                    _interned, _prod_spectrum, _removals, _skew_spectrum,
+                    add_into, multiply, skew_by, to_func)
 
 _SERIES_CACHE = {}   # (kind, sign) -> list per degree of [(partition, +-1)]
 _SPECTRUM_CACHE = {}  # (lam, kind, sign) -> tuple of interned (nu, int)
@@ -192,14 +192,19 @@ def _created(m, spectrum):
     """The spectrum of S^perp B_m g from that of S^perp g, S the positive
     vdom series: sum_k B_(m-k) h_k^perp S^perp g."""
     acc = {}
+    lookup = _INSERT_CACHE.get
     for nu, c in spectrum:
         for k, shapes in enumerate(_removals(nu, False)):
+            j = m - k
             for rho in shapes:
-                got = _inserted(m - k, rho)
+                got = lookup((j, rho))
+                if got is None:
+                    got = _inserted(j, rho)
                 if got:
                     sgn, shape = got
                     acc[shape] = acc.get(shape, 0) + sgn * c
-    return tuple(_interned(kv) for kv in acc.items() if kv[1])
+    kept = [kv for kv in acc.items() if kv[1]]
+    return tuple(map(_INTERN.setdefault, kept, kept))
 
 
 def series_coeff(p, kind, lam):

@@ -618,6 +618,35 @@ def test_table_after_a_usage_error_matches_a_fresh_run(tmp_path, capsys):
             (tmp_path / "fresh" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("exc, code, message", [
+    (OSError("disk full"), 2, "univchar: error: disk full\n"),
+    (RuntimeError("stopped"), 3,
+     "univchar: internal error: RuntimeError: stopped\n")])
+def test_table_stopped_midway_leaves_no_file_of_its_own(
+        tmp_path, monkeypatch, capsys, exc, code, message):
+    # the walk of the vdom table raises after three rows: the tables before
+    # it stay written, its rows so far were never under its own names, and
+    # neither its files nor a temporary one is left
+    support = KTable.support
+    seen = []
+
+    def walk(table):
+        for i, lam in enumerate(support(table)):
+            if table.kind == "vdom" and i == 3:
+                seen.extend(os.listdir(tmp_path))
+                raise exc
+            yield lam
+
+    monkeypatch.setattr(KTable, "support", walk)
+    assert main(["table", "-R", "[[2,2],[1]]", "--kinds", "box,vdom,hdom",
+                 "--latex", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == message
+    done = ["ktable_box.json", "ktable_box.tex"]
+    assert len(seen) > len(done) and set(done) < set(seen)
+    assert not {"ktable_vdom.json", "ktable_vdom.tex"} & set(seen)
+    assert sorted(os.listdir(tmp_path)) == done
+
+
 def test_table_empty_sequence(tmp_path, capsys):
     assert main(["table", "-R", "[]", "--kinds", "vdom",
                  "--out", str(tmp_path)]) == 0

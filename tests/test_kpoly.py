@@ -1,9 +1,12 @@
 import hashlib
+import io
 import json
+import random
 
 import pytest
 
-from univchar.core import KINDS, LaurentPoly, partitions_of, seq_weight
+from univchar.core import (KINDS, LaurentPoly, partition_key, partitions_of,
+                           partitions_upto, seq_weight)
 from univchar.schur import SymFunc, multiply, schur_of_vector
 from univchar.series import Expansion, from_diamond, to_diamond
 from univchar.operators import tilde_b_diamond_parabolic
@@ -292,20 +295,29 @@ def test_specializations():
             assert from_diamond(Expansion(kind, at1)) == prod, (kind, rects)
 
 
+def _written(table, latex=True):
+    """(JSON text, LaTeX text or None, returned rows) of KTable.write into
+    in-memory files."""
+    text = io.StringIO()
+    tex = io.StringIO() if latex else None
+    negative = table.write(text, tex)
+    return text.getvalue(), tex.getvalue() if latex else None, negative
+
+
 def test_ktable_json_latex():
     table = hh_r("vdom", R_EXAMPLE)
-    text, tex, negative = table.render()
+    text, tex, negative = _written(table)
     again = KTable.from_json(json.loads(text))
     assert again.same_rows(table)
     assert again.kind == table.kind and again.rects == table.rects
     assert tex.startswith(r"\begin{tabular}")
     assert "t^{6}" in tex and "(2,2,1)" in tex
     assert negative == [] == table.positivity_report()
-    assert table.render(latex=False) == (text, None, [])
+    assert _written(table, latex=False) == (text, None, [])
 
 
 # Edge tables with the LaTeX the stdlib-era writer (KTable.to_latex, since
-# replaced by render) gave them: exponents whose string order differs from
+# replaced by write) gave them: exponents whose string order differs from
 # their numeric order, negative exponents and coefficients, the empty
 # partition, no rows, and kind none.
 _EDGE_TABLES = [
@@ -342,7 +354,7 @@ _EDGE_TABLES = [
 ]
 
 # sha256 of the stdlib-era LaTeX of the four tables of ((3,3),(2,2),(1,))
-_RENDER_TEX_DIGESTS = {
+_TEX_DIGESTS = {
     "none": "c589023475b19e626acd3186fb4e5bbe9f4bf315f655e6789f1aa6ec2f2ffd1d",
     "box": "c7b0e0474b7bb46809b588fbd17586d089d6fe665f380e4d85c7430f5bc9a52a",
     "vdom": "b3fafd7ddb5cb68d5f255c71b33a8967f4c274b761ec91efc798680bc6e30f3f",
@@ -354,23 +366,33 @@ def _stdlib_json(table):
     return json.dumps(table.to_json(), indent=1, sort_keys=True) + "\n"
 
 
-def test_render_matches_the_stdlib_encoder():
+def test_write_matches_the_stdlib_encoder():
     for table, tex in _EDGE_TABLES:
-        text, got, negative = table.render()
+        text, got, negative = _written(table)
         assert text == _stdlib_json(table), table
         assert got == tex, table
         assert negative == table.positivity_report(), table
-    assert '"K": []' in _EDGE_TABLES[3][0].render()[0]
-    assert '"lambda": []' in _EDGE_TABLES[2][0].render()[0]
-    assert [lam for lam, _ in _EDGE_TABLES[1][0].render()[2]] == \
+    assert '"K": []' in _written(_EDGE_TABLES[3][0])[0]
+    assert '"lambda": []' in _written(_EDGE_TABLES[2][0])[0]
+    assert [lam for lam, _ in _written(_EDGE_TABLES[1][0])[2]] == \
         [(1,), (2, 1)]
     tables = kpoly.ktables(KINDS, ((3, 3), (2, 2), (1,)))
     for kind, table in tables.items():
-        text, tex, negative = table.render()
+        text, tex, negative = _written(table)
         assert text == _stdlib_json(table), kind
         assert hashlib.sha256(tex.encode()).hexdigest() == \
-            _RENDER_TEX_DIGESTS[kind], kind
+            _TEX_DIGESTS[kind], kind
         assert negative == [], kind
+
+
+def test_support_is_partition_key_order():
+    rng = random.Random(12)
+    shapes = [lam for lam in partitions_upto(12) if lam]
+    for size in [0, 1, 2, len(shapes)] + [rng.randrange(len(shapes))
+                                          for _ in range(20)]:
+        rows = rng.sample(shapes, size) + [()]
+        table = KTable("none", (), dict.fromkeys(rows, one), "test")
+        assert table.support() == sorted(rows, key=partition_key)
 
 
 def test_positivity_report_flags_negative():
