@@ -148,9 +148,14 @@ def cmd_table(rects, kinds, out_dir, latex, as_json):
                  for ext in (("json", "tex") if latex else ("json",))]
         negative = _write_table(table, paths)
         written += paths
-        for lam, poly in negative:
-            print("univchar: note: negative data at %s (%s) in kind %s"
-                  % (list(lam), poly, kind), file=sys.stderr)
+        if negative:
+            # one note per kind: a large table can have tens of thousands
+            count = len(negative)
+            lam, poly = negative[0]
+            print("univchar: note: %d %s with negative data in kind %s, "
+                  "first at %s (%s)" % (count, "row" if count == 1 else "rows",
+                                        kind, list(lam), poly),
+                  file=sys.stderr)
     if as_json:
         print(json.dumps({"written": written}, sort_keys=True))
     else:

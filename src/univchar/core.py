@@ -348,6 +348,18 @@ class LaurentPoly:
 P_ONE = LaurentPoly.const(1)
 
 
+def coeff_at(rows, lam):
+    """rows[lam] for a dict from partitions to polynomials, zero when lam is
+    absent.  lam is looked up as given and validated only on a miss."""
+    try:
+        got = rows.get(lam)
+    except TypeError:   # unhashable, such as a list
+        got = None
+    if got is None:
+        got = rows.get(as_partition(lam), LaurentPoly.zero())
+    return got
+
+
 def pack(c, w, low, step=1):
     """c at t = 2^w, with t^e in the slot (e - low) * step of w bits: the
     ring map Z[t] -> Z of a Kronecker substitution, so sums, negation and

@@ -20,10 +20,10 @@ one-off coefficient on a large R it is the route to take.
 
 duality_check reads both of its coefficients from whole tables: the first
 call on R builds the four tables of R and of the rearranged transposed
-sequence R' (one ktables call each), and later calls on either are lookups.
-Each row is kept with its text, formatted once per distinct polynomial, and
-each lam is validated and conjugated once: a repeated call conjugates
-nothing, and formats nothing unless its two sides disagree.
+sequence R' (one ktables call each), each row kept with its text, formatted
+once per distinct polynomial.  A sequence's first query for a kind then
+builds one answer per lam in the support of either side, and every later
+query is one lookup on its arguments as given.
 
 hh_r telescopes the row operators.  Each row conjugates a squared-deformation
 parabolic by the plain and t-scaled series of the kind; the positive and the
@@ -40,9 +40,9 @@ from __future__ import annotations
 import json
 
 from .core import (KINDS, LaurentPoly, as_partition, canonical_kind,
-                   conjugate, dominant_rearrangement, is_dominant_seq,
-                   is_rectangle, kind_partitions_of, partition_key,
-                   seq_overlap, seq_weight, KIND_TRANSPOSE)
+                   coeff_at, conjugate, dominant_rearrangement,
+                   is_dominant_seq, is_rectangle, kind_partitions_of,
+                   partition_key, seq_overlap, seq_weight, KIND_TRANSPOSE)
 from .schur import SymFunc
 from .series import _one_row_sweep, _series_coeff, skew_by_series
 from .operators import bb_r, tilde_b_diamond_parabolic
@@ -60,7 +60,7 @@ class KTable:
         self.provenance = provenance
 
     def coeff(self, lam):
-        return self.rows.get(as_partition(lam), LaurentPoly.zero())
+        return coeff_at(self.rows, lam)
 
     def support(self):
         # partition_key order, by size and then by descending tuple, with
@@ -268,10 +268,11 @@ def single_rectangle_table(kind, rect):
 # call; every row is interned in _ROW_POLYS, which maps a polynomial to its
 # (poly, str(poly)) pair, since the rows of all the tables repeat few
 # distinct polynomials and each is formatted once.  _DUALITY_CACHE maps the
-# canonical kind and R as given, in tuples, to (canonical R, the transposed
-# kind, R', 2 (overlap + |R|), rows, rows of the transposed kind over R').
-# _LAMBDA_CACHE maps lam as given, in a tuple, to (canonical lam, its
-# conjugate, 2 |lam|); a rejected lam raises on every call and is never
+# canonical kind and R as given, in tuples, to (kind, canonical R, the
+# transposed kind, R', 2 (overlap + |R|), answers), where answers maps every
+# lam in the support of either side to (lam, 2 |lam|, equal, lhs text, rhs
+# text).  _LAMBDA_CACHE maps lam as given, in a tuple, to (canonical lam,
+# its conjugate, 2 |lam|); a rejected lam raises on every call and is never
 # stored.
 _TABLE_CACHE = {}
 _ROW_POLYS = {}
@@ -299,8 +300,22 @@ def _table_rows(rects):
     return tables
 
 
+def _lambda_data(lam):
+    """(canonical lam, its conjugate, 2 |lam|) for lam given as a tuple."""
+    data = _LAMBDA_CACHE.get(lam)
+    if data is None:
+        canon = as_partition(lam)
+        data = _LAMBDA_CACHE[lam] = (canon, conjugate(canon), 2 * sum(canon))
+    return data
+
+
 def _duality_setup(key):
-    """The per-sequence data of duality_check for a (kind, R) key."""
+    """The per-sequence entry of duality_check for a (kind, R) key, with the
+    answer of every lam in the support of either side: the rows of the kind
+    over R and the conjugates of the rows of the transposed kind over R'.
+    The inverse-t image is compared as a raw exponent dict; equal
+    polynomials format identically, so only a disagreeing right-hand side
+    is formatted."""
     kind, rects = key
     rects = tuple(as_partition(r) for r in rects)
     if not all_rect(rects):
@@ -310,14 +325,20 @@ def _duality_setup(key):
     tkind = KIND_TRANSPOSE[kind]
     trects = dominant_rearrangement(tuple(conjugate(r) for r in rects))
     shift = 2 * (seq_overlap(rects) + seq_weight(rects))
-    return (rects, tkind, trects, shift, _table_rows(rects)[kind],
-            _table_rows(trects)[tkind])
-
-
-def _lambda_data(lam):
-    """(canonical lam, its conjugate, 2 |lam|)."""
-    lam = as_partition(lam)
-    return lam, conjugate(lam), 2 * sum(lam)
+    rows = _table_rows(rects)[kind]
+    trows = _table_rows(trects)[tkind]
+    answers = {}
+    for lam in [*rows, *(_lambda_data(mu)[1] for mu in trows)]:
+        if lam in answers:
+            continue
+        lam, lamt, size2 = _lambda_data(lam)
+        lhs, lhs_text = trows.get(lamt, _ZERO_ROW)
+        rhs = {shift - size2 - e: v
+               for e, v in rows.get(lam, _ZERO_ROW)[0].c.items()}
+        equal = rhs == lhs.c
+        answers[lam] = (lam, size2, equal, lhs_text,
+                        lhs_text if equal else str(LaurentPoly(rhs)))
+    return kind, rects, tkind, trects, shift, answers
 
 
 def duality_check(kind, lam, rects):
@@ -327,37 +348,36 @@ def duality_check(kind, lam, rects):
     rearranged transposed rectangles against the degree-shifted inverse-t
     image of the original coefficient.  Returns (equal, report).
 
-    Both coefficients are rows of whole tables: the first call on R builds
-    the four tables of R and of R' (one ktables call each) and later calls
-    on either are lookups.  Each row carries its text, formatted once per
-    distinct polynomial, and the inverse-t image is compared as a raw
-    exponent dict; equal polynomials format identically, so when the two
-    sides agree the right-hand text is the left-hand one, and only a
-    disagreeing right-hand side is formatted.  Each lam is validated and
-    conjugated once.  For a one-off coefficient on a large R,
+    Both coefficients are rows of whole tables of R and R', and the first
+    call for a kind on R answers every lam in the support of either side
+    (_duality_setup).  A later call is one lookup of kind and R and one of
+    lam, on the arguments as given; only a miss (an alias, a list, a
+    generator, a trailing zero, or a lam in neither table, where both sides
+    are 0) canonicalizes and validates them.  Each report is built with
+    fresh lists.  For a one-off coefficient on a large R,
     k_via_schur_recurrence costs far less than a table.
     """
-    key = (canonical_kind(kind), tuple(map(tuple, rects)))
-    setup = _DUALITY_CACHE.get(key)
-    if setup is None:
-        setup = _DUALITY_CACHE[key] = _duality_setup(key)
-    rects, tkind, trects, shift, rows, trows = setup
-    lam = tuple(lam)
-    data = _LAMBDA_CACHE.get(lam)
-    if data is None:
-        data = _LAMBDA_CACHE[lam] = _lambda_data(lam)
-    lam, lamt, size2 = data
-    shift -= size2
-    lhs, lhs_text = trows.get(lamt, _ZERO_ROW)
-    rhs = {shift - e: v for e, v in rows.get(lam, _ZERO_ROW)[0].c.items()}
-    equal = rhs == lhs.c
-    report = {
-        "kind": key[0], "lambda": list(lam), "R": [list(r) for r in rects],
-        "transposed_kind": tkind, "R_transposed": [list(r) for r in trects],
-        "lhs": lhs_text, "rhs": lhs_text if equal else str(LaurentPoly(rhs)),
-        "shift": shift,
+    try:
+        entry = _DUALITY_CACHE[kind, rects]
+    except (KeyError, TypeError):
+        key = (canonical_kind(kind), tuple(map(tuple, rects)))
+        entry = _DUALITY_CACHE.get(key)
+        if entry is None:
+            entry = _DUALITY_CACHE[key] = _duality_setup(key)
+    kind, rects, tkind, trects, shift, answers = entry
+    try:
+        answer = answers.get(lam)
+    except TypeError:   # unhashable, such as a list
+        answer = None
+    if answer is None:
+        lam, _, size2 = _lambda_data(tuple(lam))
+        answer = answers.get(lam) or (lam, size2, True, "0", "0")
+    lam, size2, equal, lhs_text, rhs_text = answer
+    return equal, {
+        "kind": kind, "lambda": list(lam), "R": list(map(list, rects)),
+        "transposed_kind": tkind, "R_transposed": list(map(list, trects)),
+        "lhs": lhs_text, "rhs": rhs_text, "shift": shift - size2,
     }
-    return equal, report
 
 
 def all_rect(rects):

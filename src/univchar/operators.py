@@ -515,14 +515,14 @@ _BB_CACHE = {}   # (kind or DIAMOND, factors-suffix) -> SymFunc
 def bb_r(factors):
     """Deformed product over a sequence of index vectors, Schur basis; at
     the squared deformation it is bb_r(factors).subs_power(2)."""
-    return _bb("none", tuple(tuple(f) for f in factors))
+    return _bb("none", factors)
 
 
 def bb_diamond(factors):
     """Deformed product over a sequence of index vectors in the diamond
     coordinates: its coefficients are those in the basis of box, vdom and
     hdom alike."""
-    return _bb(DIAMOND, tuple(tuple(f) for f in factors))
+    return _bb(DIAMOND, factors)
 
 
 def bb_diamond_r(kind, factors):
@@ -537,10 +537,20 @@ def bb_diamond_r(kind, factors):
 def bb_diamond_r_via_rows(kind, factors):
     """bb_diamond_r by the kind's own row chain, seeded by the kind's basis
     element: the verification route for bb_diamond."""
-    return _bb(canonical_kind(kind), tuple(tuple(f) for f in factors))
+    return _bb(canonical_kind(kind), factors)
 
 
 def _bb(kind, factors):
+    # the memo is read on the factors as given first: a tuple of tuples
+    # equals the key built from it, a list is unhashable, and a generator
+    # misses unconsumed
+    try:
+        got = _BB_CACHE.get((kind, factors))
+    except TypeError:
+        got = None
+    if got is not None:
+        return got
+    factors = tuple(tuple(f) for f in factors)
     if not factors:
         return SymFunc.one()
     key = (kind, factors)

@@ -50,7 +50,7 @@ from __future__ import annotations
 from itertools import product
 
 from .core import (LaurentPoly, P_ONE, as_partition, canonical_kind,
-                   conjugate, contains, partition_key)
+                   coeff_at, conjugate, contains, partition_key)
 
 # ---------------------------------------------------------------------------
 # caches (read-mostly; insertion is plain dict assignment, entries are frozen)
@@ -279,7 +279,7 @@ class SymFunc:
                      for lam in sorted(self.terms, key=partition_key))
 
     def coeff(self, lam):
-        return self.terms.get(as_partition(lam), LaurentPoly.zero())
+        return coeff_at(self.terms, lam)
 
     def degree(self):
         """Max partition size with a nonzero term; -1 when zero."""

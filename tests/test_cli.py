@@ -482,7 +482,8 @@ def test_table_command(tmp_path, capsys):
 
 
 def test_table_negative_note(tmp_path, capsys, monkeypatch):
-    # a negative row is reported on stderr, once per row, and still written
+    # the negative rows of a kind are noted on stderr in one line, with
+    # their count and the first, and still written
     rows = {(1,): LaurentPoly({1: -1}), (2,): LaurentPoly({0: 1}),
             (1, 1): LaurentPoly({-2: 3})}
     table = KTable("vdom", ((1,), (1,)), rows, "test")
@@ -492,8 +493,8 @@ def test_table_negative_note(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path), "--latex"]) == 0
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "univchar: note: negative data at [1] (-t) in kind vdom",
-        "univchar: note: negative data at [1, 1] (3*t^-2) in kind vdom"]
+        "univchar: note: 2 rows with negative data in kind vdom, first at "
+        "[1] (-t)"]
     assert captured.out.splitlines() == [
         str(tmp_path / "ktable_vdom.json"), str(tmp_path / "ktable_vdom.tex")]
     data = json.loads((tmp_path / "ktable_vdom.json").read_text())

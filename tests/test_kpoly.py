@@ -6,7 +6,7 @@ import random
 import pytest
 
 from univchar.core import (KINDS, LaurentPoly, partition_key, partitions_of,
-                           partitions_upto, seq_weight)
+                           partitions_upto, seq_overlap, seq_weight)
 from univchar.schur import SymFunc, multiply, schur_of_vector
 from univchar.series import Expansion, from_diamond, to_diamond
 from univchar.operators import tilde_b_diamond_parabolic
@@ -180,6 +180,42 @@ def test_duality_memo(monkeypatch):
     for lam in ([2, 1], (2, 1, 0), (p for p in (2, 1))):
         monkeypatch.setattr(kpoly, "_LAMBDA_CACHE", {})
         assert duality_check("vdom", lam, R_EXAMPLE) == want, lam
+
+
+def test_duality_lookups_on_arguments_as_given(monkeypatch):
+    # a call looks kind, R and lambda up as given; a generator R, a list R,
+    # the alias vd, a list lambda and a trailing zero miss, and fall back to
+    # the canonical key, which is the only key stored
+    monkeypatch.setattr(kpoly, "_DUALITY_CACHE", {})
+    monkeypatch.setattr(kpoly, "_LAMBDA_CACHE", {})
+    want = duality_check("vdom", (2, 1), R_EXAMPLE)
+    for _ in range(2):
+        for kind, rects, lam in (
+                ("vdom", (r for r in R_EXAMPLE), (2, 1)),
+                ("vdom", [[2, 2], [1]], (2, 1)),
+                ("vdom", [(2, 2), (1,)], (2, 1)), ("vd", R_EXAMPLE, (2, 1)),
+                ("VDOM", R_EXAMPLE, (2, 1)), ("vdom", R_EXAMPLE, [2, 1]),
+                ("vdom", R_EXAMPLE, (2, 1, 0))):
+            got = duality_check(kind, lam, rects)
+            assert got == want, (kind, lam)
+            assert got[1]["R"] is not want[1]["R"]
+    for bad in ((1, 2), (-1,)):
+        with pytest.raises(ValueError):
+            duality_check("vdom", bad, R_EXAMPLE)
+    assert set(kpoly._DUALITY_CACHE) == {("vdom", R_EXAMPLE)}
+    for kind, rects in kpoly._DUALITY_CACHE:
+        assert type(rects) is tuple
+        assert all(type(r) is tuple for r in rects)
+    assert not {(1, 2), (-1,)} & set(kpoly._LAMBDA_CACHE)
+    assert all(type(lam) is tuple for lam in kpoly._LAMBDA_CACHE)
+    # a lambda in neither table answers 0 on both sides, at the shift
+    # 2 (overlap + |R|) - 2 |lam|, on every call
+    shift = 2 * (seq_overlap(R_EXAMPLE) + seq_weight(R_EXAMPLE))
+    for lam in ((4, 4), [4, 4], (4, 4, 0)):
+        equal, report = duality_check("hdom", lam, R_EXAMPLE)
+        assert (equal, report["lhs"], report["rhs"]) == (True, "0", "0")
+        assert report["lambda"] == [4, 4]
+        assert report["shift"] == shift - 16
 
 
 def test_duality_sides_differ(monkeypatch):

@@ -269,13 +269,23 @@ def test_kostka_foulkes_example():
             oracles.kostka_foulkes_charge(lam, mu), lam
 
 
-def test_d_polynomial_example():
+def test_d_polynomial_example(monkeypatch):
     R = ((3,), (2,), (1,))
     for kind in ("box", "vdom", "hdom"):
         assert d_polynomial(kind, (3, 2, 1), R) == LaurentPoly.const(1)
         assert d_polynomial(kind, (4, 2), R) == t(2) + t(1)
         assert d_polynomial(kind, (3, 1), R) == t(2) * 2 + t(1) + t(3)
         assert d_polynomial(kind, (), R) == t(4)
+    # factors given as lists or a generator, and lambda as a list with a
+    # trailing zero, read the same products, which are stored under tuples
+    monkeypatch.setattr(operators, "_BB_CACHE", {})
+    for kind in ("box", "none"):
+        want = d_polynomial(kind, (3, 1), R)
+        for rects in ([[3], [2], [1]], [(3,), (2,), (1,)], (f for f in R)):
+            assert d_polynomial(kind, [3, 1, 0], rects) == want, rects
+    for _, factors in operators._BB_CACHE:
+        assert type(factors) is tuple
+        assert all(type(f) is tuple for f in factors)
 
 
 def test_schur_kind_is_the_schur_product():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from univchar.core import (LaurentPoly, conjugate, contains, partition_key,
                            partitions_of, partitions_upto)
 from univchar.schur import (Expansion, SymFunc, _prod_spectrum, _removals,
@@ -10,6 +12,7 @@ from univchar.schur import (Expansion, SymFunc, _prod_spectrum, _removals,
                             skew_e, skew_h, ssyt_contents, straighten,
                             to_func)
 from univchar import oracles
+from univchar.kpoly import KTable
 
 
 def s(*parts):
@@ -266,3 +269,22 @@ def test_skew_by_monomial_and_polynomial_coefficients():
         for nu in partitions_upto(5):
             assert got.coeff(nu) == inner_product(
                 p, multiply(q, SymFunc.schur(nu))), (a, nu)
+
+
+def test_coeff_on_lambda_as_given():
+    # SymFunc.coeff and KTable.coeff look lambda up as given and validate it
+    # only on a miss: a tuple, a list and a trailing zero agree, an absent
+    # lambda is zero, and a lambda that is no partition still raises
+    t = LaurentPoly.t
+    f = s(2, 1).scaled(t(1) + t(3)) + s(3).scaled(t(-2))
+    table = KTable("vdom", ((2, 1),), f.terms, "test")
+    for coeff in (f.coeff, table.coeff):
+        want = t(1) + t(3)
+        for lam in ((2, 1), [2, 1], (2, 1, 0)):
+            assert coeff(lam) == want, (coeff, lam)
+        assert coeff([3, 0]) == t(-2)
+        assert coeff((1, 1)) == LaurentPoly.zero()
+        assert coeff([]) == LaurentPoly.zero()
+        for bad in ((1, 2), (-1,)):
+            with pytest.raises(ValueError):
+                coeff(bad)
