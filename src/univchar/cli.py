@@ -146,12 +146,11 @@ def cmd_table(rects, kinds, out_dir, latex, as_json):
     for kind, table in ktables(kinds, rects).items():
         paths = [os.path.join(out_dir, "ktable_%s.%s" % (kind, ext))
                  for ext in (("json", "tex") if latex else ("json",))]
-        negative = _write_table(table, paths)
+        count, first = _write_table(table, paths)
         written += paths
-        if negative:
+        if count:
             # one note per kind: a large table can have tens of thousands
-            count = len(negative)
-            lam, poly = negative[0]
+            lam, poly = first
             print("univchar: note: %d %s with negative data in kind %s, "
                   "first at %s (%s)" % (count, "row" if count == 1 else "rows",
                                         kind, list(lam), poly),

@@ -97,7 +97,8 @@ class KTable:
 
     def write(self, json_fh, tex_fh=None):
         """Write the files of `univchar table` to open text files, row by
-        row in one walk of the support, and return positivity_report().
+        row in one walk of the support, and return the count of
+        positivity_report()'s rows and its first row, or None.
 
         The JSON is json.dumps(self.to_json(), indent=1, sort_keys=True)
         and a newline, byte for byte: exponent keys sort as strings, so
@@ -111,7 +112,7 @@ class KTable:
                          % self.kind)
         json_fh.write('{\n "K": ')
         sep = "[\n"
-        negative = []
+        count, first = 0, None
         for lam in self.support():
             poly = self.rows[lam]
             parts = [str(p) for p in lam]
@@ -128,7 +129,8 @@ class KTable:
                 tex_fh.write(r"$(%s)$ & $%s$ \\" "\n"
                              % (",".join(parts), poly.format("", "t^{%d}")))
             if _negative(poly):
-                negative.append((lam, poly))
+                first = first or (lam, poly)
+                count += 1
         # the keys after "K" sort as R, kind, provenance; the stdlib writes
         # them at the same indent once its opening brace is cut off
         tail = json.dumps({"R": [list(r) for r in self.rects],
@@ -138,7 +140,7 @@ class KTable:
                                       tail[2:]))
         if tex_fh is not None:
             tex_fh.write("\\end{tabular}\n")
-        return negative
+        return count, first
 
     def __repr__(self):
         bits = ", ".join("%r: %s" % (list(l), p) for l, p in

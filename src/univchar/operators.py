@@ -66,19 +66,22 @@ skew_by_series does not, since packing its accumulation was slower.
 
 One width w per call is sound.  The packed int is the image of the ring
 map Z[t] -> Z, t -> 2^w, and every step is Z[t]-linear, so the output's
-image is right whatever slot overflows midway: only the output must fit,
-and balanced digits read it exactly once each of its coefficients is
-below 2^(w-1) in absolute value.  An L1 bound B bounds them all.  B starts
-at the L1 norm of the operand.  Each skew factor multiplies it by the
-largest strip count among that stage's partitions, since a term reaches
-each shape of its strips once; the Pieri stage by the number of Pieri
-shifts, since it sends a term to at most one shape per shift; and each
-parabolic position by its summed level counts.  B only grows, so if it is
-below 2^(w-1) at the end it was below at every stage.  There, an image of
-0 is a true 0, so the terms the stages skip as 0 are the truly vanishing
-ones, the partitions B was taken over are the true ones, and the bound
-holds by induction.  A call picks w from its operand and reruns at
-w = bitlength(B) + 1 whenever B >= 2^(w-1) at the end.
+image is right whatever slot overflows midway: only the true output must
+fit, and balanced digits read it exactly once each of its coefficients is
+below 2^(w-1) in absolute value.  Its L1 norm bounds them all, and it is at
+most A * G, with A the operand's L1 norm and G a product over the stages:
+each skew factor the largest strip count _most_strips(D) of a partition of
+at most D cells, since a term reaches each shape of its strips once; the
+Pieri stage the number of Pieri shifts, since it sends a term to at most
+one shape per shift; and each parabolic position its summed level counts,
+len(levels) ** pos.  D bounds the cells of every term a position meets: it
+is the operand's degree plus the sum of max(nu_i, 0) over the positions
+already processed.  A row at index m changes a term's size by at most m
+(_pieri_stage), and every level option (delta, drop) has delta <= drop,
+while the earlier position of a pair is processed after the later one, so
+the indices a choice of options uses at the processed positions sum to at
+most their nu_i.  A call takes w = bitlength(A * G) + 1 and runs its
+kernel once (_packed).
 
 Parabolic operators compose single rows and correct with the pairwise index
 shifts that come from commuting deformed rows past each other; the correction
@@ -133,51 +136,47 @@ _KERNELS = {"none": (_A, (0,), _A_LEVELS),
 
 
 def _row_stage(p, kind, texp, w):
-    """Map net shift j -> skewed packed operand (lam -> int), and the factor
-    by which the stage can grow an L1 norm; texp None is the undeformed
-    kernel.
+    """Map net shift j -> skewed packed operand (lam -> int); texp None is
+    the undeformed kernel.
 
     The stage holds the kind's skew factors but the one-column skews with
     step +1, which the Bernstein insertion of _pieri_stage applies.  A
     factor walks the removal strips of each Schur term once, every size a
     at once (schur._removals), and adds each strip, negated for odd a or
     shifted by w * a * |texp| bits, straight into the accumulator of net
-    shift j + step * a.  Its growth factor is the largest strip count of
-    the factor's partitions.  Terms that cancel stay in the maps as 0, and
-    every reader skips them.
+    shift j + step * a.  A term reaches each shape of its strips once, so a
+    factor multiplies an L1 norm by at most the largest strip count of its
+    partitions (_most_strips).  Terms that cancel stay in the maps as 0,
+    and every reader skips them.
     """
     stage = {0: p}
-    growth = 1
     for skew, step in _KERNELS[kind][0]:
         if skew == "ht" and texp is None:
             continue
         column = skew == "e"
         unit = 0 if column else w * abs(texp)
         nxt = {}
-        most = 1
         for j, f in stage.items():
             for lam, n in f.items():
                 if not n:
                     continue
-                count = 0
                 for a, shapes in enumerate(_removals(lam, column)):
                     acc = nxt.setdefault(j + step * a, {})
                     m = -n if column and a % 2 else n << unit * a
                     for nu in shapes:
                         acc[nu] = acc.get(nu, 0) + m
-                    count += len(shapes)
-                if count > most:
-                    most = count
-        growth *= most
         stage = nxt
-    return stage, growth
+    return stage
 
 
 def _pieri_stage(stage, kind, r):
     """The packed row at index r from a skew stage: the signed sum, over
     the kind's Pieri shifts s, of Bernstein's operator B_(r-s+j) on
     stage[j].  It sends each Schur term to at most one shape per shift, so
-    it grows an L1 norm by the number of shifts.
+    it multiplies an L1 norm by at most the number of shifts.  A shape in
+    stage[j] has at least j cells fewer than the term it came from, since
+    a factor that removes a cells moves j by at most a, so the row adds at
+    most r cells to a term (a negative r removes at least -r).
 
     B_m = sum_a (-1)^a h_(m+a) e_a^perp, so B_(r-s+j) applies the one-column
     skews with step +1 and the Pieri product in one move, each Schur term
@@ -218,14 +217,15 @@ def _most_strips(d):
 
 
 def _packed(p, texp, kind, nu, kernel):
-    """Run kernel(terms, w) -> (lam -> int, growth) on p packed in slots of
-    w bits, and decode its output once (module docstring).
+    """Run kernel(terms, w) -> lam -> int on p packed in slots of w bits,
+    and decode its output once (module docstring).
 
-    w starts one bit past A * G, with A the operand's L1 norm and G the
-    growth of the positions nu if every stage had the most strips its
-    degree allows, the degree growing by each index met; when the bound
-    A * growth reaches 2^(w-1), the kernel runs again at
-    w = bitlength(A * growth) + 1.
+    w is one bit past A * G, with A the operand's L1 norm and G the factor
+    by which the positions nu, right to left, can at most multiply an L1
+    norm: per position, the largest strip count of a partition of at most
+    D cells for each skew factor, the number of Pieri shifts, and the
+    len(levels) ** pos level choices, where D, the operand's degree to
+    start with, grows by max(nu[pos], 0) after each position.
     """
     if not p.terms:
         return SymFunc()
@@ -238,22 +238,17 @@ def _packed(p, texp, kind, nu, kernel):
                 low = e
             norm += abs(v)
         degree = max(degree, sum(lam))
-    guess = norm
+    bound = norm
     for pos in range(len(nu) - 1, -1, -1):
         most = _most_strips(degree)
         for skew, _ in factors:
             if skew == "e" or texp is not None:
-                guess *= most
-        guess *= len(shifts) * len(levels) ** pos
+                bound *= most
+        bound *= len(shifts) * len(levels) ** pos
         degree += max(nu[pos], 0)
-    w = guess.bit_length() + 1
-    while True:
-        terms = {lam: pack(c, w, low, step) for lam, c in p.terms.items()}
-        out, growth = kernel(terms, w)
-        bound = norm * growth
-        if bound < 1 << (w - 1):
-            break
-        w = bound.bit_length() + 1
+    w = bound.bit_length() + 1
+    out = kernel({lam: pack(c, w, low, step) for lam, c in p.terms.items()},
+                 w)
     f = SymFunc()
     for lam, n in out.items():
         if n:
@@ -263,9 +258,7 @@ def _packed(p, texp, kind, nu, kernel):
 
 def _row(r, p, kind, texp):
     def kernel(terms, w):
-        stage, growth = _row_stage(terms, kind, texp, w)
-        return (_pieri_stage(stage, kind, r),
-                growth * len(_KERNELS[kind][1]))
+        return _pieri_stage(_row_stage(terms, kind, texp, w), kind, r)
     return _packed(p, texp, kind, (r,), kernel)
 
 
@@ -453,8 +446,8 @@ def _parabolic_apply(nu, p, texp, kind):
     pending index shifts for the unprocessed positions to accumulated
     packed operands.  A level option of drop d and count c adds c times the
     row at the index less d, negated for odd d and shifted by w * d * |texp|
-    bits, so a position grows an L1 norm by its stage and Pieri factors
-    times its summed level counts, len(levels) ** pos.
+    bits, so a position multiplies an L1 norm by at most its stage and
+    Pieri factors times its summed level counts, len(levels) ** pos.
     """
     nu = tuple(int(x) for x in nu)
     n = len(nu)
@@ -463,20 +456,15 @@ def _parabolic_apply(nu, p, texp, kind):
     if n == 1:
         return _row(nu[0], p, kind, texp)
     levels = _KERNELS[kind][2]
-    shifts = len(_KERNELS[kind][1])
 
     def kernel(terms, w):
         unit = w * abs(texp)
         states = {(0,) * n: terms}
-        growth = 1
         for pos in range(n - 1, -1, -1):
             grouped = _level_weights(pos, levels)
             new_states = {}
-            most = 1
             for pending, f in states.items():
-                stage, g = _row_stage(f, kind, texp, w)
-                if g > most:
-                    most = g
+                stage = _row_stage(f, kind, texp, w)
                 base = nu[pos] + pending[pos]
                 rows = {}
                 for ds, drops in grouped.items():
@@ -492,9 +480,8 @@ def _parabolic_apply(nu, p, texp, kind):
                         mult = -cnt if drop % 2 else cnt
                         for lam, c in row.items():
                             acc[lam] = acc.get(lam, 0) + c * mult
-            growth *= most * shifts * len(levels) ** pos
             states = new_states
-        return states[()], growth
+        return states[()]
 
     return _packed(p, texp, kind, nu, kernel)
 

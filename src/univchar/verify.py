@@ -963,24 +963,28 @@ def suite_kpoly():
 
 def suite_duality():
     results = _Checks()
-    bad = 0
-    checked = 0
-    # duality_check reads both sides from memoized tables; up to |R| = 5
-    # each side is also read one coefficient at a time, table-free
-    off = 0
-    compared = 0
+    # duality_check reads both sides from memoized tables
+    bad = checked = 0
     for rects in dominant_rect_sequences(6):
+        for kind in KINDS:
+            for n in range(seq_weight(rects) + 1):
+                for lam in partitions_of(n):
+                    checked += 1
+                    if not duality_check(kind, lam, rects)[0]:
+                        bad += 1
+    _check(results, "duality.transpose(%d checks)" % checked, bad == 0,
+           "%d bad" % bad)
+
+    # up to |R| = 5 each side is also read one coefficient at a time,
+    # table-free
+    off = compared = 0
+    for rects in dominant_rect_sequences(5):
         w = seq_weight(rects)
         trects = dominant_rearrangement(tuple(conjugate(r) for r in rects))
         for kind in KINDS:
             for n in range(w + 1):
                 for lam in partitions_of(n):
-                    ok, rep = duality_check(kind, lam, rects)
-                    checked += 1
-                    if not ok:
-                        bad += 1
-                    if w > 5:
-                        continue
+                    rep = duality_check(kind, lam, rects)[1]
                     compared += 1
                     lhs = k_via_schur_recurrence(
                         KIND_TRANSPOSE[kind], conjugate(lam), trects)
@@ -989,8 +993,6 @@ def suite_duality():
                     rhs = rhs.subs_power(-1).shift(shift)
                     if (rep["lhs"], rep["rhs"]) != (str(lhs), str(rhs)):
                         off += 1
-    _check(results, "duality.transpose(%d checks)" % checked, bad == 0,
-           "%d bad" % bad)
     _check(results, "duality.tables_vs_coefficients(%d checks)" % compared,
            off == 0, "%d differ" % off)
 

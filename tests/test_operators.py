@@ -2,9 +2,9 @@ import hashlib
 
 import pytest
 
-from univchar.core import LaurentPoly, pack, partitions_of, partitions_upto
-from univchar.schur import (Expansion, SymFunc, multiply, schur_of_vector,
-                            skew_e, skew_h)
+from univchar.core import LaurentPoly, partitions_of, partitions_upto
+from univchar.schur import (Expansion, SymFunc, _removals, multiply,
+                            schur_of_vector, skew_e, skew_h)
 from univchar.series import diamond_unit, from_diamond, to_diamond
 from univchar.operators import (InvariantViolation, _halve_exact,
                                 bb_diamond, bb_diamond_r,
@@ -205,13 +205,14 @@ WIDE = LaurentPoly({-2: 2 ** 70, 0: -3})
 def test_wide_coefficients_fill_the_packed_width():
     # every step is Z[t]-linear, so the kernel on 1 scaled by WIDE is the
     # kernel on WIDE; at kind none the L1 bound is 2^70 + 3 itself, so a
-    # slot one bit narrower reads 2^70 as -2^70
+    # slot one bit narrower reads 2^70 as -2^70; (2, -1, 3) takes a
+    # negative index and level drops
     wide = one.scaled(WIDE)
     for kind in ("none", "box", "vdom", "hdom"):
         for r in (0, 2, 3):
             assert bernstein_diamond_row(kind, r, wide) == \
                 bernstein_diamond_row(kind, r, one).scaled(WIDE), (kind, r)
-        for nu in ((3,), (2, 1), (1, 0, 2)):
+        for nu in ((3,), (2, 1), (1, 0, 2), (2, -1, 3)):
             for texp in (1, 2, -1):
                 got = tilde_b_diamond_parabolic(kind, nu, wide, texp)
                 want = tilde_b_diamond_parabolic(kind, nu, one, texp)
@@ -226,16 +227,20 @@ def test_wide_operand_vs_oracle():
                 (2, 1), WIDE_OPERAND, kind, texp), (kind, texp)
 
 
-def test_short_first_width_reruns(monkeypatch):
-    # a first width of 1 bit cannot hold the output: the kernel runs again
-    # at the width of its L1 bound and gives the same result
-    want = tilde_b_diamond_parabolic("box", (2, 1), WIDE_OPERAND)
-    packs = []
-    monkeypatch.setattr(operators, "_most_strips", lambda d: 0)
-    monkeypatch.setattr(operators, "pack",
-                        lambda *args: packs.append(args[1]) or pack(*args))
-    assert tilde_b_diamond_parabolic("box", (2, 1), WIDE_OPERAND) == want
-    assert packs[0] == 1 and len(set(packs)) == 2
+def test_most_strips_is_the_largest_strip_count():
+    # the knapsack against every partition of at most d cells, whose
+    # horizontal strips the kernel walks and whose vertical ones it bounds
+    for d in range(15):
+        most = 1
+        for lam in partitions_upto(d):
+            count = 1
+            for r, part in enumerate(lam):
+                count *= part - (lam[r + 1] if r + 1 < len(lam) else 0) + 1
+            assert sum(map(len, _removals(lam, False))) == count, lam
+            assert sum(map(len, _removals(lam, True))) <= \
+                operators._most_strips(d), lam
+            most = max(most, count)
+        assert operators._most_strips(d) == most, d
 
 
 def test_oracle_guards():
