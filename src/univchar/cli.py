@@ -5,6 +5,10 @@ unreadable or unwritable path), 3 internal error (an invariant violation or
 any other unexpected exception, a bare ValueError included: usage is
 validated at the edge and reported as ParseError, EvalError or an argparse
 error).
+
+Only `eval` and `expand` load the expression evaluator (exprparse); `kpoly`,
+`dpoly`, `table` and `verify` import their own modules when they run, and
+read the `-R` caps and the usage errors from core.
 """
 
 from __future__ import annotations
@@ -16,11 +20,10 @@ import json
 import os
 import sys
 
-from .core import as_partition, canonical_kind, KINDS
-from .exprparse import (EvalError, ParseError, check_table_sequence,
-                        eval_expr, expand_value, format_value, value_to_json)
+from .core import (as_partition, canonical_kind, check_table_sequence,
+                   EvalError, KINDS, ParseError)
 # re-exported: the -R caps are also read as cli.MAX_TABLE_WEIGHT and _FACTORS
-from .exprparse import MAX_TABLE_FACTORS, MAX_TABLE_WEIGHT  # noqa: F401
+from .core import MAX_TABLE_FACTORS, MAX_TABLE_WEIGHT  # noqa: F401
 from .operators import InvariantViolation
 
 USAGE_ERROR = 2
@@ -228,13 +231,12 @@ def main(argv=None):
 
 
 def _dispatch(args):
-    if args.command == "eval":
+    if args.command in ("eval", "expand"):
+        from .exprparse import (eval_expr, expand_value, format_value,
+                                value_to_json)
         value = eval_expr(args.expr)
-        print(json.dumps(value_to_json(value), sort_keys=True)
-              if args.json else format_value(value))
-        return 0
-    if args.command == "expand":
-        value = expand_value(eval_expr(args.expr), args.basis)
+        if args.command == "expand":
+            value = expand_value(value, args.basis)
         print(json.dumps(value_to_json(value), sort_keys=True)
               if args.json else format_value(value))
         return 0

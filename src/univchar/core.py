@@ -1,5 +1,6 @@
 """Exact scaffolding: partitions, integer Laurent polynomials in t, basis kinds,
-and sequences of partitions that index tables.
+and sequences of partitions that index tables, with the usage errors and the
+size caps of command-line input.
 
 Partitions are plain tuples of weakly decreasing positive integers (the empty
 tuple is the empty partition); trailing zeros are never stored, so equal
@@ -421,3 +422,61 @@ def is_dominant_seq(rects):
 def dominant_rearrangement(rects):
     """Sort rectangles into a dominant sequence (widths weakly decreasing)."""
     return tuple(sorted(rects, key=lambda r: (-(r[0] if r else 0), -len(r))))
+
+
+# ---------------------------------------------------------------------------
+# usage errors and the size caps of the command line
+
+class ParseError(ValueError):
+    def __init__(self, msg, span=None):
+        self.span = span
+        if span is not None:
+            msg = "%s (at %d..%d)" % (msg, span[0], span[1])
+        super().__init__(msg)
+
+
+class EvalError(ValueError):
+    pass
+
+
+# largest total size |R| and number of factors of a sequence R, for the
+# command-line `table`, `kpoly` and `dpoly`, the `kpoly(...)` and `dpoly(...)`
+# calls and the index vectors of the operators B, Bd, Bt, Btd and H, and
+# largest `dual(...)` degree and `s[...]`, `hN` and `eN` literal, where
+# H.box([[1]], h50) took 33.5 s.  The cell cap also bounds the sum of the
+# degrees of a product of two expansions, the degree of a basis change's
+# operand, an operator's operand degree plus its vectors' cells and each
+# partition of `nl(...)`: ten factors s[5] took 23.2 s, nl([1],[61],[60])
+# 9.4 s, and s[10]*s[10]*s[10] takes 0.13 s.  The benchmark ladder tops out at
+# 19 cells in 4 factors, and on ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells,
+# `table --kinds all` takes about 6 s and 78 MB on a 2-vCPU machine.  Time and
+# memory grow steeply with both: thirty one-cell factors would need every
+# partition of 30, and 22 of them already cost as much as that 29-cell
+# sequence.  Of 14 sequences measured at the caps, the slowest is five factors
+# (3,2,1), where `table --kinds all` took 25-29 s and 216 MB.  On a diamond
+# kind dpoly builds bb_diamond: 1.0 s and 42 MB on the 29-cell sequence, 15 s
+# and 192 MB on five (3,2,1); kpoly, and dpoly of kind none, read bb_r: about
+# 1.5 s and 57 MB on five (3,2,1) (wall time, peak RSS).  A dual of degree 30
+# took 1.7 s and 60 MB, of degree 40 16 s and 394 MB.
+MAX_TABLE_WEIGHT = 30
+MAX_TABLE_FACTORS = 5
+
+
+def check_cells(what, cells):
+    """Refuse what, of the given number of cells, past MAX_TABLE_WEIGHT."""
+    if cells > MAX_TABLE_WEIGHT:
+        raise EvalError("%s of %d cells, above the cap of %d"
+                        % (what, cells, MAX_TABLE_WEIGHT))
+
+
+def check_table_sequence(rects):
+    """Refuse a sequence R past MAX_TABLE_WEIGHT cells or MAX_TABLE_FACTORS
+    factors, and return its cells.  An index vector's cells are the
+    absolute values of its entries, which bound the degree of every operand
+    its rows reach."""
+    cells = sum(abs(x) for r in rects for x in r)
+    check_cells("sequence", cells)
+    if len(rects) > MAX_TABLE_FACTORS:
+        raise EvalError("sequence of %d factors, above the cap of %d"
+                        % (len(rects), MAX_TABLE_FACTORS))
+    return cells

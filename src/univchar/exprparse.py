@@ -13,7 +13,10 @@ Grammar sketch::
 Operator names: B, Bd, Bt, Btd, H (index vector or list of vectors, optional
 operand expression).  Calls: expand, skew, omega, dual, kpoly, dpoly, nl.
 Partition literals are validated at parse time; every node keeps its source
-span for error reporting.
+span for error reporting.  The size caps this module shares with the `-R`
+options of the command line, MAX_TABLE_WEIGHT and MAX_TABLE_FACTORS, live in
+core with their checks and the two error classes; their names here read the
+same objects.
 """
 
 from __future__ import annotations
@@ -21,23 +24,14 @@ from __future__ import annotations
 import math
 import re
 
-from .core import _KIND_ALIASES, LaurentPoly, as_partition, canonical_kind
+from .core import (_KIND_ALIASES, EvalError, LaurentPoly, ParseError,
+                   as_partition, canonical_kind, check_cells,
+                   check_table_sequence, MAX_TABLE_WEIGHT)
+# re-exported: the -R factor cap is also read as exprparse.MAX_TABLE_FACTORS
+from .core import MAX_TABLE_FACTORS  # noqa: F401
 from .schur import Expansion, SymFunc, skew_by
 from .series import (change_basis, diamond_product, dual_basis_truncated,
                      newell_littlewood, omega_diamond)
-
-
-class ParseError(ValueError):
-    def __init__(self, msg, span=None):
-        self.span = span
-        if span is not None:
-            msg = "%s (at %d..%d)" % (msg, span[0], span[1])
-        super().__init__(msg)
-
-
-class EvalError(ValueError):
-    pass
-
 
 # largest exponent of a power whose base is not the monomial t, and largest
 # degree span (highest minus lowest exponent of t) of such a power's result;
@@ -54,49 +48,6 @@ MAX_POWER_BITS = 14000
 # each level costs a few frames of the recursive-descent parser and of the
 # evaluator, and Python stops recursion at 1000 frames by default
 MAX_NESTING = 100
-
-# largest total size |R| and number of factors of a sequence R, for the
-# command-line `table`, `kpoly` and `dpoly`, the `kpoly(...)` and `dpoly(...)`
-# calls and the index vectors of the operators B, Bd, Bt, Btd and H, and
-# largest `dual(...)` degree and `s[...]`, `hN` and `eN` literal, where
-# H.box([[1]], h50) took 33.5 s.  The cell cap also bounds the sum of the
-# degrees of a product of two expansions, the degree of a basis change's
-# operand, an operator's operand degree plus its vectors' cells and each
-# partition of `nl(...)`: ten factors s[5] took 23.2 s, nl([1],[61],[60])
-# 9.4 s, and s[10]*s[10]*s[10] takes 0.13 s.  The benchmark ladder tops out at
-# 19 cells in 4 factors, and on ((5,5),(4,4),(3,3),(2,2),(1,)), 29 cells,
-# `table --kinds all` takes about 6 s and 78 MB on a 2-vCPU machine.  Time and
-# memory grow steeply with both: thirty one-cell factors would need every
-# partition of 30, and 22 of them already cost as much as that 29-cell
-# sequence.  Of 14 sequences measured at the caps, the slowest is five factors
-# (3,2,1), where `table --kinds all` took 25-29 s and 216 MB.  On a diamond
-# kind dpoly builds bb_diamond: 1.0 s and 42 MB on the 29-cell sequence, 15 s
-# and 192 MB on five (3,2,1); kpoly, and dpoly of kind none, read bb_r: about
-# 1.5 s and 57 MB on five (3,2,1) (wall time, peak RSS).  A dual of degree 30
-# took 1.7 s and 60 MB, of degree 40 16 s and 394 MB.
-MAX_TABLE_WEIGHT = 30
-MAX_TABLE_FACTORS = 5
-
-
-def check_cells(what, cells):
-    """Refuse what, of the given number of cells, past MAX_TABLE_WEIGHT."""
-    if cells > MAX_TABLE_WEIGHT:
-        raise EvalError("%s of %d cells, above the cap of %d"
-                        % (what, cells, MAX_TABLE_WEIGHT))
-
-
-def check_table_sequence(rects):
-    """Refuse a sequence R past MAX_TABLE_WEIGHT cells or MAX_TABLE_FACTORS
-    factors, and return its cells.  An index vector's cells are the
-    absolute values of its entries, which bound the degree of every operand
-    its rows reach."""
-    cells = sum(abs(x) for r in rects for x in r)
-    check_cells("sequence", cells)
-    if len(rects) > MAX_TABLE_FACTORS:
-        raise EvalError("sequence of %d factors, above the cap of %d"
-                        % (len(rects), MAX_TABLE_FACTORS))
-    return cells
-
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 

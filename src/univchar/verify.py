@@ -43,7 +43,8 @@ DIAMOND_KINDS = ("box", "vdom", "hdom")
 
 class Check(tuple):
     """One check result, the triple (name, passed, detail).  Its seconds
-    attribute is the time since the previous check of its suite."""
+    attribute is the time since the previous check or booking of its suite,
+    plus the time booked on it (_Checks.book)."""
 
     def __new__(cls, name, ok, detail, seconds):
         self = super().__new__(cls, (name, ok, detail))
@@ -52,16 +53,27 @@ class Check(tuple):
 
 
 class _Checks(list):
-    """The checks of one suite, with the time its last check was taken."""
+    """The checks of one suite, with the time its last check or booking was
+    taken and the seconds booked on each check not yet taken."""
 
     def __init__(self):
         super().__init__()
         self.clock = time.perf_counter()
+        self.booked = {}
+
+    def book(self, stem):
+        """Book the time since the last check or booking on the check whose
+        name, up to any '(', is stem: a loop that serves several checks
+        books each one's share of every pass."""
+        now = time.perf_counter()
+        self.booked[stem] = self.booked.get(stem, 0.0) + now - self.clock
+        self.clock = now
 
 
 def _check(results, name, ok, detail=""):
     now = time.perf_counter()
-    results.append(Check(name, bool(ok), detail, now - results.clock))
+    seconds = now - results.clock + results.booked.pop(name.split("(")[0], 0.0)
+    results.append(Check(name, bool(ok), detail, seconds))
     results.clock = now
     return ok
 
@@ -592,12 +604,14 @@ def suite_operators():
         at0 = SymFunc(base.eval_t(0))
         if at0 != schur_of_vector(flat):
             bad0 += 1
+        results.book("operators.bb_at0")
         at1 = SymFunc(base.eval_t(1))
         prod = SymFunc.one()
         for r in rects:
             prod = multiply(prod, SymFunc.schur(r))
         if at1 != prod:
             bad1 += 1
+        results.book("operators.bb_at1")
     _check(results, "operators.bb_at0(%d seqs)" % len(seqs), bad0 == 0,
            "%d bad" % bad0)
     _check(results, "operators.bb_at1", bad1 == 0, "%d bad" % bad1)
@@ -657,24 +671,28 @@ def suite_operators_diamond():
             rows = to_diamond(bb_diamond_r_via_rows(kind, rects), kind).func
             if rows != table:
                 bad_const += 1
+        results.book("operators.d_constancy")
         flat = tuple(x for r in rects for x in r)
         st = straighten(flat)
         want0 = SymFunc() if st is None else \
             SymFunc.schur(st[1], LaurentPoly.const(st[0]))
         if SymFunc(table.eval_t(0)) != want0:
             bad_spec0 += 1
+        results.book("operators.dd_at0")
         # the product of basis elements, kind-free: vdom stands for all three
         prod = Expansion("vdom", SymFunc.one())
         for r in rects:
             prod = diamond_product(prod, Expansion("vdom", SymFunc.schur(r)))
         if SymFunc(table.eval_t(1)) != prod.func:
             bad_spec1 += 1
+        results.book("operators.dd_at1")
         if all(len(r) == 1 for r in rects):
             widths = tuple(r[0] for r in rects)
             if tuple(sorted(widths, reverse=True)) == widths:
                 for lam, poly in table.terms.items():
                     if any(v < 0 for v in poly.c.values()):
                         neg_rows.append((rects, lam))
+        results.book("operators.d_row_nonnegativity")
     _check(results, "operators.d_constancy(%d seqs)" % len(chosen),
            bad_const == 0, "%d bad" % bad_const)
     _check(results, "operators.dd_at0", bad_spec0 == 0, "%d bad" % bad_spec0)
@@ -792,14 +810,18 @@ def suite_kpoly():
     bad_rec = bad_shared = bad_chain = 0
     for rects in seqs:
         shared = ktables(KINDS, rects)
+        results.book("kpoly.shared_tables_vs_rows")
         for kind in KINDS:
             rows = oracles.hh_r_via_rows(kind, rects)
             if not rows.same_rows(hh_r(kind, rects)):
                 bad_rec += 1
+            results.book("kpoly.operator_vs_recurrence")
             if not rows.same_rows(shared[kind]):
                 bad_shared += 1
+            results.book("kpoly.shared_tables_vs_rows")
         if vdom_table_chain(rects).terms != shared["vdom"].rows:
             bad_chain += 1
+        results.book("kpoly.vdom_chain_vs_tables")
     _check(results, "kpoly.operator_vs_recurrence(%d seqs x 4)" % len(seqs),
            bad_rec == 0, "%d bad" % bad_rec)
     # the multi-kind tables of `univchar table`, box and hdom by sweeps
@@ -828,9 +850,11 @@ def suite_kpoly():
     for rects in seqs2:
         flat = tuple(x for r in rects for x in r)
         st = straighten(flat)
+        results.book("kpoly.at0")
         prod = SymFunc.one()
         for r in rects:
             prod = multiply(prod, SymFunc.schur(r))
+        results.book("kpoly.at1")
         for kind in KINDS:
             table = hh_r(kind, rects)
             rows0 = {lam: poly.eval_int(0)
@@ -839,14 +863,17 @@ def suite_kpoly():
             want0 = {} if st is None else {st[1]: st[0]}
             if rows0 != want0:
                 bad0 += 1
+            results.book("kpoly.at0")
             at1 = SymFunc({lam: LaurentPoly.const(poly.eval_int(1))
                            for lam, poly in table.rows.items()})
             if from_diamond(Expansion(kind, at1)) != prod:
                 bad1 += 1
+            results.book("kpoly.at1")
             if kind == "none":
                 w = seq_weight(rects)
                 if any(sum(l) != w for l in table.rows):
                     badsupp += 1
+            results.book("kpoly.schur_kind_degree_support")
     _check(results, "kpoly.at0(%d seqs x 4)" % len(seqs2), bad0 == 0,
            "%d bad" % bad0)
     _check(results, "kpoly.at1", bad1 == 0, "%d bad" % bad1)

@@ -306,7 +306,7 @@ def test_cli_internal_error(monkeypatch, capsys):
     def boom(_):
         raise InvariantViolation("test")
 
-    monkeypatch.setattr("univchar.cli.eval_expr", boom)
+    monkeypatch.setattr("univchar.exprparse.eval_expr", boom)
     assert main(["eval", "s[1]"]) == 3
     capsys.readouterr()
 
@@ -317,7 +317,7 @@ def test_cli_unexpected_exception(monkeypatch, capsys):
     def boom(_):
         raise KeyError("boom")
 
-    monkeypatch.setattr("univchar.cli.eval_expr", boom)
+    monkeypatch.setattr("univchar.exprparse.eval_expr", boom)
     assert main(["eval", "s[1]"]) == 3
     err = capsys.readouterr().err
     assert err == "univchar: internal error: KeyError: 'boom'\n"
@@ -536,6 +536,24 @@ def test_kpoly_dpoly_caps(capsys):
             assert "error: argument -R" in capsys.readouterr().err
 
 
+def test_table_sequence_caps_live_in_core():
+    # one sequence check serves -R and the eval calls: past either cap it
+    # raises the usage error that every module reads from core
+    from univchar import core, exprparse
+    for rects in (((31,),), ((1,),) * 6):
+        with pytest.raises(core.EvalError):
+            core.check_table_sequence(rects)
+    assert core.check_table_sequence(((30,),)) == 30
+    assert core.check_table_sequence(((1,),) * 5) == 5
+    assert exprparse.EvalError is core.EvalError
+    assert exprparse.ParseError is core.ParseError
+    assert exprparse.MAX_TABLE_WEIGHT is core.MAX_TABLE_WEIGHT
+    assert exprparse.MAX_TABLE_FACTORS is core.MAX_TABLE_FACTORS
+    assert univchar.cli.MAX_TABLE_WEIGHT is core.MAX_TABLE_WEIGHT
+    assert univchar.cli.MAX_TABLE_FACTORS is core.MAX_TABLE_FACTORS
+    assert (core.MAX_TABLE_WEIGHT, core.MAX_TABLE_FACTORS) == (30, 5)
+
+
 def test_eval_caps(capsys):
     # the eval calls obey the -R caps and refuse a dual degree above the
     # cell cap, as usage errors before computing
@@ -688,3 +706,20 @@ def test_production_imports_leave_out_the_oracles():
                       "'univchar.verify') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_eval_and_expand_load_the_evaluator(tmp_path):
+    # table, kpoly, dpoly and verify never parse an expression, so a
+    # process that runs one of them leaves exprparse unloaded
+    proc = _run_child("-c", "import sys; from univchar.cli import main; "
+                      "code = main(['table', '-R', '[[2,2],[1]]', '--out', "
+                      "sys.argv[1]]); "
+                      "print(code, 'univchar.exprparse' in sys.modules)",
+                      str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert sorted(os.listdir(tmp_path)) == [
+        "ktable_%s.json" % kind for kind in ("box", "hdom", "none", "vdom")]
+    proc = _run_child("-m", "univchar", "expand", "--basis", "vd", "s[2,1]")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "s.vdom[1] + s.vdom[2,1]\n"
