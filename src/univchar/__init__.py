@@ -7,8 +7,6 @@ creation operators and t-deformations, and the deformed character tables.
 from .core import (KINDS, KIND_TRANSPOSE, LaurentPoly, as_partition,
                    canonical_kind, conjugate, frobenius, from_frobenius,
                    member_p_kind, partitions_of, rotate_complement)
-from .schur import (Expansion, SymFunc, evaluate, inner_product,
-                    lr_coefficient, multiply, skew_by, straighten)
 
 __all__ = [
     "KINDS", "KIND_TRANSPOSE", "LaurentPoly", "SymFunc", "Expansion",
@@ -17,3 +15,12 @@ __all__ = [
     "evaluate", "inner_product", "lr_coefficient", "multiply", "skew_by",
     "straighten",
 ]
+
+
+def __getattr__(name):
+    # the names of __all__ not taken from core load schur on first use, so
+    # a process that computes nothing (`univchar --help`) loads core only
+    if name not in __all__:
+        raise AttributeError("module univchar has no attribute %r" % name)
+    from . import schur
+    return getattr(schur, name)

@@ -8,7 +8,8 @@ error).
 
 Only `eval` and `expand` load the expression evaluator (exprparse); `kpoly`,
 `dpoly`, `table` and `verify` import their own modules when they run, and
-read the `-R` caps and the usage errors from core.
+read the `-R` caps, the usage errors and InvariantViolation from core, so
+`--help` and a usage error load no computation module.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import os
 import sys
 
 from .core import (as_partition, canonical_kind, check_table_sequence,
-                   EvalError, KINDS, ParseError)
+                   EvalError, InvariantViolation, KINDS, ParseError)
 # re-exported: the -R caps are also read as cli.MAX_TABLE_WEIGHT and _FACTORS
 from .core import MAX_TABLE_FACTORS, MAX_TABLE_WEIGHT  # noqa: F401
-from .operators import InvariantViolation
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1

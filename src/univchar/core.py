@@ -1,6 +1,6 @@
 """Exact scaffolding: partitions, integer Laurent polynomials in t, basis kinds,
-and sequences of partitions that index tables, with the usage errors and the
-size caps of command-line input.
+and sequences of partitions that index tables, with the usage errors, the
+internal invariant error and the size caps of command-line input.
 
 Partitions are plain tuples of weakly decreasing positive integers (the empty
 tuple is the empty partition); trailing zeros are never stored, so equal
@@ -425,7 +425,7 @@ def dominant_rearrangement(rects):
 
 
 # ---------------------------------------------------------------------------
-# usage errors and the size caps of the command line
+# errors and the size caps of the command line
 
 class ParseError(ValueError):
     def __init__(self, msg, span=None):
@@ -437,6 +437,10 @@ class ParseError(ValueError):
 
 class EvalError(ValueError):
     pass
+
+
+class InvariantViolation(Exception):
+    """An internal exactness invariant failed (e.g. an inexact halving)."""
 
 
 # largest total size |R| and number of factors of a sequence R, for the

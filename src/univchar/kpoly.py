@@ -1,8 +1,9 @@
 """Deformed character tables: the conjugated row operators, the tables they
 generate, the Schur-side recurrence that serves as the fast production path,
-the single-rectangle closed form and transpose duality.  The routes that
-check them (row by row, by expansion into kind parabolics, and through the
-connection between the two deformed-product families) are in oracles.
+and transpose duality.  The routes that check them (row by row, by
+expansion into kind parabolics, through the connection between the two
+deformed-product families, and the single-rectangle closed form) are in
+oracles.
 
 A KTable stores, for one kind and one sequence of partitions, the coefficient
 polynomials of the deformed product in the basis of that kind, together with
@@ -41,10 +42,10 @@ import json
 
 from .core import (KINDS, LaurentPoly, as_partition, canonical_kind,
                    coeff_at, conjugate, dominant_rearrangement,
-                   is_dominant_seq, is_rectangle, kind_partitions_of,
-                   partition_key, seq_overlap, seq_weight, KIND_TRANSPOSE)
+                   is_dominant_seq, is_rectangle, partition_key, seq_overlap,
+                   seq_weight, KIND_TRANSPOSE)
 from .schur import SymFunc
-from .series import _one_row_sweep, _series_coeff, skew_by_series
+from .series import _one_row_sweep, series_coeff, skew_by_series
 from .operators import bb_r, tilde_b_diamond_parabolic
 
 
@@ -67,18 +68,6 @@ class KTable:
         # no key tuple per row: the second sort is stable
         return sorted(sorted(self.rows, reverse=True), key=sum)
 
-    def same_rows(self, other):
-        return self.rows == other.rows
-
-    def positivity_report(self):
-        """Rows with a negative coefficient or a negative exponent.
-
-        Nonnegativity is an observed property for dominant rectangle
-        sequences; violations are reported, never silently accepted.
-        """
-        return [(lam, self.rows[lam]) for lam in self.support()
-                if _negative(self.rows[lam])]
-
     def to_json(self):
         return {
             "kind": self.kind,
@@ -97,8 +86,8 @@ class KTable:
 
     def write(self, json_fh, tex_fh=None):
         """Write the files of `univchar table` to open text files, row by
-        row in one walk of the support, and return the count of
-        positivity_report()'s rows and its first row, or None.
+        row in one walk of the support, and return the count of its rows
+        with negative data (_negative) and the first one, or None.
 
         The JSON is json.dumps(self.to_json(), indent=1, sort_keys=True)
         and a newline, byte for byte: exponent keys sort as strings, so
@@ -151,8 +140,8 @@ class KTable:
 
 
 def _negative(poly):
-    """The row test of positivity_report and write: a negative coefficient
-    or a negative exponent."""
+    """The row test of write and verify.positivity_report: a negative
+    coefficient or a negative exponent."""
     return min(poly.c) < 0 or min(poly.c.values()) < 0
 
 
@@ -237,29 +226,8 @@ def k_via_schur_recurrence(kind, lam, rects):
     lam = as_partition(lam)
     rects = tuple(as_partition(r) for r in rects)
     drop = seq_weight(rects) - sum(lam)
-    return _series_coeff(bb_r(rects), canonical_kind(kind),
-                         lam).subs_power(2).shift(drop)
-
-
-# ---------------------------------------------------------------------------
-# single rectangle closed form
-
-def single_rectangle_table(kind, rect):
-    """Closed form for a one-rectangle sequence: rotated complements of the
-    kind subshapes of the rectangle, graded by their size."""
-    kind = canonical_kind(kind)
-    rect = as_partition(rect)
-    if not is_rectangle(rect):
-        raise ValueError("not a rectangle: %r" % (rect,))
-    from .core import rotate_complement
-    nrows, ncols = len(rect), rect[0]
-    out = {}
-    for m in range(nrows * ncols + 1):
-        for mu in kind_partitions_of(m, kind, max_len=nrows):
-            if mu and mu[0] > ncols:
-                continue
-            out[rotate_complement(mu, rect)] = LaurentPoly.t(m)
-    return KTable(kind, (rect,), out, "single-rectangle")
+    return series_coeff(bb_r(rects), canonical_kind(kind),
+                        lam).subs_power(2).shift(drop)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +288,7 @@ def _duality_setup(key):
     is formatted."""
     kind, rects = key
     rects = tuple(as_partition(r) for r in rects)
-    if not all_rect(rects):
+    if not all(is_rectangle(r) for r in rects):
         raise ValueError("duality requires rectangles")
     if not is_dominant_seq(rects):
         raise ValueError("duality requires a dominant sequence")
@@ -380,7 +348,3 @@ def duality_check(kind, lam, rects):
         "transposed_kind": tkind, "R_transposed": list(map(list, trects)),
         "lhs": lhs_text, "rhs": rhs_text, "shift": shift - size2,
     }
-
-
-def all_rect(rects):
-    return all(is_rectangle(r) for r in rects)

@@ -49,9 +49,7 @@ h_m, so U_r is the same operator for all three kinds.  Its unweighted skews
 with step -1, by E(-1/z) in the stage and by H(1/z) in the sum over k,
 cancel: f^perp g^perp = (fg)^perp and E(-u) H(u) = 1 (Macdonald, I (2.6)).
 So U_r is the type-A stage plus one t-weighted one-row factor with step -1.
-bb_diamond runs it from the straightened s_lambda, with no series anywhere;
-bb_diamond_r_via_rows keeps each kind's own row chain, seeded by the kind's
-basis element, as its oracle.
+bb_diamond runs it from the straightened s_lambda, with no series anywhere.
 
 The kernel carries each Schur term's coefficient as one Python int: the
 polynomial at t = 2^w (a Kronecker substitution, core.pack), with t^e in
@@ -88,22 +86,19 @@ shifts that come from commuting deformed rows past each other; the correction
 bookkeeping runs as a small dynamic program over pending index shifts, which
 builds each operand's skew stage once, runs the Pieri stage once per index
 drop and adds each weighted row in place into the accumulator of its next
-pending shifts.  vdom_table_chain runs that program on the diamond row
-stage with the type-A levels, which gives the vdom table with no
-Littlewood-Richardson spectrum.  The brute-force multivariate extraction
-oracle that checks these operators is oracles.direct_extraction_oracle.
+pending shifts.  The routes that check these operators are in oracles: the
+multivariate extraction (direct_extraction_oracle), each kind's own row
+chain from its basis element (bb_diamond_r_via_rows), and the vdom table
+chain on the VDOM_TABLE kernel (vdom_table_chain).
 """
 
 from __future__ import annotations
 
-from .core import LaurentPoly, as_partition, canonical_kind, pack, unpack
+from .core import (InvariantViolation, LaurentPoly, as_partition,
+                   canonical_kind, pack, unpack)
 from .schur import (Expansion, SymFunc, _inserted, _removals, multiply,
                     straighten)
-from .series import diamond_unit, from_diamond, to_diamond
-
-
-class InvariantViolation(Exception):
-    """An internal exactness invariant failed (e.g. an inexact halving)."""
+from .series import from_diamond, to_diamond
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +116,7 @@ DIAMOND = "diamond"
 # it moves that one's pending shift by delta and drops the current index by
 # drop, with weight (-t^texp)^drop (see _level_weights).  VDOM_TABLE is the
 # diamond row stage with the type-A levels: at texp 2 its chain from 1 is
-# the vdom table (vdom_table_chain).
+# the vdom table (oracles.vdom_table_chain).
 _A = (("ht", 1),)
 _MIRRORED = _A + (("e", -1), ("ht", -1))
 _A_LEVELS = ((0, 0), (1, 1))
@@ -496,7 +491,7 @@ def tilde_b_diamond_parabolic(kind, nu, p, texp=1):
 # ---------------------------------------------------------------------------
 # deformed products over sequences of factors
 
-_BB_CACHE = {}   # (kind or DIAMOND, factors-suffix) -> SymFunc
+_BB_CACHE = {}   # ("none" or DIAMOND, factors-suffix) -> SymFunc
 
 
 def bb_r(factors):
@@ -521,12 +516,6 @@ def bb_diamond_r(kind, factors):
     return from_diamond(Expansion(kind, bb_diamond(factors)))
 
 
-def bb_diamond_r_via_rows(kind, factors):
-    """bb_diamond_r by the kind's own row chain, seeded by the kind's basis
-    element: the verification route for bb_diamond."""
-    return _bb(canonical_kind(kind), factors)
-
-
 def _bb(kind, factors):
     # the memo is read on the factors as given first: a tuple of tuples
     # equals the key built from it, a list is unhashable, and a generator
@@ -547,35 +536,11 @@ def _bb(kind, factors):
     if len(factors) == 1:
         # rightmost factor acts on 1: the result is undeformed
         st = straighten(factors[0])
-        if st is None:
-            out = SymFunc()
-        else:
-            sign, lam = st
-            base = (SymFunc.schur(lam) if kind in ("none", DIAMOND)
-                    else diamond_unit(lam, kind))
-            out = base.scaled(sign)
+        out = SymFunc() if st is None else SymFunc.schur(st[1]).scaled(st[0])
     else:
         out = _parabolic_apply(factors[0], _bb(kind, factors[1:]), 1, kind)
     _BB_CACHE[key] = out
     return out
-
-
-def vdom_table_chain(factors):
-    """The vdom table over a sequence of index vectors, in the vdom basis,
-    as one parabolic chain at texp 2 started at 1, reading no
-    Littlewood-Richardson spectrum: the oracle of the series skew of
-    kpoly.ktables.
-
-    The table is F^perp bb_r(factors) at t -> t^2, with F the t-scaled
-    positive vdom series.  The coproduct of F gives F^perp(h_m g) =
-    sum_k t^(2k) h_(m-k) h_k^perp F^perp g, the row stage commutes with
-    F^perp and F^perp 1 = 1, so each row of the chain is the type-A row at
-    texp 2 with one more one-row factor of step -1 (the VDOM_TABLE kernel).
-    """
-    f = SymFunc.one()
-    for nu in reversed(tuple(factors)):
-        f = _parabolic_apply(nu, f, 2, VDOM_TABLE)
-    return f
 
 
 def d_polynomial(kind, lam, factors):

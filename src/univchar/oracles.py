@@ -12,10 +12,14 @@ explicit polynomial products in finitely many variables.
 The second routes reach the same results by another derivation, but each
 shares a production primitive, which its own check anchors:
 
+* the Pieri moves: skew_h and skew_e read schur._removals, and multiply_h
+  and multiply_e enumerate their strips on their own, by interlacing
+  (_added); lr.pieri_vs_lr_spectra anchors both.
 * direct_extraction_oracle extracts the coefficients of the deformed
-  parabolic operators from the full multivariate generating function.  It
-  uses schur.skew_h, skew_e and multiply_h, which lr.pieri_vs_lr_spectra
-  and lr.monomial_oracle anchor.
+  parabolic operators from the full multivariate generating function,
+  through the Pieri moves, which lr.monomial_oracle anchors as well.
+* bb_diamond_r_via_rows (each kind's own row chain) and vdom_table_chain
+  run operators._parabolic_apply, which direct_extraction_oracle anchors.
 * h_row_via_expansion expands one conjugated row into kind parabolics with
   squared deformation.  It uses operators.tilde_b_diamond_parabolic, which
   direct_extraction_oracle anchors, and schur.ssyt_contents, which
@@ -29,6 +33,7 @@ shares a production primitive, which its own check anchors:
 * singlerow_equivalence compares two production routes on single-row
   sequences: kpoly.k_via_schur_recurrence against operators.d_polynomial at
   the squared deformation.
+* single_rectangle_table is the closed form of a one-rectangle table.
 """
 
 from __future__ import annotations
@@ -36,11 +41,13 @@ from __future__ import annotations
 import itertools
 
 from .core import (LaurentPoly, as_partition, canonical_kind, conjugate,
-                   contains, kind_partitions_of, partitions_of)
-from .schur import (SymFunc, lr_coefficient, multiply_h, skew_e, skew_h,
-                    ssyt_contents)
-from .series import to_diamond
-from .operators import d_polynomial, tilde_b_diamond_parabolic
+                   contains, is_rectangle, kind_partitions_of,
+                   partition_key, partitions_of, rotate_complement)
+from .schur import (SymFunc, _removals, add_into, lr_coefficient,
+                    ssyt_contents, straighten, to_func)
+from .series import diamond_unit, to_diamond
+from .operators import (VDOM_TABLE, _parabolic_apply, d_polynomial,
+                        tilde_b_diamond_parabolic)
 from .kpoly import KTable, h_rows, hh_r, k_via_schur_recurrence
 
 # ---------------------------------------------------------------------------
@@ -419,6 +426,94 @@ def kernel_triple_expansion(degree):
 
 
 # ---------------------------------------------------------------------------
+# second routes: Pieri moves
+
+_STRIP_CACHE = {}   # (lam, m, column) -> tuple of added shapes
+
+
+def _interlacing(lo, hi, total):
+    """Tuples v with lo[r] <= v[r] <= hi[r] for every row r and sum total.
+
+    A branch is cut as soon as the rows left cannot make up the rest of the
+    sum, so every branch taken ends in a tuple.
+    """
+    n = len(hi)
+    lo_tail, hi_tail = [0] * (n + 1), [0] * (n + 1)
+    for r in range(n - 1, -1, -1):
+        lo_tail[r] = lo_tail[r + 1] + lo[r]
+        hi_tail[r] = hi_tail[r + 1] + hi[r]
+    acc = []
+
+    def rec(r, rest):
+        if r == n:
+            yield tuple(acc)
+            return
+        for v in range(max(lo[r], rest - hi_tail[r + 1]),
+                       min(hi[r], rest - lo_tail[r + 1]) + 1):
+            acc.append(v)
+            yield from rec(r + 1, rest - v)
+            acc.pop()
+
+    if lo_tail[0] <= total <= hi_tail[0]:
+        yield from rec(0, total)
+
+
+def _added(lam, m, column):
+    """Shapes that lam gains by a strip of m cells, sorted by partition_key:
+    mu/lam is a horizontal strip exactly when lam interlaces mu, lam_(r-1) >=
+    mu_r >= lam_r, the first row unbounded but for the m cells.  A vertical
+    strip (column set) is the conjugate of a horizontal one (Macdonald I.5)."""
+    key = (lam, m, column)
+    got = _STRIP_CACHE.get(key)
+    if got is not None:
+        return got
+    base = conjugate(lam) if column else lam
+    shapes = (tuple(p for p in v if p) for v in
+              _interlacing(base + (0,), ((base[0] if base else 0) + m,) + base,
+                           sum(base) + m))
+    if column:
+        shapes = map(conjugate, shapes)
+    got = _STRIP_CACHE[key] = tuple(sorted(shapes, key=partition_key))
+    return got
+
+
+def _pieri(p, m, column, add):
+    """Multiply (add) or skew by the one-row function of degree m, or by
+    the one-column one when column is set; zero for m < 0.  A skew reads
+    the removals of size m (none past lam_1, or l(lam) for a column)."""
+    acc = {}
+    for lam, c in p.terms.items() if m >= 0 else ():
+        if add:
+            shapes = _added(lam, m, column)
+        else:
+            by_size = _removals(lam, column)
+            shapes = by_size[m] if m < len(by_size) else ()
+        for shape in shapes:
+            add_into(acc, shape, c)
+    return to_func(acc)
+
+
+def multiply_h(p, m):
+    """Multiply by the one-row Schur function of degree m (zero for m < 0)."""
+    return _pieri(p, m, False, True)
+
+
+def multiply_e(p, m):
+    """Multiply by the one-column Schur function of degree m (zero for m < 0)."""
+    return _pieri(p, m, True, True)
+
+
+def skew_h(p, m):
+    """Adjoint of multiplication by the one-row function of degree m."""
+    return _pieri(p, m, False, False)
+
+
+def skew_e(p, m):
+    """Adjoint of multiplication by the one-column function of degree m."""
+    return _pieri(p, m, True, False)
+
+
+# ---------------------------------------------------------------------------
 # second routes: the multivariate extraction of the deformed parabolics
 
 def direct_extraction_oracle(nu, p, kind="none", texp=1):
@@ -498,6 +593,50 @@ def _extraction(nu, p, texp, mirrored):
                                        sign * (-1) ** (sum(b) + sum(f)))
                 out = out + g.scaled(weight)
     return out
+
+
+# ---------------------------------------------------------------------------
+# second routes: the row chains of operators
+
+_ROWS_CACHE = {}   # (kind, factors-suffix) -> SymFunc
+
+
+def bb_diamond_r_via_rows(kind, factors):
+    """operators.bb_diamond_r by the kind's own row chain, seeded by the
+    kind's basis element, memoized per suffix of the factors: the
+    verification route for operators.bb_diamond."""
+    kind, factors = canonical_kind(kind), tuple(map(tuple, factors))
+    got = _ROWS_CACHE.get((kind, factors))
+    if got is not None:
+        return got
+    if len(factors) > 1:
+        got = _parabolic_apply(factors[0], bb_diamond_r_via_rows(
+            kind, factors[1:]), 1, kind)
+    else:
+        # the rightmost factor acts on 1, undeformed (straighten(()) = 1)
+        st = straighten(factors[0] if factors else ())
+        got = SymFunc() if st is None else \
+            diamond_unit(st[1], kind).scaled(st[0])
+    _ROWS_CACHE[kind, factors] = got
+    return got
+
+
+def vdom_table_chain(factors):
+    """The vdom table over a sequence of index vectors, in the vdom basis,
+    as one parabolic chain at texp 2 started at 1, reading no
+    Littlewood-Richardson spectrum: the oracle of the series skew of
+    kpoly.ktables.
+
+    The table is F^perp bb_r(factors) at t -> t^2, with F the t-scaled
+    positive vdom series.  The coproduct of F gives F^perp(h_m g) =
+    sum_k t^(2k) h_(m-k) h_k^perp F^perp g, the row stage commutes with
+    F^perp and F^perp 1 = 1, so each row of the chain is the type-A row at
+    texp 2 with one more one-row factor of step -1 (the VDOM_TABLE kernel).
+    """
+    f = SymFunc.one()
+    for nu in reversed(tuple(factors)):
+        f = _parabolic_apply(nu, f, 2, VDOM_TABLE)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +755,9 @@ def hb_connection(kind, rects):
         "R": [list(r) for r in rects],
         "factor_terms": [(list(r), {g: str(c) for g, c in sorted(t.items())})
                          for r, t in reversed(factor_terms)],
-        "match": lhs.same_rows(rhs),
+        "match": lhs.rows == rhs.rows,
     }
-    return lhs.same_rows(rhs), report, rhs
+    return report["match"], report, rhs
 
 
 def singlerow_equivalence(lam, mu):
@@ -630,3 +769,20 @@ def singlerow_equivalence(lam, mu):
     lhs = k_via_schur_recurrence("vdom", lam, rows)
     rhs = d_polynomial("vdom", lam, rows).subs_power(2)
     return lhs == rhs, lhs, rhs
+
+
+def single_rectangle_table(kind, rect):
+    """Closed form for a one-rectangle sequence: rotated complements of the
+    kind subshapes of the rectangle, graded by their size."""
+    kind = canonical_kind(kind)
+    rect = as_partition(rect)
+    if not is_rectangle(rect):
+        raise ValueError("not a rectangle: %r" % (rect,))
+    nrows, ncols = len(rect), rect[0]
+    out = {}
+    for m in range(nrows * ncols + 1):
+        for mu in kind_partitions_of(m, kind, max_len=nrows):
+            if mu and mu[0] > ncols:
+                continue
+            out[rotate_complement(mu, rect)] = LaurentPoly.t(m)
+    return KTable(kind, (rect,), out, "single-rectangle")

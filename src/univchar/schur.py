@@ -19,18 +19,12 @@ Bernstein's operator B_m s_lam = s_(m, lam) (Macdonald, I.5 Ex. 29) moves m
 past the rows of lam in one pass (bernstein_insert), and straightening an
 integer index vector is the right fold of it.
 
-Products and skews by a one-row or one-column function are Pieri moves.
-mu/nu is a horizontal strip exactly when nu interlaces mu, mu_r >= nu_r >=
-mu_{r+1}, so the shapes one move reaches are the tuples of a box of
-intervals with a fixed sum (_interlacing).  A vertical strip is the
-conjugate of a horizontal one (omega, Macdonald I.5), so column moves
-conjugate the row moves of the conjugate shape.  Additions are memoized
-per size (_added, _STRIP_CACHE).  One removal pass yields every size at
-once, kept as one tuple by size (_removals, _REMOVAL_CACHE): a skew indexes
-it, and the row kernel, the one-row sweeps and the vdom series spectra walk
-it once per Schur term for the skews of every degree.  Tableau contents
-come from the same pass: the cells of a filling's last letter form a
-horizontal strip (ssyt_contents).
+The shapes lam loses by a horizontal or vertical strip come from one
+removal pass, every strip size at once, kept as one tuple by size
+(_removals, _REMOVAL_CACHE): the row kernel, the one-row sweeps and the vdom
+series spectra walk it once per Schur term for the skews of every degree,
+and tableau contents read it too, since the cells of a filling's last
+letter form a horizontal strip (ssyt_contents).
 
 The removal memo, the insertion memo and series._SPECTRUM_CACHE hold few
 distinct shapes many times over, so each shape they store, and each
@@ -39,7 +33,7 @@ _INTERN (_interned).  The insertion memo (_inserted, _INSERT_CACHE) is the
 one that the row kernel, the vdom series spectra and straighten all read.
 An interned tuple equals the one it replaces, so no result depends on it.
 
-Products, skews, Pieri moves and evaluations share one accumulator: a dict
+Products, skews and evaluations share one accumulator: a dict
 key -> raw {exponent: int} dict, into which add_into adds mult * t^shift * c
 in place, and which to_func turns into a SymFunc once, dropping the terms
 that cancelled.
@@ -56,7 +50,6 @@ from .core import (LaurentPoly, P_ONE, as_partition, canonical_kind,
 # caches (read-mostly; insertion is plain dict assignment, entries are frozen)
 
 _PROD_CACHE = {}    # (mu, nu) -> dict lam -> int
-_STRIP_CACHE = {}   # (lam, m, column) -> tuple of added shapes
 _REMOVAL_CACHE = {}  # (lam, column) -> tuple by size of removed shapes
 _CONTENT_CACHE = {}  # (lam, nvars) -> dict content-composition -> count
 _INSERT_CACHE = {}   # (m, lam) -> bernstein_insert(m, lam), () if it vanishes
@@ -69,56 +62,7 @@ def _interned(key):
 
 
 # ---------------------------------------------------------------------------
-# strip enumeration (Pieri moves)
-
-def _interlacing(lo, hi, total):
-    """Tuples v with lo[r] <= v[r] <= hi[r] for every row r and sum total.
-
-    A branch is cut as soon as the rows left cannot make up the rest of the
-    sum, so every branch taken ends in a tuple.
-    """
-    n = len(hi)
-    lo_tail, hi_tail = [0] * (n + 1), [0] * (n + 1)
-    for r in range(n - 1, -1, -1):
-        lo_tail[r] = lo_tail[r + 1] + lo[r]
-        hi_tail[r] = hi_tail[r + 1] + hi[r]
-    acc = []
-
-    def rec(r, rest):
-        if r == n:
-            yield tuple(acc)
-            return
-        for v in range(max(lo[r], rest - hi_tail[r + 1]),
-                       min(hi[r], rest - lo_tail[r + 1]) + 1):
-            acc.append(v)
-            yield from rec(r + 1, rest - v)
-            acc.pop()
-
-    if lo_tail[0] <= total <= hi_tail[0]:
-        yield from rec(0, total)
-
-
-def _added(lam, m, column):
-    """Shapes that lam gains by a strip of m cells, sorted by partition_key.
-
-    The strip is horizontal, or vertical when column is set (the row strips
-    of the conjugate, conjugated back).  Added rows lie in
-    lam_{r-1} >= mu_r >= lam_r, with the first row unbounded but for the m
-    cells, and are enumerated for the one size m.
-    """
-    key = (lam, m, column)
-    got = _STRIP_CACHE.get(key)
-    if got is not None:
-        return got
-    base = conjugate(lam) if column else lam
-    shapes = (tuple(p for p in v if p) for v in
-              _interlacing(base + (0,), ((base[0] if base else 0) + m,) + base,
-                           sum(base) + m))
-    if column:
-        shapes = map(conjugate, shapes)
-    got = _STRIP_CACHE[key] = tuple(sorted(shapes, key=partition_key))
-    return got
-
+# removal strips
 
 def _removals(lam, column):
     """The shapes lam loses by a horizontal strip (a vertical one when
@@ -426,32 +370,6 @@ def multiply(p, q):
     return to_func(acc)
 
 
-def _pieri(p, m, column, add):
-    """Multiply (add) or skew by the one-row function of degree m, or by
-    the one-column one when column is set; zero for m < 0.  A skew reads
-    the removals of size m (none past lam_1, or l(lam) for a column)."""
-    acc = {}
-    for lam, c in p.terms.items() if m >= 0 else ():
-        if add:
-            shapes = _added(lam, m, column)
-        else:
-            by_size = _removals(lam, column)
-            shapes = by_size[m] if m < len(by_size) else ()
-        for shape in shapes:
-            add_into(acc, shape, c)
-    return to_func(acc)
-
-
-def multiply_h(p, m):
-    """Multiply by the one-row Schur function of degree m (zero for m < 0)."""
-    return _pieri(p, m, False, True)
-
-
-def multiply_e(p, m):
-    """Multiply by the one-column Schur function of degree m (zero for m < 0)."""
-    return _pieri(p, m, True, True)
-
-
 def skew_by(p, q):
     """Apply the adjoint of multiplication by q to p."""
     acc = {}
@@ -468,16 +386,6 @@ def skew_by(p, q):
                 for nu, k in spec:
                     add_into(acc, nu, c1, e, v * k)
     return to_func(acc)
-
-
-def skew_h(p, m):
-    """Adjoint of multiplication by the one-row function of degree m."""
-    return _pieri(p, m, False, False)
-
-
-def skew_e(p, m):
-    """Adjoint of multiplication by the one-column function of degree m."""
-    return _pieri(p, m, True, False)
 
 
 def inner_product(p, q):

@@ -54,9 +54,9 @@ balanced digit: the packing is exact, with no overflow to guard.
 
 from __future__ import annotations
 
-from .core import (LaurentPoly, as_partition, canonical_kind, contains,
-                   from_frobenius, intersect, kind_partitions_of, pack,
-                   partition_key, partitions_of, partitions_upto, unpack)
+from .core import (LaurentPoly, canonical_kind, contains, from_frobenius,
+                   intersect, kind_partitions_of, pack, partition_key,
+                   partitions_of, partitions_upto, unpack)
 from .schur import (_INSERT_CACHE, _INTERN, Expansion, SymFunc, _inserted,
                     _interned, _prod_spectrum, _removals, _skew_spectrum,
                     add_into, multiply, skew_by, to_func)
@@ -208,21 +208,11 @@ def _created(m, spectrum):
 
 
 def series_coeff(p, kind, lam):
-    """The coefficient at lam of skew_by_series(p, kind, '+'), alone.
-
-    The skew by the positive series is sum_mu s_mu^perp over the kind
-    partitions mu, each with coefficient one.  Its coefficient at lam is
-    <sum_mu s_mu^perp p, s_lam> = sum_mu <p, s_lam s_mu>
-                                = sum_mu sum_tau p[tau] c^tau_{lam,mu},
-    so only the mu with |mu| = |tau| - |lam| for a term tau of p contribute,
-    and each reads the Littlewood-Richardson product spectrum of lam and mu
-    against the terms of p.  p need not be homogeneous.
-    """
-    return _series_coeff(p, canonical_kind(kind), as_partition(lam))
-
-
-def _series_coeff(p, kind, lam):
-    """series_coeff for a canonical kind and a canonical partition lam."""
+    """The coefficient at lam of skew_by_series(p, kind, '+'), alone, for a
+    canonical kind and partition lam: sum_mu <p, s_lam s_mu> over the kind
+    partitions mu, that is sum_mu sum_tau p[tau] c^tau_{lam,mu}, so each mu
+    with |mu| = |tau| - |lam| for a term tau of p reads the product spectrum
+    of lam and mu against the terms of p, which need not be homogeneous."""
     size = sum(lam)
     terms = p.terms
     weights = {}

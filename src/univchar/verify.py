@@ -23,19 +23,17 @@ from .core import (LaurentPoly, KINDS, KIND_TRANSPOSE, as_partition,
                    seq_overlap, seq_weight, frobenius, from_frobenius)
 from .schur import (Expansion, SymFunc, _prod_spectrum, _skew_spectrum,
                     evaluate, inner_product, lr_coefficient, multiply,
-                    multiply_e, multiply_h, skew_by, skew_e, skew_h,
-                    ssyt_contents, straighten, schur_of_vector)
+                    skew_by, ssyt_contents, straighten, schur_of_vector)
 from .series import (_one_row_sweep, change_basis, diamond_product,
                      diamond_unit, dual_basis_truncated, from_diamond,
                      newell_littlewood, omega_diamond, series_coeff,
                      series_terms, skew_by_series, to_diamond)
 from .operators import (DIAMOND, _parabolic_apply, bb_diamond, bb_diamond_r,
-                        bb_diamond_r_via_rows, bb_r,
-                        bernstein_diamond_create, d_polynomial, det_diamond,
-                        det_diamond_schur, jacobi_trudi,
-                        tilde_b_diamond_parabolic, vdom_table_chain)
-from .kpoly import (duality_check, h_rows, hh_r, k_via_schur_recurrence,
-                    ktables, single_rectangle_table)
+                        bb_r, bernstein_diamond_create, d_polynomial,
+                        det_diamond, det_diamond_schur, jacobi_trudi,
+                        tilde_b_diamond_parabolic)
+from .kpoly import (_negative, duality_check, h_rows, hh_r,
+                    k_via_schur_recurrence, ktables)
 from . import oracles
 
 DIAMOND_KINDS = ("box", "vdom", "hdom")
@@ -184,6 +182,13 @@ def series_coeff_mismatches(max_degree):
     return bad
 
 
+def positivity_report(table):
+    """The rows of a KTable with negative data (kpoly._negative), in support
+    order: nonnegativity is observed, and violations are reported."""
+    return [(lam, table.rows[lam]) for lam in table.support()
+            if _negative(table.rows[lam])]
+
+
 # ---------------------------------------------------------------------------
 # suite: lr
 
@@ -295,10 +300,10 @@ def suite_lr():
         p = SymFunc.schur(lam)
         for m in range(7):
             row, col = SymFunc.schur((m,)), SymFunc.schur((1,) * m)
-            for got, want in ((multiply_h(p, m), multiply(p, row)),
-                              (multiply_e(p, m), multiply(p, col)),
-                              (skew_h(p, m), skew_by(p, row)),
-                              (skew_e(p, m), skew_by(p, col))):
+            for got, want in ((oracles.multiply_h(p, m), multiply(p, row)),
+                              (oracles.multiply_e(p, m), multiply(p, col)),
+                              (oracles.skew_h(p, m), skew_by(p, row)),
+                              (oracles.skew_e(p, m), skew_by(p, col))):
                 if got != want:
                     bad += 1
     _check(results, "lr.pieri_vs_lr_spectra(|lam|<=10, m<=6)", bad == 0,
@@ -668,8 +673,8 @@ def suite_operators_diamond():
     for rects in chosen:
         table = bb_diamond(rects)
         for kind in DIAMOND_KINDS:
-            rows = to_diamond(bb_diamond_r_via_rows(kind, rects), kind).func
-            if rows != table:
+            rows = oracles.bb_diamond_r_via_rows(kind, rects)
+            if to_diamond(rows, kind).func != table:
                 bad_const += 1
         results.book("operators.d_constancy")
         flat = tuple(x for r in rects for x in r)
@@ -739,7 +744,8 @@ def suite_operators_diamond():
     for rects in partition_sequences(5):
         w = seq_weight(rects)
         for kind in DIAMOND_KINDS:
-            table = to_diamond(bb_diamond_r_via_rows(kind, rects), kind)
+            table = to_diamond(oracles.bb_diamond_r_via_rows(kind, rects),
+                               kind)
             for lam in partitions_upto(w):
                 checked += 1
                 if d_polynomial(kind, lam, rects) != table.coeff(lam):
@@ -813,13 +819,13 @@ def suite_kpoly():
         results.book("kpoly.shared_tables_vs_rows")
         for kind in KINDS:
             rows = oracles.hh_r_via_rows(kind, rects)
-            if not rows.same_rows(hh_r(kind, rects)):
+            if rows.rows != hh_r(kind, rects).rows:
                 bad_rec += 1
             results.book("kpoly.operator_vs_recurrence")
-            if not rows.same_rows(shared[kind]):
+            if rows.rows != shared[kind].rows:
                 bad_shared += 1
             results.book("kpoly.shared_tables_vs_rows")
-        if vdom_table_chain(rects).terms != shared["vdom"].rows:
+        if oracles.vdom_table_chain(rects).terms != shared["vdom"].rows:
             bad_chain += 1
         results.book("kpoly.vdom_chain_vs_tables")
     _check(results, "kpoly.operator_vs_recurrence(%d seqs x 4)" % len(seqs),
@@ -838,9 +844,9 @@ def suite_kpoly():
         for w in (1, 2, 3):
             rect = (w,) * h
             for kind in KINDS:
-                a = single_rectangle_table(kind, rect)
+                a = oracles.single_rectangle_table(kind, rect)
                 b = hh_r(kind, (rect,))
-                if not a.same_rows(b):
+                if a.rows != b.rows:
                     bad += 1
     _check(results, "kpoly.single_rectangle_3x3", bad == 0, "%d bad" % bad)
 
@@ -978,7 +984,7 @@ def suite_kpoly():
     for rects in dominant_rect_sequences(7):
         for kind in KINDS:
             table = hh_r(kind, rects)
-            if table.positivity_report():
+            if positivity_report(table):
                 neg.append((kind, rects))
     _check(results, "kpoly.positivity_observation(<=7)", not neg,
            "%d negative tables" % len(neg))

@@ -301,7 +301,7 @@ def test_cli_unknown_keyword(capsys):
 
 
 def test_cli_internal_error(monkeypatch, capsys):
-    from univchar.operators import InvariantViolation
+    from univchar.core import InvariantViolation
 
     def boom(_):
         raise InvariantViolation("test")
@@ -498,7 +498,7 @@ def test_table_negative_note(tmp_path, capsys, monkeypatch):
     assert captured.out.splitlines() == [
         str(tmp_path / "ktable_vdom.json"), str(tmp_path / "ktable_vdom.tex")]
     data = json.loads((tmp_path / "ktable_vdom.json").read_text())
-    assert KTable.from_json(data).same_rows(table)
+    assert KTable.from_json(data).rows == table.rows
     assert "$(1)$ & $-t$" in (tmp_path / "ktable_vdom.tex").read_text()
 
 
@@ -706,6 +706,66 @@ def test_production_imports_leave_out_the_oracles():
                       "'univchar.verify') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the check-only names, by the module that holds them, and the wrappers
+# that were deleted once their callers knew everything they did
+_CHECK_ONLY = {
+    "oracles": ("_interlacing", "_added", "_pieri", "multiply_h",
+                "multiply_e", "skew_h", "skew_e", "_STRIP_CACHE",
+                "bb_diamond_r_via_rows", "vdom_table_chain",
+                "single_rectangle_table"),
+    "verify": ("positivity_report",),
+}
+_DELETED = ("same_rows", "all_rect", "_series_coeff")
+
+
+def test_check_only_names_are_out_of_production():
+    from univchar import core, kpoly, operators, oracles, schur, series, \
+        verify
+    production = [vars(m) for m in (schur, operators, kpoly, series)]
+    production.append(vars(kpoly.KTable))
+    homes = {"oracles": oracles, "verify": verify}
+    for home, names in _CHECK_ONLY.items():
+        for name in names:
+            assert name in vars(homes[home]), (home, name)
+            assert not any(name in space for space in production), name
+    for name in _DELETED:
+        assert not any(name in space for space in production), name
+    # the oracle chains seed from diamond_unit; production does not
+    assert "diamond_unit" not in vars(operators)
+    assert operators.InvariantViolation is core.InvariantViolation
+
+
+def test_readme_library_sketch_runs():
+    # the first python block of README.md, run as it stands
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```python\n") + len("```python\n")
+    sketch = text[start:text.index("```", start)]
+    assert "bb_diamond_r_via_rows" in sketch
+    proc = _run_child("-c", sketch)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_help_and_usage_errors_load_no_computation_module():
+    # cli reads its errors and the -R caps from core, and the package loads
+    # schur only when one of its names is read
+    proc = _run_child("-c", """if True:
+        import sys
+        import univchar
+        from univchar.cli import main
+        codes = [main(argv) for argv in (
+            ["--help"], ["table", "-R", "[[2,2],[1"], ["table", "-R", "[[31]]"])]
+        print(codes, sorted(m for m in ("univchar.operators", "univchar.schur",
+                                        "univchar.series") if m in sys.modules))
+        print(univchar.SymFunc is sys.modules["univchar.schur"].SymFunc)
+        """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[0, 2, 2] []", "True"]
+    assert proc.stderr.count("error: argument -R") == 2
 
 
 def test_only_eval_and_expand_load_the_evaluator(tmp_path):

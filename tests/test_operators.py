@@ -4,17 +4,17 @@ import pytest
 
 from univchar.core import LaurentPoly, partitions_of, partitions_upto
 from univchar.schur import (Expansion, SymFunc, _removals, multiply,
-                            schur_of_vector, skew_e, skew_h)
+                            schur_of_vector)
 from univchar.series import diamond_unit, from_diamond, to_diamond
 from univchar.operators import (InvariantViolation, _halve_exact,
-                                bb_diamond, bb_diamond_r,
-                                bb_diamond_r_via_rows, bb_r,
+                                bb_diamond, bb_diamond_r, bb_r,
                                 bernstein_diamond_create,
                                 bernstein_diamond_row, d_polynomial,
                                 det_diamond, det_diamond_schur,
                                 jacobi_trudi, tilde_b_diamond_parabolic)
 from univchar import operators, oracles
-from univchar.oracles import direct_extraction_oracle
+from univchar.oracles import (bb_diamond_r_via_rows,
+                              direct_extraction_oracle, skew_e, skew_h)
 from univchar.verify import WIDE_OPERAND, specialization_sequences
 
 

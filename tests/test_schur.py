@@ -7,11 +7,10 @@ from univchar.core import (LaurentPoly, conjugate, contains, partition_key,
 from univchar.schur import (Expansion, SymFunc, _prod_spectrum, _removals,
                             _skew_spectrum, add_into,
                             bernstein_insert, evaluate, inner_product,
-                            lr_coefficient, multiply,
-                            multiply_e, multiply_h, schur_of_vector, skew_by,
-                            skew_e, skew_h, ssyt_contents, straighten,
-                            to_func)
+                            lr_coefficient, multiply, schur_of_vector,
+                            skew_by, ssyt_contents, straighten, to_func)
 from univchar import oracles
+from univchar.oracles import multiply_e, multiply_h, skew_e, skew_h
 from univchar.kpoly import KTable
 
 

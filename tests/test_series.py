@@ -9,7 +9,7 @@ from univchar.kpoly import ktables
 from univchar.operators import bb_diamond, bb_diamond_r
 from univchar.schur import (Expansion, SymFunc, _skew_spectrum,
                             bernstein_insert, inner_product, multiply,
-                            skew_by, skew_h)
+                            skew_by)
 from univchar.series import (_one_row_sweep, _series_rows, _series_spectrum,
                              _signed_shapes, change_basis, diamond_product,
                              diamond_unit, dual_basis_truncated, from_diamond,
@@ -18,6 +18,7 @@ from univchar.series import (_one_row_sweep, _series_rows, _series_spectrum,
 from univchar.verify import (WIDE_OPERAND, series_coeff_mismatches,
                              skew_by_series_mismatches)
 from univchar import operators, oracles, schur, series
+from univchar.oracles import skew_h
 
 
 def s(*parts):
